@@ -36,9 +36,29 @@ EXIT_DOMAIN = 3
 
 SEED_ENV_VAR = "COMB_RANGER_SEED"
 
+# rows formatted per write by the CSV exports
+EXPORT_BLOCK_ROWS = 8192
+
 
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
+
+
+def _export_csv(path: str, header: list[str], row_format: str, table: np.ndarray) -> None:
+    """Write `header` and one `row_format % row` line per row of `table`.
+
+    Rows are formatted and written EXPORT_BLOCK_ROWS at a time.  A path that
+    cannot be opened or written is a ValidationError; callers export before
+    printing anything, so a failed export leaves stdout empty.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(header) + "\n")
+            for start in range(0, len(table), EXPORT_BLOCK_ROWS):
+                block = table[start : start + EXPORT_BLOCK_ROWS].tolist()
+                fh.write("".join([row_format % tuple(row) for row in block]))
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _resolve_seed(flag_seed: int | None, config: RunConfig) -> int:
@@ -111,6 +131,20 @@ def _envelope_coefficients(mode: mode_algebra.SpectralMode, order: int) -> list[
 def cmd_modes(args: argparse.Namespace, out) -> int:
     config = load_config(args.config)
     rows, _ = _mode_table(config)
+
+    pulse = config.pulse
+    x = np.linspace(-mode_algebra.GRID_HALF_WIDTH, mode_algebra.GRID_HALF_WIDTH, 2049)
+    omega = pulse.omega0 + x * pulse.delta_omega
+    scale = math.sqrt(pulse.delta_omega)
+    profile_rows = [r for r in rows if r[0] in ("u", "v0", "v1", "v2", "w_L", "w_L_p")]
+    profiles = [mode_algebra.real_profile(m, omega) * scale for _, m, _ in profile_rows]
+    _export_csv(
+        args.out,
+        ["x"] + [label for label, _, _ in profile_rows],
+        "%.9e" + ",%.12e" * len(profiles) + "\n",
+        np.column_stack([x] + profiles),
+    )
+
     order = 2
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mode", "c0", "c1", "c2", "k_const"])
@@ -119,18 +153,6 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
         writer.writerow(
             [label] + [f"{ic:.12e}" for ic in coeffs] + ["" if k_const is None else f"{k_const:.12e}"]
         )
-
-    pulse = config.pulse
-    x = np.linspace(-mode_algebra.GRID_HALF_WIDTH, mode_algebra.GRID_HALF_WIDTH, 2049)
-    omega = pulse.omega0 + x * pulse.delta_omega
-    scale = math.sqrt(pulse.delta_omega)
-    profile_rows = [r for r in rows if r[0] in ("u", "v0", "v1", "v2", "w_L", "w_L_p")]
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        pw = csv.writer(fh, lineterminator="\n")
-        pw.writerow(["x"] + [label for label, _, _ in profile_rows])
-        profiles = [mode_algebra.real_profile(m, omega) * scale for _, m, _ in profile_rows]
-        for i in range(x.size):
-            pw.writerow([f"{x[i]:.9e}"] + [f"{p[i]:.12e}" for p in profiles])
     print(f"# profiles written to {args.out}", file=out)
     return EXIT_OK
 
@@ -206,15 +228,15 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         result = simulator.immunity_report(sim_config, keep_samples=keep)
     else:
         result = simulator.run(sim_config, keep_samples=keep)
+    if keep:
+        _export_csv(
+            args.out,
+            ["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"],
+            "%d,%.12e,%.12e,%.12e,%.12e\n",
+            result.samples,
+        )
     out.write(result.to_text())
     if keep:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"])
-            for row in result.samples:
-                writer.writerow(
-                    [int(row[0])] + [f"{v:.12e}" for v in row[1:]]
-                )
         print(f"# samples written to {args.out}", file=out)
     return EXIT_OK
 

@@ -9,9 +9,10 @@ white (drawn independently per sample).
 
 Reproducibility contract: the entire draw sequence is a deterministic
 function of (seed, sample index).  Draws are rows of a single
-standard-normal matrix generated by a Philox-keyed generator, so serial and
-chunk-parallel execution consume identical numbers and reruns are
-bit-identical.
+standard-normal matrix generated by a Philox-keyed generator.  The draws
+are prefix-stable: row i depends only on (seed, i), so a longer run repeats
+every row of a shorter one with the same seed, and reruns are bit-identical.
+A run draws, projects and regresses all of its samples in one serial block.
 
 Leakage of the environmental parameters into the distance estimate is
 characterized by ordinary least squares of the signal against the injected
@@ -141,9 +142,18 @@ class SimResult:
         return "\n".join(lines) + "\n"
 
 
-def select_lo(config: SimConfig) -> detection.DetectionMode:
-    """Resolve the configured LO choice to a detection mode."""
-    w_l, w_x, w_pw = detection.ranging_modes(config.pulse, config.state, config.length_m)
+def select_lo(
+    config: SimConfig,
+    modes: tuple[detection.DetectionMode, ...] | None = None,
+) -> detection.DetectionMode:
+    """Resolve the configured LO choice to a detection mode.
+
+    `modes` are the config's ranging modes (w_L, w_X, w_Pw) when the caller
+    already holds them; otherwise they are computed here.
+    """
+    if modes is None:
+        modes = detection.ranging_modes(config.pulse, config.state, config.length_m)
+    w_l, w_x, w_pw = modes
     if config.lo_choice == "raw":
         return w_l
     if config.lo_choice == "purified":
@@ -156,8 +166,7 @@ def perturbation_draws(seed: int, count: int) -> np.ndarray:
 
     Row i holds sample i's draws (z_L, z_X, z_Pw, z_noise).  Rows are a
     deterministic function of (seed, i): extending the count leaves earlier
-    rows untouched, which is what makes chunked execution reproduce the
-    serial result bit for bit.
+    rows untouched.
     """
     gen = np.random.Generator(np.random.Philox(key=seed))
     return gen.standard_normal((count, 4))
@@ -171,12 +180,12 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     contamination-matrix row of the chosen LO, which is how it is
     evaluated (vectorized) here.
     """
-    lo = select_lo(config)
-    w_l, w_x, w_pw = detection.ranging_modes(config.pulse, config.state, config.length_m)
+    modes = detection.ranging_modes(config.pulse, config.state, config.length_m)
+    lo = select_lo(config, modes)
     coeff = np.array(
         [
             m.k_const / lo.k_const * detection.inner_product(lo.mode, m.mode).real
-            for m in (w_l, w_x, w_pw)
+            for m in modes
         ]
     )
     sigma_s = detection.min_detectable(lo.k_const, config.n_photons)
@@ -187,6 +196,7 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     perts[:, 1] = config.p_x + config.sigma_p_x * z[:, 1]
     perts[:, 2] = config.p_pw_pa + config.sigma_p_pw_pa * z[:, 2]
     signal = perts @ coeff + sigma_s * z[:, 3]
+    del z  # the (n, 4) draws are the largest array; free them before the regression
 
     n = config.sample_count
     mean = float(np.mean(signal))
@@ -230,6 +240,7 @@ def _leakage_regression(
     for lab in labels:
         cols.append(perts[:, FLUCTUATING.index(lab)])
     design = np.column_stack(cols)
+    del cols  # drops the intercept column, which design now holds a copy of
     k = design.shape[1]
     if n <= k:
         raise ValidationError(

@@ -140,6 +140,13 @@ class TestModesCommand:
             prof = real_profile(interferer.mode, omega) * np.sqrt(pulse.delta_omega)
             assert abs(np.trapezoid(wlp * prof, x)) < 1e-6
 
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "profiles.csv"
+        code, text = run_cli(["modes", "--out", str(path)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
 
 class TestSensitivityCommand:
     def test_report_values(self):
@@ -220,6 +227,13 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 100
         assert set(rows[0]) == {"index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"}
+
+    def test_unwritable_out(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "samples.csv"
+        code, text = run_cli(["simulate", "--samples", "100", "--out", str(path)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
 
     def test_env_seed_and_flag_priority(self, monkeypatch):
         monkeypatch.setenv("COMB_RANGER_SEED", "41")
