@@ -1,8 +1,9 @@
-"""Byte-exact golden outputs of the CLI exports.
+"""Byte-exact golden outputs of every CLI subcommand.
 
 Each pin is the SHA-256 of the bytes a command writes, so any change to
 the bytes on disk or on stdout fails here.  The output paths are relative
-(run from a temporary directory) because stdout names them.
+(run from a temporary directory) because stdout names them.  All runs use
+the default configuration with COMB_RANGER_SEED unset.
 """
 
 import hashlib
@@ -18,6 +19,18 @@ SIMULATE_STDOUT_SHA256 = "88cb4be1fb00d8c17255675f95e09fe7a5cebe6b1aca799712489b
 SIMULATE_CSV_SHA256 = "f29ebe39c4d7f3f145a4b465ae2300b75714d66ab43de5875fa03f44ae9e0259"
 MODES_STDOUT_SHA256 = "8bc571cc96aa72252fe99517952037598e2488cf7e69e922cd87c40110dac5a6"
 MODES_CSV_SHA256 = "28fc3a34a29bb38926317f03d222679344dbe3448cf935de322b9bef9198ba50"
+
+# stdout of the subcommands that write no file
+STDOUT_SHA256 = {
+    ("air-index",): "657a606be2c4c911176080d3d09509593bd2c37be9d41e197cf326d2ccf0deaf",
+    ("air-index", "--wavelength", "1550", "--humidity-pa", "1000"):
+        "44708a315b6b725f6493e9f20eae4b9a86bef679f421deff98a3b055e2206726",
+    ("sensitivity",): "d188301698ab5c1f53f861e70ac7e83c7df5949f4dc2da8eb41a25ce40f1b8ba",
+    ("multicolor", "--scheme", "2wi"):
+        "d9eaa60a4c7f5e796a1469e459d5cd2411e2e9617be0daa74d7ed8fb93d63fa4",
+    ("multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"):
+        "a12207800d016946bd92acc4736b78ad84ce07a16a00fa02d9ff561f8ef2c712",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -55,6 +68,11 @@ def test_simulate_export_golden(in_tmp):
 
 def test_modes_export_golden(in_tmp):
     check_modes_export(in_tmp)
+
+
+@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+def test_stdout_golden(in_tmp, argv):
+    assert sha256(run_cli(list(argv))) == STDOUT_SHA256[argv]
 
 
 # The default block holds every row of both exports (2000 and 2049 rows);
