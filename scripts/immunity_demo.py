@@ -13,13 +13,14 @@ Usage: python scripts/immunity_demo.py [--samples 100000] [--seed 20260808]
 import argparse
 
 from comb_ranger import AirState, GaussianPulse, SimConfig
+from comb_ranger.config import DEFAULT_SEED
 from comb_ranger.simulator import immunity_report
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--samples", type=int, default=100_000)
-    parser.add_argument("--seed", type=int, default=20260808)
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
     args = parser.parse_args()
 
     pulse = GaussianPulse.from_wavelength(800e-9)

@@ -5,7 +5,8 @@ Submodules:
     air_model   Boensch-Potulski refractive index of air and its derivatives
     mode_algebra  Hermite-Gauss spectral modes, inner products, Gram-Schmidt
     dispersion  spectral-phase propagation and its second-order expansion
-    detection   homodyne detection modes, purification, shot-noise limits
+    detection   homodyne detection modes, linearized field, purification,
+                shot-noise limits
     multicolor  two-/three-wavelength interferometry baselines
     simulator   seeded Monte Carlo of the shaped-LO measurement
     config/cli  run configuration and command-line front end
@@ -25,10 +26,12 @@ from .air_model import (
 )
 from .detection import (
     DetectionMode,
+    LinearizedField,
     PurifiedSensitivity,
     SensitivityReport,
     contamination_report,
     homodyne_signal,
+    linearized_field,
     min_detectable,
     numeric_detection_mode,
     purified_ranging_sensitivity,
@@ -38,11 +41,9 @@ from .detection import (
 )
 from .dispersion import (
     DelayTriple,
-    LinearizedField,
     PerturbationVector,
     apply_spectral_phase,
     expansion_times,
-    linearized_field,
 )
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import (

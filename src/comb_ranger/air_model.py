@@ -102,9 +102,6 @@ class AirState:
     def vacuum(cls) -> "AirState":
         return cls(20.0, 0.0, 0.04, 0.0)
 
-    def is_vacuum(self) -> bool:
-        return self.pressure_pa == 0.0 and self.water_vapor_pa == 0.0
-
 
 @dataclass(frozen=True)
 class Wavenumber:

@@ -119,15 +119,6 @@ def _mode_table(config: RunConfig):
     return rows, (w_l, w_x, w_pw, w_lp)
 
 
-def _envelope_coefficients(mode: mode_algebra.SpectralMode, order: int) -> list[float]:
-    """Real coefficients with the basis global phase stripped."""
-    vec = mode.padded(order)
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    rotated = vec / phase
-    return [float(c) + 0.0 for c in rotated.real]
-
-
 def cmd_modes(args: argparse.Namespace, out) -> int:
     config = load_config(args.config)
     rows, _ = _mode_table(config)
@@ -149,7 +140,8 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["mode", "c0", "c1", "c2", "k_const"])
     for label, mode, k_const in rows:
-        coeffs = _envelope_coefficients(mode, order)
+        # + 0.0 turns the -0.0 of a rotated zero into 0.0
+        coeffs = [float(c) + 0.0 for c in mode_algebra.real_coefficients(mode, order)]
         writer.writerow(
             [label] + [f"{ic:.12e}" for ic in coeffs] + ["" if k_const is None else f"{k_const:.12e}"]
         )
@@ -224,10 +216,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
     )
     sim_config = config.to_sim_config()
     keep = args.out is not None
-    if sim_config.fluctuating_labels:
-        result = simulator.immunity_report(sim_config, keep_samples=keep)
-    else:
-        result = simulator.run(sim_config, keep_samples=keep)
+    result = simulator.run(sim_config, keep_samples=keep)
     if keep:
         _export_csv(
             args.out,

@@ -37,70 +37,86 @@ from .simulator import LO_CHOICES, SimConfig
 
 DEFAULT_SEED = 20260808
 
-_FLOAT_KEYS = {
-    "pulse.wavelength_nm": 800.0,
-    "pulse.relative_bandwidth": 1.0 / 6.0,
-    "air.temperature_c": 20.0,
-    "air.pressure_pa": 101325.0,
-    "air.co2_percent": 0.04,
-    "air.water_vapor_pa": 0.0,
-    "length_m": 1.0,
-    "photons": 8e16,
-    "perturb.length_m": 0.0,
-    "perturb.density_factor": 0.0,
-    "perturb.water_vapor_pa": 0.0,
-    "fluct.length_m": 0.0,
-    "fluct.density_factor": 1e-6,
-    "fluct.water_vapor_pa": 10.0,
+# key -> (type, default, SimConfig field); the pulse.* and air.* keys build
+# the GaussianPulse and AirState of the `pulse` and `state` fields
+SCHEMA: dict[str, tuple[type, object, str]] = {
+    "pulse.wavelength_nm": (float, 800.0, "pulse"),
+    "pulse.relative_bandwidth": (float, 1.0 / 6.0, "pulse"),
+    "air.temperature_c": (float, 20.0, "state"),
+    "air.pressure_pa": (float, 101325.0, "state"),
+    "air.co2_percent": (float, 0.04, "state"),
+    "air.water_vapor_pa": (float, 0.0, "state"),
+    "length_m": (float, 1.0, "length_m"),
+    "photons": (float, 8e16, "n_photons"),
+    "lo": (str, "purified", "lo_choice"),
+    "samples": (int, 100_000, "sample_count"),
+    "seed": (int, DEFAULT_SEED, "rng_seed"),
+    "perturb.length_m": (float, 0.0, "p_l_m"),
+    "perturb.density_factor": (float, 0.0, "p_x"),
+    "perturb.water_vapor_pa": (float, 0.0, "p_pw_pa"),
+    "fluct.length_m": (float, 0.0, "sigma_p_l_m"),
+    "fluct.density_factor": (float, 1e-6, "sigma_p_x"),
+    "fluct.water_vapor_pa": (float, 10.0, "sigma_p_pw_pa"),
 }
-_INT_KEYS = {"samples": 100_000, "seed": DEFAULT_SEED}
-_STR_KEYS = {"lo": "purified"}
+
+# per key type: how a config document's text becomes a value, and what a
+# text that fails is not
+_PARSERS = {
+    float: (float, "a number"),
+    int: (lambda text: int(float(text)), "an integer"),
+    str: (str, "a string"),
+}
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated configuration shared by the CLI subcommands."""
+    """Validated configuration shared by the CLI subcommands.
+
+    `values` holds every SCHEMA key with its typed value; `pulse` and
+    `state` are built from the pulse.* and air.* keys.
+    """
 
     pulse: GaussianPulse
     state: AirState
-    length_m: float
-    photons: float
-    lo: str
-    samples: int
-    seed: int
-    perturb_length_m: float
-    perturb_density_factor: float
-    perturb_water_vapor_pa: float
-    fluct_length_m: float
-    fluct_density_factor: float
-    fluct_water_vapor_pa: float
+    values: dict[str, object]
+
+    @property
+    def length_m(self) -> float:
+        return self.values["length_m"]
+
+    @property
+    def photons(self) -> float:
+        return self.values["photons"]
+
+    @property
+    def lo(self) -> str:
+        return self.values["lo"]
+
+    @property
+    def samples(self) -> int:
+        return self.values["samples"]
+
+    @property
+    def seed(self) -> int:
+        return self.values["seed"]
 
     def to_sim_config(self) -> SimConfig:
-        return SimConfig(
-            pulse=self.pulse,
-            state=self.state,
-            length_m=self.length_m,
-            n_photons=self.photons,
-            lo_choice=self.lo,
-            sample_count=self.samples,
-            rng_seed=self.seed,
-            p_l_m=self.perturb_length_m,
-            p_x=self.perturb_density_factor,
-            p_pw_pa=self.perturb_water_vapor_pa,
-            sigma_p_l_m=self.fluct_length_m,
-            sigma_p_x=self.fluct_density_factor,
-            sigma_p_pw_pa=self.fluct_water_vapor_pa,
-        )
+        scalars = {
+            field: self.values[key]
+            for key, (_, _, field) in SCHEMA.items()
+            if field not in ("pulse", "state")
+        }
+        return SimConfig(pulse=self.pulse, state=self.state, **scalars)
 
     def with_overrides(self, seed: int | None = None, samples: int | None = None) -> "RunConfig":
-        cfg = self
+        values = dict(self.values)
         if seed is not None:
-            cfg = replace(cfg, seed=seed)
+            values["seed"] = seed
         if samples is not None:
             if samples < 1:
                 raise ValidationError(f"samples={samples} must be >= 1")
-            cfg = replace(cfg, samples=samples)
-        return cfg
+            values["samples"] = samples
+        return replace(self, values=values)
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -122,62 +138,38 @@ def _parse_lines(text: str) -> dict[str, str]:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
-    raw = _parse_lines(text)
     values: dict[str, object] = {}
-    for key, value in raw.items():
-        if key in _FLOAT_KEYS:
-            try:
-                values[key] = float(value)
-            except ValueError as exc:
-                raise ValidationError(f"key {key!r}: {value!r} is not a number") from exc
-        elif key in _INT_KEYS:
-            try:
-                values[key] = int(float(value))
-            except ValueError as exc:
-                raise ValidationError(f"key {key!r}: {value!r} is not an integer") from exc
-        elif key in _STR_KEYS:
-            values[key] = value
-        else:
+    for key, value in _parse_lines(text).items():
+        if key not in SCHEMA:
             raise ValidationError(f"unknown configuration key {key!r}")
+        parse, expected = _PARSERS[SCHEMA[key][0]]
+        try:
+            values[key] = parse(value)
+        except ValueError as exc:
+            raise ValidationError(f"key {key!r}: {value!r} is not {expected}") from exc
     return build_config(values)
 
 
 def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
-    """RunConfig from defaults plus explicit key overrides."""
-    values: dict[str, object] = {**_FLOAT_KEYS, **_INT_KEYS, **_STR_KEYS}
+    """RunConfig from the SCHEMA defaults plus explicit key overrides."""
+    values = {key: default for key, (_, default, _) in SCHEMA.items()}
     if overrides:
         values.update(overrides)
-    lo = str(values["lo"])
-    if lo not in LO_CHOICES:
-        raise ValidationError(f"key 'lo': {lo!r} not in {LO_CHOICES}")
-    samples = int(values["samples"])
-    if samples < 1:
-        raise ValidationError(f"key 'samples': {samples} must be >= 1")
+    values = {key: kind(values[key]) for key, (kind, _, _) in SCHEMA.items()}
+    if values["lo"] not in LO_CHOICES:
+        raise ValidationError(f"key 'lo': {values['lo']!r} not in {LO_CHOICES}")
+    if values["samples"] < 1:
+        raise ValidationError(f"key 'samples': {values['samples']} must be >= 1")
     pulse = GaussianPulse.from_wavelength(
-        float(values["pulse.wavelength_nm"]) * 1e-9,
-        float(values["pulse.relative_bandwidth"]),
+        values["pulse.wavelength_nm"] * 1e-9, values["pulse.relative_bandwidth"]
     )
     state = AirState(
-        temperature_c=float(values["air.temperature_c"]),
-        pressure_pa=float(values["air.pressure_pa"]),
-        co2_percent=float(values["air.co2_percent"]),
-        water_vapor_pa=float(values["air.water_vapor_pa"]),
+        temperature_c=values["air.temperature_c"],
+        pressure_pa=values["air.pressure_pa"],
+        co2_percent=values["air.co2_percent"],
+        water_vapor_pa=values["air.water_vapor_pa"],
     )
-    return RunConfig(
-        pulse=pulse,
-        state=state,
-        length_m=float(values["length_m"]),
-        photons=float(values["photons"]),
-        lo=lo,
-        samples=samples,
-        seed=int(values["seed"]),
-        perturb_length_m=float(values["perturb.length_m"]),
-        perturb_density_factor=float(values["perturb.density_factor"]),
-        perturb_water_vapor_pa=float(values["perturb.water_vapor_pa"]),
-        fluct_length_m=float(values["fluct.length_m"]),
-        fluct_density_factor=float(values["fluct.density_factor"]),
-        fluct_water_vapor_pa=float(values["fluct.water_vapor_pa"]),
-    )
+    return RunConfig(pulse, state, values)
 
 
 def load_config(path: str | None) -> RunConfig:

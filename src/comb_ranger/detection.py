@@ -15,7 +15,9 @@ coefficient vectors built from the carrier-only dispersion ratios delta/eta
 of `air_model.dispersion_scalars`; the L mode keeps the vacuum form
 (omega0 v0 + delta_omega v1)/(c K_L), dropping the ~(n-1)-sized dispersive
 corrections.  A finite-difference oracle (`numeric_detection_mode`) that
-propagates the exact spectral phase quantifies that drop.
+propagates the exact spectral phase quantifies that drop.  The first-order
+perturbed field u + sum_i p_i K_i w_i (`linearized_field`) is built from
+these modes.
 
 Purifying a mode against interferers orthogonalizes it to their span,
 trading sensitivity (K^p = K <w^p, w> < K) for immunity.  The ranging
@@ -33,8 +35,15 @@ from typing import Sequence
 
 import numpy as np
 
-from . import air_model, mode_algebra
+from . import air_model, mode_algebra, multicolor
 from .air_model import SPEED_OF_LIGHT, AirState
+from .dispersion import (
+    LINEARITY_GUARD_RAD,
+    RANGING_LABELS,
+    PerturbationVector,
+    check_linearity,
+    phase_gradient,
+)
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import (
     GaussianPulse,
@@ -45,10 +54,6 @@ from .mode_algebra import (
     inner_product,
     sampling_grid,
 )
-
-RANGING_LABELS = ("L", "X", "Pw")
-
-LINEARITY_LIMIT_RAD = 0.1
 
 _ORTHOGONALITY_TOL = 1e-10
 _DEPENDENCE_TOL = 1e-12
@@ -134,6 +139,48 @@ def ranging_modes(
     return w_l, w_x, w_pw
 
 
+@dataclass(frozen=True)
+class LinearizedField:
+    """First-order field u + sum_i p_i K_i w_i in coefficient space.
+
+    `amplitudes` maps each parameter label to its modal amplitude p_i K_i.
+    """
+
+    mode: SpectralMode
+    amplitudes: dict[str, float]
+
+
+def linearized_field(
+    pulse: GaussianPulse,
+    pert: PerturbationVector,
+    state: AirState | None = None,
+    length_m: float | None = None,
+) -> LinearizedField:
+    """Linearized perturbed field for either parameter family.
+
+    Builds on the detection modes: the deviation from u along parameter i is
+    p_i K_i w_i.  Raises the linearity guard instead of silently returning a
+    stale expansion.
+    """
+    check_linearity(pert, pulse, state, length_m)
+    if pert.kind == "time":
+        modes = time_detection_modes(pulse)
+    else:
+        if state is None or length_m is None:
+            raise ValidationError("ranging perturbations need state and length_m")
+        modes = ranging_modes(pulse, state, length_m)
+
+    order = max(m.mode.order for m in modes)
+    vec = gaussian_mode(pulse).padded(order)
+    amplitudes: dict[str, float] = {}
+    for dm, (label, value) in zip(modes, pert.items()):
+        amp = value * dm.k_const
+        amplitudes[label] = amp
+        if amp != 0.0:
+            vec = vec + amp * dm.mode.padded(order)
+    return LinearizedField(SpectralMode(pulse, tuple(vec)), amplitudes)
+
+
 def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> DetectionMode:
     """Re-orthogonalize `target` against the span of `against`.
 
@@ -175,7 +222,7 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
 def homodyne_signal(field, lo: DetectionMode) -> float:
     """Homodyne estimate S = (Re<u(p), w_lo> - Re<u, w_lo>) / K_lo.
 
-    `field` is a SpectralMode or a dispersion.LinearizedField; signal and LO
+    `field` is a SpectralMode or a LinearizedField; signal and LO
     are taken phase-locked (zero relative quadrature phase).
     """
     mode = getattr(field, "mode", field)
@@ -201,8 +248,6 @@ def numeric_detection_mode(
     peak phase excursion at 1e-3 rad unless given; a given step must keep it
     within [1e-9, 0.1] rad (noise floor / linearity guard).
     """
-    from .dispersion import phase_gradient
-
     omega = sampling_grid(pulse)
     grad = phase_gradient(label, omega, pulse, state, length_m)
     peak = float(np.max(np.abs(grad)))
@@ -211,7 +256,7 @@ def numeric_detection_mode(
     if step is None:
         step = 1e-3 / peak
     excursion = abs(step) * peak
-    if excursion > LINEARITY_LIMIT_RAD:
+    if excursion > LINEARITY_GUARD_RAD:
         raise DomainError(f"step {step} too large: {excursion:.3g} rad phase excursion")
     if excursion < 1e-9:
         raise DomainError(f"step {step} too small: {excursion:.3g} rad is below the noise floor")
@@ -228,8 +273,13 @@ def numeric_detection_mode(
     return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple(coeffs / k_est)), k_est)
 
 
+def contamination_coefficient(lo: DetectionMode, mode: DetectionMode) -> float:
+    """(K_j / K_lo) Re<w_lo, w_j>: coefficient of p_j in the signal S[w_lo]."""
+    return mode.k_const / lo.k_const * inner_product(lo.mode, mode.mode).real
+
+
 def _contamination_matrix(modes: Sequence[DetectionMode]) -> np.ndarray:
-    """M[i][j] = (K_j / K_i) <w_i, w_j>: coefficient of p_j in S[w_i].
+    """M[i][j] = contamination_coefficient(w_i, w_j): coefficient of p_j in S[w_i].
 
     The diagonal is the self-projection of a unit-norm mode, identically 1.
     """
@@ -237,10 +287,7 @@ def _contamination_matrix(modes: Sequence[DetectionMode]) -> np.ndarray:
     mat = np.empty((n, n))
     for i, wi in enumerate(modes):
         for j, wj in enumerate(modes):
-            if i == j:
-                mat[i, j] = 1.0
-            else:
-                mat[i, j] = wj.k_const / wi.k_const * inner_product(wi.mode, wj.mode).real
+            mat[i, j] = 1.0 if i == j else contamination_coefficient(wi, wj)
     return mat
 
 
@@ -428,8 +475,6 @@ def contamination_report(
 
     base: dict[str, float] = {}
     if baselines:
-        from . import multicolor
-
         two = multicolor.WavelengthSet((1.064e-6, 0.532e-6), (n_photons / 2, n_photons / 2))
         three = multicolor.WavelengthSet(
             (1.064e-6, 0.532e-6, 0.355e-6), (n_photons / 3,) * 3

@@ -25,7 +25,7 @@ import numpy as np
 from . import air_model
 from .air_model import SPEED_OF_LIGHT, AirState
 from .errors import DomainError, ValidationError
-from .mode_algebra import GaussianPulse, SpectralMode, gaussian_mode
+from .mode_algebra import GaussianPulse
 
 LINEARITY_GUARD_RAD = 0.1
 
@@ -178,47 +178,3 @@ def check_linearity(
                 f"{worst:.3g} rad at omega0 +/- 2 delta_omega "
                 f"(guard {LINEARITY_GUARD_RAD} rad); use exact propagation"
             )
-
-
-@dataclass(frozen=True)
-class LinearizedField:
-    """First-order field u + sum_i p_i K_i w_i in coefficient space.
-
-    `amplitudes` maps each parameter label to its modal amplitude p_i K_i.
-    """
-
-    mode: SpectralMode
-    amplitudes: dict[str, float]
-
-
-def linearized_field(
-    pulse: GaussianPulse,
-    pert: PerturbationVector,
-    state: AirState | None = None,
-    length_m: float | None = None,
-) -> LinearizedField:
-    """Linearized perturbed field for either parameter family.
-
-    Builds on the detection modes: the deviation from u along parameter i is
-    p_i K_i w_i.  Raises the linearity guard instead of silently returning a
-    stale expansion.
-    """
-    from . import detection
-
-    check_linearity(pert, pulse, state, length_m)
-    if pert.kind == "time":
-        modes = detection.time_detection_modes(pulse)
-    else:
-        if state is None or length_m is None:
-            raise ValidationError("ranging perturbations need state and length_m")
-        modes = detection.ranging_modes(pulse, state, length_m)
-
-    order = max(m.mode.order for m in modes)
-    vec = gaussian_mode(pulse).padded(order)
-    amplitudes: dict[str, float] = {}
-    for dm, (label, value) in zip(modes, pert.items()):
-        amp = value * dm.k_const
-        amplitudes[label] = amp
-        if amp != 0.0:
-            vec = vec + amp * dm.mode.padded(order)
-    return LinearizedField(SpectralMode(pulse, tuple(vec)), amplitudes)

@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
+from .air_model import SPEED_OF_LIGHT
 from .errors import DomainError, ValidationError
 
 MAX_ORDER_DEFAULT = 8
@@ -64,8 +65,6 @@ class GaussianPulse:
 
     @classmethod
     def from_wavelength(cls, wavelength_m: float, relative_bandwidth: float = 1.0 / 6.0) -> "GaussianPulse":
-        from .air_model import SPEED_OF_LIGHT
-
         if not wavelength_m > 0.0:
             raise ValidationError(f"wavelength_m={wavelength_m} must be > 0")
         omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / wavelength_m
@@ -187,21 +186,29 @@ def sample(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
     return out
 
 
-def real_profile(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
-    """Real spectral profile of a single-global-phase mode.
+def real_coefficients(mode: SpectralMode, order: int | None = None) -> np.ndarray:
+    """Real coefficient vector of a single-global-phase mode.
 
-    Rotates the coefficient vector by the phase of its largest entry and
-    drops the basis factor i; the result is the signed amplitude one would
-    plot.  Raises if the mode has no common global phase.
+    Rotates the coefficients (padded to `order` when given) by the phase of
+    their largest entry.  Raises if the mode has no common global phase.
     """
-    vec = mode.vector
+    vec = mode.vector if order is None else mode.padded(order)
     k = int(np.argmax(np.abs(vec)))
     phase = vec[k] / abs(vec[k])
     rotated = vec / phase
     if np.max(np.abs(rotated.imag)) > 1e-9 * np.linalg.norm(vec):
         raise DomainError("mode coefficients do not share a global phase")
+    return rotated.real
+
+
+def real_profile(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
+    """Real spectral profile of a single-global-phase mode.
+
+    Strips the global phase (`real_coefficients`) and drops the basis
+    factor i; the result is the signed amplitude one would plot.
+    """
     out = np.zeros(np.shape(omega), dtype=float)
-    for n, c in enumerate(rotated.real):
+    for n, c in enumerate(real_coefficients(mode)):
         if c != 0.0:
             out += c * hermite_envelope(n, mode.pulse, omega)
     return out
@@ -283,17 +290,3 @@ def gram_schmidt(modes: Sequence[SpectralMode], tol: float = 1e-12) -> list[Spec
             )
         basis.append(vec / math.sqrt(res2))
     return [SpectralMode(pulse, tuple(q)) for q in basis]
-
-
-def export_profile(mode: SpectralMode, path, points: int = 513, half_width: float = 4.0) -> None:
-    """Two-column text export: x = (omega-omega0)/delta_omega, amplitude.
-
-    The amplitude column is scaled by sqrt(delta_omega) so that the squared
-    profile integrates to one over x.
-    """
-    pulse = mode.pulse
-    x = np.linspace(-half_width, half_width, points)
-    omega = pulse.omega0 + x * pulse.delta_omega
-    amp = real_profile(mode, omega) * math.sqrt(pulse.delta_omega)
-    data = np.column_stack([x, amp])
-    np.savetxt(path, data, fmt="%.12e")

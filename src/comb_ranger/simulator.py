@@ -29,13 +29,11 @@ import numpy as np
 
 from . import detection
 from .air_model import AirState
-from .dispersion import PerturbationVector, check_linearity
+from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity
 from .errors import ValidationError
 from .mode_algebra import GaussianPulse
 
 LO_CHOICES = ("raw", "purified", "purified_x_only")
-
-FLUCTUATING = ("L", "X", "Pw")
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,7 @@ class SimConfig:
     @property
     def fluctuating_labels(self) -> tuple[str, ...]:
         sigmas = (self.sigma_p_l_m, self.sigma_p_x, self.sigma_p_pw_pa)
-        return tuple(lab for lab, s in zip(FLUCTUATING, sigmas) if s > 0.0)
+        return tuple(lab for lab, s in zip(RANGING_LABELS, sigmas) if s > 0.0)
 
 
 @dataclass(frozen=True)
@@ -130,7 +128,7 @@ class SimResult:
             f"predicted_sigma_m = {self.predicted_sigma_m:.12e}",
             f"bias_m = {self.bias_m:.12e}",
         ]
-        for lab in FLUCTUATING:
+        for lab in RANGING_LABELS:
             if lab in self.slopes:
                 s = self.slopes[lab]
                 lines.append(
@@ -182,12 +180,10 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     """
     modes = detection.ranging_modes(config.pulse, config.state, config.length_m)
     lo = select_lo(config, modes)
-    coeff = np.array(
-        [
-            m.k_const / lo.k_const * detection.inner_product(lo.mode, m.mode).real
-            for m in modes
-        ]
-    )
+    # with the raw LO the L entry is the self-projection <w_L, w_L>: it is
+    # computed, not set to 1, because it is 1 only to rounding and the
+    # samples carry its last bit
+    coeff = np.array([detection.contamination_coefficient(lo, m) for m in modes])
     sigma_s = detection.min_detectable(lo.k_const, config.n_photons)
 
     z = perturbation_draws(config.rng_seed, config.sample_count)
@@ -238,7 +234,7 @@ def _leakage_regression(
     n = signal.size
     cols = [np.ones(n)]
     for lab in labels:
-        cols.append(perts[:, FLUCTUATING.index(lab)])
+        cols.append(perts[:, RANGING_LABELS.index(lab)])
     design = np.column_stack(cols)
     del cols  # drops the intercept column, which design now holds a copy of
     k = design.shape[1]

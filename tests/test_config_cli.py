@@ -4,13 +4,15 @@ import csv
 import io
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from comb_ranger import GaussianPulse
 from comb_ranger.cli import EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
-from comb_ranger.config import build_config, load_config, parse_config
+from comb_ranger import config
+from comb_ranger.config import SCHEMA, build_config, load_config, parse_config
 from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import real_profile
 from comb_ranger import detection
@@ -77,6 +79,29 @@ class TestConfigParsing:
         sim = cfg.to_sim_config()
         assert sim.sigma_p_pw_pa == 5.0
         assert sim.p_l_m == 1e-13
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def documented_keys(block: str) -> list[str]:
+    return [line.split("=")[0].strip() for line in block.splitlines() if "=" in line]
+
+
+class TestDocumentedDefaults:
+    """The config blocks in README and the config docstring list every key at its default."""
+
+    def check(self, block: str) -> None:
+        assert sorted(documented_keys(block)) == sorted(SCHEMA)
+        assert parse_config(block) == build_config()
+
+    def test_readme_block(self):
+        block = README.read_text(encoding="utf-8").split("```ini\n", 1)[1].split("```", 1)[0]
+        self.check(block)
+
+    def test_module_docstring_block(self):
+        block = config.__doc__.split("is also the default):\n\n", 1)[1].split("\n\n", 1)[0]
+        self.check(block)
 
 
 class TestAirIndexCommand:

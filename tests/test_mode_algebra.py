@@ -20,7 +20,6 @@ from comb_ranger import (
 )
 from comb_ranger.errors import DomainError, ValidationError
 from comb_ranger.mode_algebra import (
-    export_profile,
     gaussian_envelope,
     real_profile,
     sample,
@@ -230,11 +229,3 @@ class TestProfiles:
         mixed = SpectralMode(PULSE, (1.0, 1j))
         with pytest.raises(DomainError):
             real_profile(mixed, GRID)
-
-    def test_export_two_columns_unit_norm(self, tmp_path):
-        path = tmp_path / "v1.txt"
-        export_profile(hermite_gauss(1, PULSE), path, points=2049, half_width=8.0)
-        data = np.loadtxt(path)
-        assert data.shape == (2049, 2)
-        norm = np.trapezoid(data[:, 1] ** 2, data[:, 0])
-        assert norm == pytest.approx(1.0, abs=1e-6)
