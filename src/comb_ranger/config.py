@@ -59,14 +59,6 @@ SCHEMA: dict[str, tuple[type, object, str]] = {
     "fluct.water_vapor_pa": (float, 10.0, "sigma_p_pw_pa"),
 }
 
-# per key type: how a config document's text becomes a value, and what a
-# text that fails is not
-_PARSERS = {
-    float: (float, "a number"),
-    int: (lambda text: int(float(text)), "an integer"),
-    str: (str, "a string"),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -142,10 +134,11 @@ def parse_config(text: str) -> RunConfig:
     for key, value in _parse_lines(text).items():
         if key not in SCHEMA:
             raise ValidationError(f"unknown configuration key {key!r}")
-        parse, expected = _PARSERS[SCHEMA[key][0]]
+        kind = SCHEMA[key][0]
         try:
-            values[key] = parse(value)
+            values[key] = int(float(value)) if kind is int else kind(value)
         except ValueError as exc:
+            expected = "an integer" if kind is int else "a number"
             raise ValidationError(f"key {key!r}: {value!r} is not {expected}") from exc
     return build_config(values)
 

@@ -17,6 +17,8 @@ from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import real_profile
 from comb_ranger import detection
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 def run_cli(argv):
     out = io.StringIO()
@@ -79,9 +81,6 @@ class TestConfigParsing:
         sim = cfg.to_sim_config()
         assert sim.sigma_p_pw_pa == 5.0
         assert sim.p_l_m == 1e-13
-
-
-README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def documented_keys(block: str) -> list[str]:
