@@ -128,27 +128,46 @@ def _parse_lines(text: str) -> dict[str, str]:
     return raw
 
 
+def _integer(value: object) -> int:
+    """The exact integer `value` names: "7", "1e6" and 7.0 qualify, 7.5 does not."""
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            value = float(value)
+    if value != int(value):
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
+
+
+def _typed(key: str, value: object) -> object:
+    """`value`, text or a number, as the SCHEMA type of `key`."""
+    kind = SCHEMA[key][0]
+    if kind is str:
+        return str(value)
+    try:
+        return _integer(value) if kind is int else float(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        expected = "an integer" if kind is int else "a number"
+        raise ValidationError(f"key {key!r}: {value!r} is not {expected}") from exc
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a configuration document."""
-    values: dict[str, object] = {}
-    for key, value in _parse_lines(text).items():
-        if key not in SCHEMA:
-            raise ValidationError(f"unknown configuration key {key!r}")
-        kind = SCHEMA[key][0]
-        try:
-            values[key] = int(float(value)) if kind is int else kind(value)
-        except ValueError as exc:
-            expected = "an integer" if kind is int else "a number"
-            raise ValidationError(f"key {key!r}: {value!r} is not {expected}") from exc
-    return build_config(values)
+    return build_config(_parse_lines(text))
 
 
 def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
-    """RunConfig from the SCHEMA defaults plus explicit key overrides."""
+    """RunConfig from the SCHEMA defaults plus explicit key overrides.
+
+    Overrides may be text or numbers; keys outside SCHEMA are rejected.
+    """
     values = {key: default for key, (_, default, _) in SCHEMA.items()}
-    if overrides:
-        values.update(overrides)
-    values = {key: kind(values[key]) for key, (kind, _, _) in SCHEMA.items()}
+    for key, value in (overrides or {}).items():
+        if key not in SCHEMA:
+            raise ValidationError(f"unknown configuration key {key!r}")
+        values[key] = value
+    values = {key: _typed(key, value) for key, value in values.items()}
     if values["lo"] not in LO_CHOICES:
         raise ValidationError(f"key 'lo': {values['lo']!r} not in {LO_CHOICES}")
     if values["samples"] < 1:

@@ -8,16 +8,27 @@ modelled (irrelevant at N ~ 1e16), and the environmental fluctuations are
 white (drawn independently per sample).
 
 Reproducibility contract: the entire draw sequence is a deterministic
-function of (seed, sample index).  Draws are rows of a single
-standard-normal matrix generated by a Philox-keyed generator.  The draws
-are prefix-stable: row i depends only on (seed, i), so a longer run repeats
-every row of a shorter one with the same seed, and reruns are bit-identical.
-A run draws, projects and regresses all of its samples in one serial block.
+function of (seed, sample index).  Draws are rows of standard-normal
+blocks taken in order from one Philox-keyed generator.  The draws are
+prefix-stable: row i depends only on (seed, i), so a longer run repeats
+every row of a shorter one with the same seed, the rows do not depend on
+how the run is cut into blocks, and reruns are bit-identical.
+
+A run streams its samples in blocks of CHUNK_ROWS rows: each block is
+drawn, projected and folded into running moments and a running regression,
+then dropped, so memory is O(CHUNK_ROWS), not O(samples), unless the
+sample table is kept.
 
 Leakage of the environmental parameters into the distance estimate is
 characterized by ordinary least squares of the signal against the injected
 fluctuation sequences, mirroring how a real instrument would measure its
-own cross-sensitivity.
+own cross-sensitivity.  The least squares is solved by a tall-skinny QR
+built one block at a time, never by normal equations: the raw LO's signal
+spread is about 1.7e7 times its shot noise, so the residual sum of squares
+would cancel to noise in a Gram-matrix formula.  For the same reason the
+QR regresses the signal minus its noiseless projection and adds the
+projection's coefficients back, which gives the same least-squares
+estimate without the cancellation.
 """
 
 from __future__ import annotations
@@ -34,6 +45,22 @@ from .errors import ValidationError
 from .mode_algebra import GaussianPulse
 
 LO_CHOICES = ("raw", "purified", "purified_x_only")
+
+# rows per streamed block: a few MB of float64 per block; 2**17 rows raised
+# the peak RSS of a 1e5-sample `simulate --out` by 5 %
+CHUNK_ROWS = 65536
+# rows per QR update: 8192 x 4 float64 (256 KB) stays in cache, which made
+# the update of a 65536-row block about 3x faster than one QR of the block
+QR_ROWS = 8192
+
+_FINITE_FIELDS = (
+    "length_m", "n_photons",
+    "p_l_m", "p_x", "p_pw_pa", "sigma_p_l_m", "sigma_p_x", "sigma_p_pw_pa",
+)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -62,8 +89,14 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.lo_choice not in LO_CHOICES:
             raise ValidationError(f"lo_choice must be one of {LO_CHOICES}")
-        if not self.sample_count >= 1:
-            raise ValidationError(f"sample_count={self.sample_count} must be >= 1")
+        if not (_is_integer(self.sample_count) and self.sample_count >= 1):
+            raise ValidationError(f"sample_count={self.sample_count!r} must be an integer >= 1")
+        # the seed is the key of a 128-bit Philox generator
+        if not (_is_integer(self.rng_seed) and 0 <= self.rng_seed < 2**128):
+            raise ValidationError(f"rng_seed={self.rng_seed!r} must be an integer in [0, 2**128)")
+        for name in _FINITE_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name}={getattr(self, name)} must be finite")
         if not self.n_photons >= 1.0:
             raise ValidationError(f"n_photons={self.n_photons} must be >= 1")
         if not self.length_m > 0.0:
@@ -159,14 +192,19 @@ def select_lo(
     return detection.purify(w_l, [w_x])
 
 
-def perturbation_draws(seed: int, count: int) -> np.ndarray:
-    """Standard-normal draw matrix, shape (count, 4).
+def draw_generator(seed: int) -> np.random.Generator:
+    """The Philox-keyed generator whose stream fixes every draw of a run."""
+    return np.random.Generator(np.random.Philox(key=seed))
 
-    Row i holds sample i's draws (z_L, z_X, z_Pw, z_noise).  Rows are a
-    deterministic function of (seed, i): extending the count leaves earlier
-    rows untouched.
+
+def perturbation_draws(gen: np.random.Generator, count: int) -> np.ndarray:
+    """The next `count` rows of standard-normal draws from `gen`, shape (count, 4).
+
+    Row i of a run holds sample i's draws (z_L, z_X, z_Pw, z_noise).  The
+    generator's stream is consumed in order, so successive calls on one
+    generator give the same rows as a single call for their total count:
+    rows depend on (seed, i) alone, whatever the block sizes.
     """
-    gen = np.random.Generator(np.random.Philox(key=seed))
     return gen.standard_normal((count, 4))
 
 
@@ -176,8 +214,18 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     The per-sample signal is the homodyne projection of the linearized
     field on the LO; with the ranging modes this reduces to the
     contamination-matrix row of the chosen LO, which is how it is
-    evaluated (vectorized) here.
+    evaluated (vectorized) here.  Samples are drawn, projected and folded
+    into the aggregates CHUNK_ROWS at a time; the (n, 5) sample table
+    (index, p_L, p_X, p_Pw, signal) is the only O(n) array, and it is
+    built only with `keep_samples`.
     """
+    n = config.sample_count
+    labels = config.fluctuating_labels
+    k = 1 + len(labels)
+    if labels and n <= k:
+        raise ValidationError(
+            f"{n} samples cannot support a regression with {k} coefficients"
+        )
     modes = detection.ranging_modes(config.pulse, config.state, config.length_m)
     lo = select_lo(config, modes)
     # with the raw LO the L entry is the self-projection <w_L, w_L>: it is
@@ -185,28 +233,61 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     # samples carry its last bit
     coeff = np.array([detection.contamination_coefficient(lo, m) for m in modes])
     sigma_s = detection.min_detectable(lo.k_const, config.n_photons)
+    offsets = (config.p_l_m, config.p_x, config.p_pw_pa)
+    sigmas = (config.sigma_p_l_m, config.sigma_p_x, config.sigma_p_pw_pa)
+    columns = [RANGING_LABELS.index(lab) for lab in labels]
 
-    z = perturbation_draws(config.rng_seed, config.sample_count)
-    perts = np.empty((config.sample_count, 3))
-    perts[:, 0] = config.p_l_m + config.sigma_p_l_m * z[:, 0]
-    perts[:, 1] = config.p_x + config.sigma_p_x * z[:, 1]
-    perts[:, 2] = config.p_pw_pa + config.sigma_p_pw_pa * z[:, 2]
-    signal = perts @ coeff + sigma_s * z[:, 3]
-    del z  # the (n, 4) draws are the largest array; free them before the regression
+    gen = draw_generator(config.rng_seed)
+    samples = np.empty((n, 5)) if keep_samples else None
+    mean, m2 = 0.0, 0.0
+    # R factor of [1, fluctuating perts..., signal - projection] over the
+    # rows seen so far; its zero start rows do not change the factor.
+    # Least squares is linear in the response, so regressing the signal
+    # minus its noiseless projection perts @ coeff and adding coeff back
+    # to the slopes is the OLS of the signal itself; the QR then never
+    # sees the raw LO's 1.7e7:1 cancellation of signal against noise
+    r = np.zeros((k + 1, k + 1))
+    for start in range(0, n, CHUNK_ROWS):
+        m = min(CHUNK_ROWS, n - start)
+        z = perturbation_draws(gen, m)
+        perts = np.empty((m, 3))
+        for j in range(3):
+            perts[:, j] = offsets[j] + sigmas[j] * z[:, j]
+        projection = perts @ coeff
+        signal = projection + sigma_s * z[:, 3]
+        del z  # the largest array of the block
 
-    n = config.sample_count
-    mean = float(np.mean(signal))
-    std = float(np.std(signal, ddof=1)) if n > 1 else 0.0
+        # Chan's merge of this block's mean and squared deviations; the
+        # deviations are squared in place as np.std does, so a one-block
+        # run matches np.mean and np.std(ddof=1) bit for bit
+        block_mean = float(np.mean(signal))
+        dev = signal - block_mean
+        np.multiply(dev, dev, out=dev)
+        block_m2 = float(np.sum(dev))
+        if start == 0:
+            mean, m2 = block_mean, block_m2
+        else:
+            delta = block_mean - mean
+            total = start + m
+            mean += delta * m / total
+            m2 += block_m2 + delta * delta * start * m / total
+
+        if labels:
+            response = np.subtract(signal, projection, out=projection)
+            r = _fold_qr(r, perts[:, columns], response)
+
+        if samples is not None:
+            samples[start : start + m, 0] = np.arange(start, start + m)
+            samples[start : start + m, 1:4] = perts
+            samples[start : start + m, 4] = signal
+
+    std = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
     sem = std / math.sqrt(n) if n > 1 else math.inf
 
-    slopes = _leakage_regression(config, perts, signal)
+    slopes = _leakage_slopes(labels, r, n, coeff[columns]) if labels else {}
     immune = None
     if slopes:
         immune = all(abs(s.t_stat) < 3.0 for s in slopes.values())
-
-    samples = None
-    if keep_samples:
-        samples = np.column_stack([np.arange(n), perts, signal])
 
     return SimResult(
         lo_label=lo.label,
@@ -224,33 +305,46 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     )
 
 
-def _leakage_regression(
-    config: SimConfig, perts: np.ndarray, signal: np.ndarray
+def _fold_qr(r: np.ndarray, regressors: np.ndarray, response: np.ndarray) -> np.ndarray:
+    """R factor of the rows of `r` stacked on the rows [1, regressors, response].
+
+    The rows are folded in QR_ROWS at a time, a size whose Householder
+    passes stay in cache.
+    """
+    width = r.shape[1]
+    for start in range(0, response.size, QR_ROWS):
+        rows = min(QR_ROWS, response.size - start)
+        stacked = np.empty((width + rows, width))
+        stacked[:width] = r
+        stacked[width:, 0] = 1.0
+        stacked[width:, 1:-1] = regressors[start : start + rows]
+        stacked[width:, -1] = response[start : start + rows]
+        r = np.linalg.qr(stacked, mode="r")
+    return r
+
+
+def _leakage_slopes(
+    labels: tuple[str, ...], r: np.ndarray, n: int, shift: np.ndarray
 ) -> dict[str, RegressionSlope]:
-    """OLS of the signal on the injected fluctuation sequences."""
-    labels = config.fluctuating_labels
-    if not labels:
-        return {}
-    n = signal.size
-    cols = [np.ones(n)]
-    for lab in labels:
-        cols.append(perts[:, RANGING_LABELS.index(lab)])
-    design = np.column_stack(cols)
-    del cols  # drops the intercept column, which design now holds a copy of
-    k = design.shape[1]
-    if n <= k:
-        raise ValidationError(
-            f"{n} samples cannot support a regression with {k} coefficients"
-        )
-    beta, *_ = np.linalg.lstsq(design, signal, rcond=None)
-    resid = signal - design @ beta
-    dof = n - k
-    sigma2 = float(resid @ resid) / dof
-    cov = sigma2 * np.linalg.inv(design.T @ design)
-    out: dict[str, RegressionSlope] = {}
-    for j, lab in enumerate(labels, start=1):
-        out[lab] = RegressionSlope(float(beta[j]), float(math.sqrt(cov[j, j])))
-    return out
+    """OLS slopes of a response on the fluctuations, from the QR's R factor.
+
+    With R = [[R11, r12], [0, r22]] for the matrix [1, fluctuations...,
+    response], the coefficients solve R11 beta = r12, the residual sum of
+    squares is r22**2 and the coefficient covariance is
+    RSS/(n - k) * R11^-1 R11^-T.  `shift` is added to the slopes: the
+    coefficients the response had subtracted.
+    """
+    k = len(labels) + 1
+    r11 = r[:k, :k]
+    beta = np.linalg.solve(r11, r[:k, k])
+    beta[1:] += shift
+    sigma2 = float(r[k, k]) ** 2 / (n - k)
+    r11_inv = np.linalg.inv(r11)
+    variances = sigma2 * np.sum(r11_inv * r11_inv, axis=1)
+    return {
+        lab: RegressionSlope(float(beta[j]), math.sqrt(float(variances[j])))
+        for j, lab in enumerate(labels, start=1)
+    }
 
 
 def immunity_report(config: SimConfig, keep_samples: bool = False) -> SimResult:

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import comb_ranger
 from comb_ranger import GaussianPulse
 from comb_ranger.cli import EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
 from comb_ranger import config
@@ -71,6 +73,25 @@ class TestConfigParsing:
     def test_bad_samples(self):
         with pytest.raises(ValidationError, match="samples"):
             parse_config("samples = 0")
+
+    @pytest.mark.parametrize("text", ["samples = inf", "seed = 1e400", "samples = nan"])
+    def test_integer_key_not_finite(self, text):
+        key = text.split()[0]
+        with pytest.raises(ValidationError, match=f"key '{key}'.* is not an integer"):
+            parse_config(text)
+
+    def test_integer_key_not_integral(self):
+        with pytest.raises(ValidationError, match="key 'seed'.* is not an integer"):
+            parse_config("seed = 1.7")
+
+    def test_integer_key_forms(self):
+        cfg = parse_config(f"samples = 1e3\nseed = {2**128 - 1}")
+        assert cfg.samples == 1000
+        assert cfg.seed == 2**128 - 1
+
+    def test_unknown_override_key_named(self):
+        with pytest.raises(ValidationError, match="unknown configuration key 'sample'"):
+            build_config({"sample": 5, "lo": "raw"})
 
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="no_such_file"):
@@ -243,6 +264,20 @@ class TestSimulateCommand:
         code, _ = run_cli(["simulate", "--samples", "0"])
         assert code == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("seed", ["-5", str(2**128)])
+    def test_seed_outside_philox_keys(self, seed, capsys):
+        code, text = run_cli(["simulate", "--samples", "100", "--seed", seed])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "rng_seed" in capsys.readouterr().err
+
+    def test_infinite_samples_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = inf\n")
+        code, _ = run_cli(["simulate", "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert "key 'samples'" in capsys.readouterr().err
+
     def test_sample_csv(self, tmp_path):
         path = tmp_path / "samples.csv"
         code, _ = run_cli(["simulate", "--samples", "100", "--seed", "3", "--out", str(path)])
@@ -277,10 +312,14 @@ class TestSimulateCommand:
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    package_root = str(Path(comb_ranger.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "comb_ranger.cli", "air-index", "--wavelength", "633"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "n_phi" in proc.stdout

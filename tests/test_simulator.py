@@ -1,13 +1,23 @@
 """Monte Carlo runs: calibration, reproducibility, leakage regression."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from comb_ranger import AirState, GaussianPulse, SimConfig, contamination_report
+from comb_ranger import AirState, GaussianPulse, SimConfig, contamination_report, simulator
+from comb_ranger.dispersion import RANGING_LABELS
 from comb_ranger.errors import ValidationError
-from comb_ranger.simulator import immunity_report, perturbation_draws, run, select_lo
+from comb_ranger.simulator import (
+    LO_CHOICES,
+    draw_generator,
+    immunity_report,
+    perturbation_draws,
+    run,
+    select_lo,
+)
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
 AIR = AirState.standard()
@@ -36,10 +46,57 @@ class TestReproducibility:
         assert np.array_equal(a.samples, b.samples)
 
     def test_draws_prefix_stable(self):
-        # extending the sample count must not disturb earlier samples
-        short = perturbation_draws(77, 1000)
-        long = perturbation_draws(77, 5000)
+        # extending the sample count must not disturb earlier samples, and
+        # drawing in blocks of any size gives the rows of a single draw
+        short = perturbation_draws(draw_generator(77), 1000)
+        long = perturbation_draws(draw_generator(77), 5000)
         assert np.array_equal(short, long[:1000])
+        gen = draw_generator(77)
+        blocks = [perturbation_draws(gen, m) for m in (1, 6, 993, 4000)]
+        assert np.array_equal(np.concatenate(blocks), long)
+
+    # SHA-256 of the (index, p_L, p_X, p_Pw, signal) table of a run of two
+    # full blocks and a short third; pinned from the code that drew and
+    # projected all samples in one block
+    SAMPLE_TABLE_SHA256 = "5d17c8f43c14da865d93b0cae90372509fd8399744704ccfd2bb4addca8672bf"
+
+    def test_sample_table_pinned(self):
+        cfg = make_config(
+            lo_choice="purified_x_only", sample_count=150_000, p_l_m=3e-13,
+            sigma_p_l_m=1e-13, sigma_p_x=1e-6, sigma_p_pw_pa=10.0,
+        )
+        table = run(cfg, keep_samples=True).samples
+        assert hashlib.sha256(table.tobytes()).hexdigest() == self.SAMPLE_TABLE_SHA256
+
+    @pytest.mark.parametrize("lo", LO_CHOICES)
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
+    def test_block_size_invariance(self, monkeypatch, lo, chunk_rows):
+        cfg = make_config(lo_choice=lo, sample_count=2000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
+        whole = run(cfg, keep_samples=True)
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", chunk_rows)
+        blocks = run(cfg, keep_samples=True)
+        assert np.array_equal(blocks.samples, whole.samples)
+        assert blocks.mean_estimate_m == pytest.approx(
+            whole.mean_estimate_m, rel=0, abs=1e-12 * whole.std_estimate_m
+        )
+        assert blocks.std_estimate_m == pytest.approx(whole.std_estimate_m, rel=1e-12)
+        for lab, slope in whole.slopes.items():
+            other = blocks.slopes[lab]
+            assert other.value == pytest.approx(slope.value, rel=0, abs=1e-12 * slope.std_error)
+            assert other.std_error == pytest.approx(slope.std_error, rel=1e-12)
+        assert blocks.immune == whole.immune
+
+    def test_memory_bounded_by_block(self):
+        cfg = make_config(sample_count=1_000_000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
+        run(make_config(sample_count=1000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0))
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the samples alone would take 8 MB per float64 column
+        assert peak < 16e6
 
     def test_different_seeds_differ(self):
         a = run(make_config(rng_seed=1))
@@ -116,9 +173,73 @@ class TestLeakage:
         with pytest.raises(ValidationError):
             immunity_report(make_config())
 
-    def test_insufficient_samples_for_regression(self):
+    def test_insufficient_samples_for_regression(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("refusal must come before any draw")
+
+        monkeypatch.setattr(simulator, "perturbation_draws", no_draws)
         with pytest.raises(ValidationError):
             run(make_config(sample_count=3, sigma_p_x=1e-6, sigma_p_pw_pa=10.0))
+
+
+def _solve_extended(g: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Gaussian elimination without pivoting, in the arrays' own precision."""
+    g, b = g.copy(), b.copy()
+    size = len(b)
+    for i in range(size):
+        for j in range(i + 1, size):
+            factor = g[j, i] / g[i, i]
+            g[j, i:] -= factor * g[i, i:]
+            b[j] -= factor * b[i]
+    x = np.zeros_like(b)
+    for i in reversed(range(size)):
+        x[i] = (b[i] - g[i, i + 1 :] @ x[i + 1 :]) / g[i, i]
+    return x
+
+
+def reference_regression(samples: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
+    """OLS slopes and std errors of the signal column on the fluctuations.
+
+    Independent of the program's regression: extended precision, the
+    intercept removed by centring, columns scaled to unit norm (so the Gram
+    matrix is near the identity), and the residuals formed directly from
+    the samples and refined twice, so no sum of squares cancels.
+    """
+    x = samples[:, [1 + RANGING_LABELS.index(lab) for lab in labels]].astype(np.longdouble)
+    y = samples[:, 4].astype(np.longdouble)
+    n, p = x.shape
+    x -= x.sum(axis=0) / n
+    y -= y.sum() / n
+    scale = np.sqrt((x * x).sum(axis=0))
+    x /= scale
+    gram = x.T @ x
+    beta = _solve_extended(gram, x.T @ y)
+    for _ in range(2):
+        beta += _solve_extended(gram, x.T @ (y - x @ beta))
+    resid = y - x @ beta
+    sigma2 = (resid @ resid) / (n - p - 1)
+    unit = np.eye(p, dtype=np.longdouble)
+    gram_inv_diag = np.array([_solve_extended(gram, unit[j])[j] for j in range(p)])
+    return beta / scale, np.sqrt(sigma2 * gram_inv_diag) / scale
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double"
+)
+@pytest.mark.parametrize("samples", [2000, 100_000])
+@pytest.mark.parametrize("lo", LO_CHOICES)
+def test_regression_matches_extended_precision_reference(lo, samples):
+    # the raw LO's signal spread is ~1.7e7 times its shot noise, so its
+    # std errors are a residual of 1 part in 1.7e7; at 1e5 samples its
+    # P_w slope is ~5e9 std errors, where one ulp of the slope is ~7e-7
+    # of a std error, so the slope bound is about 1.4 ulp
+    cfg = make_config(lo_choice=lo, sample_count=samples, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
+    res = run(cfg, keep_samples=True)
+    beta, se = reference_regression(res.samples, cfg.fluctuating_labels)
+    for j, lab in enumerate(cfg.fluctuating_labels):
+        slope = res.slopes[lab]
+        assert abs(slope.std_error / se[j] - 1) < 1e-9
+        assert abs(slope.value - beta[j]) < 1e-6 * se[j]
 
 
 class TestConfigValidation:
@@ -129,6 +250,27 @@ class TestConfigValidation:
     def test_sample_count(self):
         with pytest.raises(ValidationError):
             make_config(sample_count=0)
+
+    def test_fractional_sample_count(self):
+        with pytest.raises(ValidationError, match="sample_count"):
+            make_config(sample_count=10.5)
+
+    @pytest.mark.parametrize("seed", [-5, 2**128, 1.5, True])
+    def test_seed_outside_philox_keys(self, seed):
+        with pytest.raises(ValidationError, match="rng_seed"):
+            make_config(rng_seed=seed)
+
+    def test_largest_seed_runs(self):
+        res = run(make_config(rng_seed=2**128 - 1, sample_count=10))
+        assert res.rng_seed == 2**128 - 1
+
+    @pytest.mark.parametrize(
+        "name",
+        ["p_l_m", "p_x", "p_pw_pa", "sigma_p_l_m", "sigma_p_x", "sigma_p_pw_pa"],
+    )
+    def test_nan_offsets_and_sigmas(self, name):
+        with pytest.raises(ValidationError, match=name):
+            make_config(**{name: math.nan})
 
     def test_linearity_guard_on_fluctuations(self):
         with pytest.raises(Exception):
