@@ -83,10 +83,10 @@ class AirState:
                 f"temperature_c={self.temperature_c} outside model window "
                 f"[{TEMPERATURE_MIN_C}, {TEMPERATURE_MAX_C}] C"
             )
-        if self.pressure_pa < 0.0:
-            raise ValidationError(f"pressure_pa={self.pressure_pa} must be >= 0")
-        if self.water_vapor_pa < 0.0:
-            raise ValidationError(f"water_vapor_pa={self.water_vapor_pa} must be >= 0")
+        for name in ("pressure_pa", "co2_percent", "water_vapor_pa"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValidationError(f"{name}={value} must be finite and >= 0")
         if self.water_vapor_pa > self.pressure_pa:
             raise ValidationError(
                 f"water_vapor_pa={self.water_vapor_pa} exceeds total "

@@ -18,6 +18,7 @@ over both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import os
@@ -47,16 +48,28 @@ def _fmt(value: float) -> str:
 def _export_csv(path: str, header: list[str], row_format: str, table: np.ndarray) -> None:
     """Write `header` and one `row_format % row` line per row of `table`.
 
-    Rows are formatted and written EXPORT_BLOCK_ROWS at a time.  A path that
-    cannot be opened or written is a ValidationError; callers export before
-    printing anything, so a failed export leaves stdout empty.
+    Rows are formatted and written EXPORT_BLOCK_ROWS at a time into a
+    temporary file beside `path`, named from the process id and created
+    exclusively, which replaces `path` once every row is written.  A path
+    that cannot be opened or written is a ValidationError and leaves neither
+    a partial CSV nor the temporary file; callers export before printing
+    anything, so a failed export also leaves stdout empty.
     """
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(",".join(header) + "\n")
-            for start in range(0, len(table), EXPORT_BLOCK_ROWS):
-                block = table[start : start + EXPORT_BLOCK_ROWS].tolist()
-                fh.write("".join([row_format % tuple(row) for row in block]))
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.write(",".join(header) + "\n")
+                for start in range(0, len(table), EXPORT_BLOCK_ROWS):
+                    block = table[start : start + EXPORT_BLOCK_ROWS].tolist()
+                    fh.write("".join([row_format % tuple(row) for row in block]))
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 

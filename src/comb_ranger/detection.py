@@ -14,10 +14,11 @@ Ranging-through-air family (length L, density factor X, water vapor P_w):
 coefficient vectors built from the carrier-only dispersion ratios delta/eta
 of `air_model.dispersion_scalars`; the L mode keeps the vacuum form
 (omega0 v0 + delta_omega v1)/(c K_L), dropping the ~(n-1)-sized dispersive
-corrections.  A finite-difference oracle (`numeric_detection_mode`) that
-propagates the exact spectral phase quantifies that drop.  The first-order
-perturbed field u + sum_i p_i K_i w_i (`linearized_field`) is built from
-these modes.
+corrections.  An exact oracle (`numeric_detection_mode`) quantifies that
+drop: it projects the exact gradient i (dphi/dp) u of the propagated field
+onto the basis with a 24-node Gauss-Hermite rule, whose nodes span
+omega0 +/- 8.51 delta_omega.  The first-order perturbed field
+u + sum_i p_i K_i w_i (`linearized_field`) is built from these modes.
 
 Purifying a mode against interferers orthogonalizes it to their span,
 trading sensitivity (K^p = K <w^p, w> < K) for immunity.  The ranging
@@ -28,32 +29,20 @@ near-unit overlaps would lose six digits to cancellation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial.hermite import hermgauss, hermvander
 
 from . import air_model, mode_algebra, multicolor
 from .air_model import SPEED_OF_LIGHT, AirState
-from .dispersion import (
-    LINEARITY_GUARD_RAD,
-    RANGING_LABELS,
-    PerturbationVector,
-    check_linearity,
-    phase_gradient,
-)
+from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity, phase_gradient
 from .errors import DomainError, SeparabilityError, ValidationError
-from .mode_algebra import (
-    GaussianPulse,
-    SpectralMode,
-    gaussian_envelope,
-    gaussian_mode,
-    hermite_envelope,
-    inner_product,
-    sampling_grid,
-)
+from .mode_algebra import GaussianPulse, SpectralMode, gaussian_mode, inner_product
 
 _ORTHOGONALITY_TOL = 1e-10
 _DEPENDENCE_TOL = 1e-12
@@ -121,9 +110,9 @@ def ranging_modes(
 
     Mode shapes and the contamination structure depend only on the carrier
     (through delta/eta); the state argument is kept for interface symmetry
-    with the finite-difference oracle.  K_X and K_Pw scale linearly with the
-    path length.  The water-vapor mode carries an overall minus sign
-    (n decreases with P_w), keeping K_Pw positive.
+    with the exact oracle.  K_X and K_Pw scale linearly with the path
+    length.  The water-vapor mode carries an overall minus sign (n decreases
+    with P_w), keeping K_Pw positive.
     """
     if not length_m > 0.0:
         raise ValidationError(f"length_m={length_m} must be > 0")
@@ -232,44 +221,41 @@ def homodyne_signal(field, lo: DetectionMode) -> float:
     return (inner_product(mode, lo.mode).real - offset) / lo.k_const
 
 
+@functools.cache
+def _oracle_table(max_order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node offsets sqrt(2) x_k (in delta_omega) and rows w_k H_n(x_k) / sqrt(pi 2^n n!).
+
+    24 Gauss-Hermite nodes reach omega0 +/- 8.51 delta_omega; 48 agree to ~4e-16.
+    """
+    x, w = hermgauss(24)
+    norm = [(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(max_order + 1)]
+    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * hermvander(x, max_order).T * w
+    offsets.flags.writeable = table.flags.writeable = False
+    return offsets, table
+
+
 def numeric_detection_mode(
     label: str,
     pulse: GaussianPulse,
     state: AirState | None = None,
     length_m: float | None = None,
-    step: float | None = None,
     max_order: int = mode_algebra.MAX_ORDER_DEFAULT,
 ) -> DetectionMode:
-    """Finite-difference oracle for the analytic detection modes.
+    """Exact-gradient oracle for the analytic detection modes.
 
-    Propagates the exact spectral phase at p = +/- step, forms the central
-    difference (u(+) - u(-)) / (2 step) on a grid, projects it onto the
-    Hermite-Gauss basis and normalizes.  The step is auto-chosen to put the
-    peak phase excursion at 1e-3 rad unless given; a given step must keep it
-    within [1e-9, 0.1] rad (noise floor / linearity guard).
+    Every parameter enters the phase linearly, so du/dp = i (dphi/dp) u
+    exactly; its coefficients are a 24-node Gauss-Hermite projection (nodes at
+    omega0 +/- 8.51 delta_omega, exact for polynomial dphi/dp of degree
+    <= 47 - max_order).  Nodes past the resonance pole raise DomainError.
     """
-    omega = sampling_grid(pulse)
-    grad = phase_gradient(label, omega, pulse, state, length_m)
-    peak = float(np.max(np.abs(grad)))
-    if peak == 0.0:
-        raise DomainError(f"parameter {label!r} has no effect on the field")
-    if step is None:
-        step = 1e-3 / peak
-    excursion = abs(step) * peak
-    if excursion > LINEARITY_GUARD_RAD:
-        raise DomainError(f"step {step} too large: {excursion:.3g} rad phase excursion")
-    if excursion < 1e-9:
-        raise DomainError(f"step {step} too small: {excursion:.3g} rad is below the noise floor")
-
-    base = gaussian_envelope(pulse, omega)
-    diff = base * (np.exp(1j * step * grad) - np.exp(-1j * step * grad)) / (2.0 * step)
-    coeffs = np.empty(max_order + 1, dtype=complex)
-    for n in range(max_order + 1):
-        basis_fn = 1j * hermite_envelope(n, pulse, omega)
-        coeffs[n] = np.trapezoid(np.conj(basis_fn) * diff, omega)
+    if max_order < 0:
+        raise ValidationError(f"max_order={max_order} must be >= 0")
+    offsets, table = _oracle_table(max_order)
+    grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, pulse, state, length_m)
+    coeffs = table @ grad
     k_est = float(np.linalg.norm(coeffs))
     if k_est == 0.0:
-        raise DomainError(f"numeric mode for {label!r} vanished")
+        raise DomainError(f"parameter {label!r} has no effect on the field")
     return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple(coeffs / k_est)), k_est)
 
 
@@ -460,7 +446,7 @@ def contamination_report(
     Includes the multicolor shot-noise baselines (same total photon budget,
     frequency-doubled/tripled 1064 nm set) when `baselines` is true, and the
     largest coefficient deviation of the verbatim w_L mode from the exact
-    finite-difference oracle.
+    Gauss-Hermite oracle.
     """
     w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
     modes = (w_l, w_x, w_pw)

@@ -281,7 +281,7 @@ def test_criterion_10_oracle_equivalence():
     record(
         10,
         ok,
-        f"finite-difference oracle over 10 random configs: worst coefficient "
+        f"exact-gradient Gauss-Hermite oracle over 10 random configs: worst coefficient "
         f"deviation {worst_coeff:.2e} < 1e-3, worst K relative {worst_k:.2e} < 1e-3",
     )
     assert ok

@@ -25,7 +25,7 @@ STDOUT_SHA256 = {
     ("air-index",): "657a606be2c4c911176080d3d09509593bd2c37be9d41e197cf326d2ccf0deaf",
     ("air-index", "--wavelength", "1550", "--humidity-pa", "1000"):
         "44708a315b6b725f6493e9f20eae4b9a86bef679f421deff98a3b055e2206726",
-    ("sensitivity",): "d188301698ab5c1f53f861e70ac7e83c7df5949f4dc2da8eb41a25ce40f1b8ba",
+    ("sensitivity",): "b2bacbde143d44e870ce6b5e6a74b71a6b0e204427f44c074c368c1d5863fe42",
     ("multicolor", "--scheme", "2wi"):
         "d9eaa60a4c7f5e796a1469e459d5cd2411e2e9617be0daa74d7ed8fb93d63fa4",
     ("multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"):

@@ -1,6 +1,7 @@
 """Configuration parsing and the command-line front end."""
 
 import csv
+import errno
 import io
 import os
 import subprocess
@@ -13,7 +14,7 @@ import pytest
 import comb_ranger
 from comb_ranger import GaussianPulse
 from comb_ranger.cli import EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
-from comb_ranger import config
+from comb_ranger import cli, config
 from comb_ranger.config import SCHEMA, build_config, load_config, parse_config
 from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import real_profile
@@ -150,6 +151,17 @@ class TestAirIndexCommand:
         code, _ = run_cli(["air-index", "--wavelength", "150"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.parametrize(
+        "flag, value, key",
+        [("--pressure", "nan", "pressure_pa"), ("--pressure", "inf", "pressure_pa"),
+         ("--co2", "-1000", "co2_percent")],
+    )
+    def test_non_finite_or_negative_air_state(self, flag, value, key, capsys):
+        code, text = run_cli(["air-index", flag, value])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert key in capsys.readouterr().err
+
 
 class TestModesCommand:
     def test_table_and_profiles(self, tmp_path):
@@ -278,6 +290,14 @@ class TestSimulateCommand:
         assert code == EXIT_VALIDATION
         assert "key 'samples'" in capsys.readouterr().err
 
+    def test_nan_pressure_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("air.pressure_pa = nan\nsamples = 2000\n")
+        code, text = run_cli(["simulate", "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "pressure_pa" in capsys.readouterr().err
+
     def test_sample_csv(self, tmp_path):
         path = tmp_path / "samples.csv"
         code, _ = run_cli(["simulate", "--samples", "100", "--seed", "3", "--out", str(path)])
@@ -293,6 +313,34 @@ class TestSimulateCommand:
         assert code == EXIT_VALIDATION
         assert text == ""
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
+    def test_failed_write_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        class FullDisk:
+            """File whose writes fail after the header and the first block."""
+
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.fh.write(text)
+
+        monkeypatch.setattr(cli, "EXPORT_BLOCK_ROWS", 100)
+        monkeypatch.setattr(cli, "open", lambda *a, **k: FullDisk(open(*a, **k)), raising=False)
+        path = tmp_path / "samples.csv"
+        code, text = run_cli(["simulate", "--samples", "1000", "--out", str(path)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_env_seed_and_flag_priority(self, monkeypatch):
         monkeypatch.setenv("COMB_RANGER_SEED", "41")

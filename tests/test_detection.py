@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss, hermval
 from numpy.testing import assert_allclose
 
 from comb_ranger import (
@@ -25,6 +26,7 @@ from comb_ranger import (
     ranging_modes,
     time_detection_modes,
 )
+from comb_ranger.dispersion import phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
@@ -175,13 +177,15 @@ class TestRangingModes:
 
 
 class TestNumericOracle:
+    # phi, g, gvd and vacuum L have polynomial phase gradients of degree <= 2,
+    # which the Gauss-Hermite projection integrates exactly.
     def test_length_mode_in_vacuum(self):
         vac = AirState.vacuum()
         w_l = ranging_modes(PULSE, vac, 1.0)[0]
         num = numeric_detection_mode("L", PULSE, vac, 1.0)
         order = num.mode.order
-        assert_allclose(num.mode.padded(order), w_l.mode.padded(order), atol=1e-4)
-        assert num.k_const == pytest.approx(w_l.k_const, rel=1e-4)
+        assert_allclose(num.mode.padded(order), w_l.mode.padded(order), atol=1e-12)
+        assert num.k_const == pytest.approx(w_l.k_const, rel=1e-12)
 
     def test_water_mode_in_air(self):
         w_pw = ranging_modes(PULSE, AIR, 1.0)[2]
@@ -194,22 +198,39 @@ class TestNumericOracle:
         w_phi = time_detection_modes(PULSE)[0]
         num = numeric_detection_mode("phi", PULSE)
         order = max(num.mode.order, 2)
-        assert_allclose(num.mode.padded(order), w_phi.mode.padded(order), atol=1e-6)
-        assert num.k_const == pytest.approx(w_phi.k_const, rel=1e-6)
-
-    def test_step_guards(self):
-        with pytest.raises(DomainError):
-            numeric_detection_mode("phi", PULSE, step=1.0)
-        with pytest.raises(DomainError):
-            numeric_detection_mode("phi", PULSE, step=1e-30)
+        assert_allclose(num.mode.padded(order), w_phi.mode.padded(order), atol=1e-12)
+        assert num.k_const == pytest.approx(w_phi.k_const, rel=1e-12)
 
     @pytest.mark.parametrize("which", [1, 2])
     def test_group_and_gvd_modes(self, which):
         analytic = time_detection_modes(PULSE)[which]
         num = numeric_detection_mode(analytic.label, PULSE)
         order = num.mode.order
-        assert_allclose(num.mode.padded(order), analytic.mode.padded(order), atol=1e-3)
-        assert num.k_const == pytest.approx(analytic.k_const, rel=1e-3)
+        assert_allclose(num.mode.padded(order), analytic.mode.padded(order), atol=1e-12)
+        assert num.k_const == pytest.approx(analytic.k_const, rel=1e-12)
+
+    @pytest.mark.parametrize("label", ["L", "X", "Pw"])
+    def test_converged_against_48_nodes(self, label):
+        # the same projection with twice the nodes (omega0 +/- 12.7 delta_omega)
+        x, w = hermgauss(48)
+        grad = phase_gradient(
+            label, PULSE.omega0 + math.sqrt(2.0) * PULSE.delta_omega * x, PULSE, AIR, 1.0
+        )
+        num = numeric_detection_mode(label, PULSE, AIR, 1.0)
+        ref = np.array([
+            np.sum(w * hermval(x, np.eye(n + 1)[n]) * grad)
+            / math.sqrt(math.pi * 2.0**n * math.factorial(n))
+            for n in range(num.mode.order + 1)
+        ])
+        k_ref = float(np.linalg.norm(ref))
+        assert_allclose(num.mode.vector, ref / k_ref, rtol=0, atol=1e-13)
+        assert num.k_const == pytest.approx(k_ref, rel=1e-13)
+
+    @pytest.mark.parametrize("wavelength_m, bandwidth", [(350e-9, 0.2), (500e-9, 0.3)])
+    def test_near_pole_pulse_refused(self, wavelength_m, bandwidth):
+        pulse = GaussianPulse.from_wavelength(wavelength_m, bandwidth)
+        with pytest.raises(DomainError, match="pole"):
+            numeric_detection_mode("L", pulse, AIR, 1.0)
 
 
 class TestHomodyneSignal:

@@ -1,12 +1,19 @@
-"""Import structure of the package: module-level imports only, no cycles."""
+"""Import structure of the package: module-level imports only, no cycles.
+
+Also checks that the spans the benchmark reads by name still exist.
+"""
 
 import ast
+import importlib
+import inspect
+import re
 from pathlib import Path
 
 import comb_ranger
 
 PACKAGE_DIR = Path(comb_ranger.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
 
 def parse(path: Path) -> ast.Module:
@@ -51,3 +58,23 @@ def test_no_import_cycle():
 
     for name in sorted(graph):
         visit(name, ())
+
+
+def test_perfbench_span_names_resolve():
+    # perfbench/tracing.py names a span "<module>.<function>" or
+    # "<module>.<Class>.<method>" after the public callable it wraps, and
+    # reads some spans back by key; a renamed callable would zero the metric.
+    keys = set(re.findall(r'incl\["([^"]+)"\]', TRACING.read_text(encoding="utf-8")))
+    assert keys, "no span keys found in perfbench/tracing.py"
+    unresolved = []
+    for key in sorted(keys):
+        module_name, *path = key.split(".")
+        module = importlib.import_module(f"comb_ranger.{module_name}")
+        obj = module
+        for attr in path:
+            obj = None if obj is None or attr.startswith("_") else vars(obj).get(attr)
+        if isinstance(obj, (classmethod, staticmethod)):
+            obj = obj.__func__
+        if not (inspect.isfunction(obj) and obj.__module__ == module.__name__):
+            unresolved.append(key)
+    assert unresolved == []
