@@ -41,12 +41,156 @@ SEED_ENV_VAR = "COMB_RANGER_SEED"
 EXPORT_BLOCK_ROWS = 8192
 
 
+def _byte_columns(texts: list[str]) -> np.ndarray:
+    """A uint8 array whose column i holds the ASCII bytes of texts[i]; the
+    texts share one length."""
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), -1).T.copy()
+
+
+# column k: the two digits of k in 0..99
+_PAIRS = _byte_columns([f"{k:02d}" for k in range(100)])
+# column 10 * s + d: the sign ('-' if s else NUL), the digit d and '.'
+_LEAD = _byte_columns([f"{sign}{d}." for sign in "\0-" for d in range(10)])
+# exponents handled without `%`, and 10**k for k in [-_EXP_BIAS, _EXP_BIAS]
+# at index k + _EXP_BIAS; float() of a decimal literal is correctly rounded,
+# which 10.0**k need not be
+_EXP_BIAS = 300
+_POW10 = np.array([float(f"1e{k}") for k in range(-_EXP_BIAS, _EXP_BIAS + 1)])
+# column k + _EXP_BIAS: "e", the sign and two or three digits of k,
+# NUL-padded in front to 5 bytes
+_EXP_SUFFIX = _byte_columns([f"e{k:+03d}".rjust(5, "\0") for k in range(-_EXP_BIAS, _EXP_BIAS + 1)])
+# magnitudes outside this range take the `%` path: 10**(p - e) for a
+# 13-digit mantissa would leave _POW10
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# The mantissa m = |x| * 10**(p - e) comes from two correctly rounded steps
+# (the _POW10 entry and the product), so its relative error is at most
+# (1 + 2**-53)**2 - 1 < 2**-52 + 2**-105 and, as m < 10**(p + 1) <= 10**13,
+# its absolute error below 10**13 * 2**-52 = 2.2e-3.  A computed m more
+# than 1e-2 from a half-integer is therefore on the same side of the tie as
+# the exact product, and rint(m) is the correctly rounded mantissa; values
+# inside the window take the `%` path.
+_TIE_WINDOW = 1e-2
+# integer-column values formatted without `%`: 0 <= v < 2**32
+_INT_FAST_MAX = float(2**32)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
 
 
-def _export_csv(path: str, header: list[str], row_format: str, table: np.ndarray) -> None:
-    """Write `header` and one `row_format % row` line per row of `table`.
+def _put_digits(buf: np.ndarray, row: int, count: int, v: np.ndarray) -> None:
+    """Write the `count` low decimal digits of the uint32 `v`, zero-padded,
+    as ASCII into buf[row : row + count], most significant first."""
+    for end in range(row + count, row, -2):
+        q = v // 100
+        pair = (v - q * 100).astype(np.intp)
+        if end - 2 >= row:
+            np.take(_PAIRS, pair, axis=1, out=buf[end - 2 : end], mode="clip")
+        else:
+            np.take(_PAIRS[1], pair, out=buf[end - 1], mode="clip")
+        v = q
+
+
+def _put_fallback(buf: np.ndarray, rows: slice, idx: np.ndarray, texts: list[str]) -> None:
+    """Write texts[i] right-aligned and NUL-padded into buf[rows, idx[i]]."""
+    width = rows.stop - rows.start
+    buf[rows, idx] = _byte_columns([t.rjust(width, "\0") for t in texts])
+
+
+def _put_float_field(buf: np.ndarray, off: int, x: np.ndarray, p: int) -> None:
+    """Write `'%.{p}e' % x[i]` into buf[off : off + p + 8, i], for 8 <= p <= 12.
+
+    Field layout: sign (NUL if none), leading digit, '.', p digits, then
+    "e", the exponent sign and two or three digits, NUL-padded in front.
+    """
+    a = np.abs(x)
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    zero = a == 0
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    m = a * np.take(_POW10, (p + _EXP_BIAS) - e)
+    # log10 can miss by one next to a power of ten
+    for step, wrong in ((-1, m < 10.0**p), (1, m >= 10.0 ** (p + 1))):
+        if wrong.any():
+            e[wrong] += step
+            m[wrong] = a[wrong] * np.take(_POW10, (p + _EXP_BIAS) - e[wrong])
+    r = np.rint(m)
+    # |m - rint(m)| = 0.5 - (distance of m from the nearest half-integer)
+    slow = ~(fast | zero) | (np.abs(m - r) > 0.5 - _TIE_WINDOW)
+    carry = r == 10.0 ** (p + 1)
+    r[carry] = 10.0**p
+    e[carry] += 1
+    r[zero] = 0.0
+    e[zero] = 0
+
+    # r < 10**13 is an exact float, and so are floor(r / 10**k) and the
+    # remainders: a quotient that is not an integer lies >= 10**-k from one
+    lead = np.floor(r / 10.0**p)
+    np.take(_LEAD, np.signbit(x) * 10 + lead.astype(np.intp), axis=1, out=buf[off : off + 3], mode="clip")
+    r -= lead * 10.0**p
+    hi = np.floor(r / 1e8)
+    _put_digits(buf, off + 3, p - 8, hi.astype(np.uint32))
+    _put_digits(buf, off + p - 5, 8, (r - hi * 1e8).astype(np.uint32))
+    np.take(_EXP_SUFFIX, e + _EXP_BIAS, axis=1, out=buf[off + p + 3 : off + p + 8], mode="clip")
+
+    idx = np.flatnonzero(slow)
+    if len(idx):
+        fmt = f"%.{p}e"
+        _put_fallback(buf, slice(off, off + p + 8), idx, [fmt % v for v in x[idx].tolist()])
+
+
+def _put_int_field(buf: np.ndarray, off: int, width: int, v: np.ndarray) -> None:
+    """Write `'%d' % v[i]` right-aligned into buf[off : off + width, i]."""
+    fast = (v >= 0) & (v < _INT_FAST_MAX)
+    vi = np.where(fast, v, 0).astype(np.uint32)
+    digits = len(str(int(vi.max())))
+    first = off + width - digits
+    _put_digits(buf, first, digits, vi)
+    # blank the leading zeros (the units digit always stays)
+    for j in range(digits - 1):
+        buf[first + j, vi < 10 ** (digits - 1 - j)] = 0
+    idx = np.flatnonzero(~fast)
+    if len(idx):
+        _put_fallback(buf, slice(off, off + width), idx, ["%d" % t for t in v[idx].tolist()])
+
+
+def _int_width(v: np.ndarray) -> int:
+    """Length of the longest `'%d' % v[i]`."""
+    return max(len("%d" % v.min()), len("%d" % v.max()))
+
+
+def _format_block(precisions: list[int | None], block: np.ndarray) -> bytes:
+    """The CSV lines of `block`: `%d` for a column of precision None, else
+    `%.{p}e`, joined by ',' and ended by '\\n'."""
+    widths = [_int_width(block[:, c]) if p is None else p + 8 for c, p in enumerate(precisions)]
+    # column-major: each byte position of a row is one contiguous buffer row
+    buf = np.zeros((sum(widths) + len(widths), len(block)), np.uint8)
+    off = 0
+    for c, (p, width) in enumerate(zip(precisions, widths)):
+        if p is None:
+            _put_int_field(buf, off, width, block[:, c])
+        else:
+            _put_float_field(buf, off, block[:, c], p)
+        off += width
+        buf[off] = ord("," if c < len(widths) - 1 else "\n")
+        off += 1
+    lines = np.ascontiguousarray(buf.T).ravel()
+    return lines[lines != 0].tobytes()
+
+
+def _export_csv(path: str, header: list[str], precisions: list[int | None], table: np.ndarray) -> None:
+    """Write `header` and one CSV line per row of `table`.
+
+    Column c is written as `'%d' % v` where precisions[c] is None and as
+    `'%.{p}e' % v` for precisions[c] = p, byte for byte, but by whole numpy
+    columns: the decimal exponent from log10, a (p + 1)-digit mantissa by
+    scaling with a correctly rounded power of ten and rint, and its digits
+    through a two-digit table.  The mantissa's absolute error is below
+    2.2e-3 (two correctly rounded steps, relative error < 2**-52, times
+    m < 10**13), so only mantissas within _TIE_WINDOW = 1e-2 of a rounding
+    tie can round the wrong way; those, non-finite values, magnitudes
+    outside [1e-280, 1e280] and integer-column values outside [0, 2**32)
+    are formatted with `%`.
 
     Rows are formatted and written EXPORT_BLOCK_ROWS at a time into a
     temporary file beside `path`, named from the process id and created
@@ -60,11 +204,11 @@ def _export_csv(path: str, header: list[str], row_format: str, table: np.ndarray
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         try:
-            with open(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.write(",".join(header) + "\n")
+            with open(fd, "wb") as fh:
+                fh.write((",".join(header) + "\n").encode("utf-8"))
                 for start in range(0, len(table), EXPORT_BLOCK_ROWS):
-                    block = table[start : start + EXPORT_BLOCK_ROWS].tolist()
-                    fh.write("".join([row_format % tuple(row) for row in block]))
+                    block = table[start : start + EXPORT_BLOCK_ROWS]
+                    fh.write(_format_block(precisions, block))
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -145,7 +289,7 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
     _export_csv(
         args.out,
         ["x"] + [label for label, _, _ in profile_rows],
-        "%.9e" + ",%.12e" * len(profiles) + "\n",
+        [9] + [12] * len(profiles),
         np.column_stack([x] + profiles),
     )
 
@@ -234,7 +378,7 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
         _export_csv(
             args.out,
             ["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"],
-            "%d,%.12e,%.12e,%.12e,%.12e\n",
+            [None, 12, 12, 12, 12],
             result.samples,
         )
     out.write(result.to_text())

@@ -69,8 +69,8 @@ class DetectionMode:
 
 def min_detectable(k_const: float, n_photons: float) -> float:
     """Shot-noise-limited minimum detectable parameter, 1/(2 sqrt(N) K)."""
-    if not n_photons >= 1.0:
-        raise ValidationError(f"n_photons={n_photons} must be >= 1")
+    if not 1.0 <= n_photons < math.inf:
+        raise ValidationError(f"n_photons={n_photons} must be finite and >= 1")
     if not k_const > 0.0:
         raise ValidationError(f"k_const={k_const} must be > 0")
     return 1.0 / (2.0 * math.sqrt(n_photons) * k_const)
@@ -114,8 +114,8 @@ def ranging_modes(
     length.  The water-vapor mode carries an overall minus sign (n decreases
     with P_w), keeping K_Pw positive.
     """
-    if not length_m > 0.0:
-        raise ValidationError(f"length_m={length_m} must be > 0")
+    if not 0.0 < length_m < math.inf:
+        raise ValidationError(f"length_m={length_m} must be finite and > 0")
     del state  # shapes are state-independent by construction
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)

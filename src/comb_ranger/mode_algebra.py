@@ -53,10 +53,10 @@ class GaussianPulse:
     delta_omega: float
 
     def __post_init__(self) -> None:
-        if not self.omega0 > 0.0:
-            raise ValidationError(f"omega0={self.omega0} must be > 0")
-        if not self.delta_omega > 0.0:
-            raise ValidationError(f"delta_omega={self.delta_omega} must be > 0")
+        if not 0.0 < self.omega0 < math.inf:
+            raise ValidationError(f"omega0={self.omega0} must be finite and > 0")
+        if not 0.0 < self.delta_omega < math.inf:
+            raise ValidationError(f"delta_omega={self.delta_omega} must be finite and > 0")
         if self.delta_omega > 0.5 * self.omega0:
             raise ValidationError(
                 f"delta_omega={self.delta_omega} exceeds omega0/2; "

@@ -219,6 +219,21 @@ class TestSensitivityCommand:
         assert float(values["pw_contamination_per_m_pa"]) == pytest.approx(-3.734e-10, rel=0.01)
         assert float(values["two_color_shot_noise_m"]) == pytest.approx(3.11e-14, rel=0.01)
 
+    @pytest.mark.parametrize("line, key", [("length_m = inf", "length_m"), ("photons = inf", "n_photons")])
+    def test_infinite_length_or_photons_in_config(self, tmp_path, capsys, line, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        code, text = run_cli(["sensitivity", "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"{key}=inf must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("omega0, delta_omega", [(float("inf"), 1.0), (2e15, float("inf"))])
+def test_gaussian_pulse_refuses_non_finite(omega0, delta_omega):
+    with pytest.raises(ValidationError, match="must be finite"):
+        GaussianPulse(omega0, delta_omega)
+
 
 class TestMulticolorCommand:
     def test_two_color_row(self):
