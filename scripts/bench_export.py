@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time the CSV exports and write the figures to BENCH_export.json.
 
-Two measurements, each best of --repeats:
+Two measurements, each best of REPEATS (5):
 
   * in-process: `cli._export_csv` on the tables that `simulate --samples
     100000 --out` and `modes --out` export, beside a printf-style `%` row
@@ -14,10 +14,9 @@ The CLI children are launched first, while this process is still small:
 a child's ru_maxrss also counts its parent's resident set at the fork, so
 launching them after the tables are built would report this script's peak.
 
-Usage: python scripts/bench_export.py [--repeats 5] [--json BENCH_export.json]
+Usage: python scripts/bench_export.py
 """
 
-import argparse
 import json
 import os
 import platform
@@ -31,9 +30,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
 SAMPLES = 100_000
 SEED = 3
+REPEATS = 5
 
 
-def cli_runs(repeats: int, scratch: str) -> list[dict]:
+def cli_runs(scratch: str) -> list[dict]:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     env.pop("COMB_RANGER_SEED", None)
@@ -41,7 +41,7 @@ def cli_runs(repeats: int, scratch: str) -> list[dict]:
     argv = [sys.executable, "-m", "comb_ranger.cli", "simulate", "--seed", str(SEED),
             "--samples", str(SAMPLES), "--out", path]
     runs = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         proc = subprocess.Popen(argv, stdout=subprocess.DEVNULL, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
@@ -85,9 +85,9 @@ def percent_export(path: str, header, precisions, table) -> None:
             fh.write("".join([row_format % tuple(row) for row in table[start : start + 8192].tolist()]))
 
 
-def best_of(repeats: int, fn) -> float:
+def best_of(fn) -> float:
     best = float("inf")
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         best = min(best, time.perf_counter() - start)
@@ -95,15 +95,11 @@ def best_of(repeats: int, fn) -> float:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--json", default=os.path.join(ROOT, "BENCH_export.json"))
-    args = parser.parse_args()
     os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
     with tempfile.TemporaryDirectory() as scratch:
         parent_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-        runs = cli_runs(args.repeats, scratch)
+        runs = cli_runs(scratch)
 
         sys.path.insert(0, SRC)
         import numpy as np
@@ -113,8 +109,8 @@ def main() -> None:
         in_process = {}
         for name, (header, precisions, table) in captured_exports(scratch).items():
             new, old = os.path.join(scratch, "new.csv"), os.path.join(scratch, "old.csv")
-            vectorised = best_of(args.repeats, lambda: cli._export_csv(new, header, precisions, table))
-            percent = best_of(args.repeats, lambda: percent_export(old, header, precisions, table))
+            vectorised = best_of(lambda: cli._export_csv(new, header, precisions, table))
+            percent = best_of(lambda: percent_export(old, header, precisions, table))
             with open(new, "rb") as a, open(old, "rb") as b:
                 if a.read() != b.read():
                     raise SystemExit(f"{name}: _export_csv and % wrote different bytes")
@@ -129,7 +125,7 @@ def main() -> None:
     report = {
         "what": "CSV export timings, best of repeats; in-process _export_csv against a % row loop "
                 "on the same table, and the whole `simulate --out` CLI process",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "in_process": in_process,
         "cli_simulate_out": {
             "argv": f"simulate --seed {SEED} --samples {SAMPLES} --out <tmp>",
@@ -146,7 +142,7 @@ def main() -> None:
             "blas_threads": 1,
         },
     }
-    with open(args.json, "w", encoding="utf-8") as fh:
+    with open(os.path.join(ROOT, "BENCH_export.json"), "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
     print(json.dumps(report, indent=2))
