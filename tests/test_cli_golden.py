@@ -3,7 +3,8 @@
 Each pin is the SHA-256 of the bytes a command writes, so any change to
 the bytes on disk or on stdout fails here.  The output paths are relative
 (run from a temporary directory) because stdout names them.  All runs use
-the default configuration with COMB_RANGER_SEED unset.
+the default configuration with COMB_RANGER_SEED unset, except the
+`--config` pins, which change one key of it.
 """
 
 import hashlib
@@ -31,6 +32,15 @@ STDOUT_SHA256 = {
     ("multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"):
         "a12207800d016946bd92acc4736b78ad84ce07a16a00fa02d9ff561f8ef2c712",
 }
+
+# runs with a `--config` file holding one line; these never use a purified
+# LO's mode, so no change to purification may move them
+CONFIG_STDOUT_SHA256 = {
+    ("sensitivity", "pulse.wavelength_nm = 1550"): "d777cd123cd39ae8edc405228a9f6b19e1a46b1235cdaf3fde652aa6d70c2b40",
+    ("sensitivity", "pulse.relative_bandwidth = 0.02"): "0d1644b4598b54d826386b754ab35eb8d3055164a00da8a9bd37b8d5bf901e05",
+}
+RAW_SIMULATE_STDOUT_SHA256 = "f44a1a55e6d09ea33e7281044705e89748cb2d67b1284e3115a0f8cdcbb5de33"
+RAW_SIMULATE_CSV_SHA256 = "b73f21efeb02932373942cc848818bfd26f8143115db3aba4f90c0a774cca6fb"
 
 
 def sha256(data: bytes) -> str:
@@ -82,3 +92,19 @@ def test_exports_golden_across_blocks(in_tmp, monkeypatch, block_rows):
     monkeypatch.setattr(cli, "EXPORT_BLOCK_ROWS", block_rows)
     check_simulate_export(in_tmp)
     check_modes_export(in_tmp)
+
+
+@pytest.mark.parametrize("argv, line", list(CONFIG_STDOUT_SHA256), ids=" ".join)
+def test_config_stdout_golden(in_tmp, argv, line):
+    (in_tmp / "run.cfg").write_text(line + "\n")
+    stdout = run_cli([argv, "--config", "run.cfg"])
+    assert sha256(stdout) == CONFIG_STDOUT_SHA256[argv, line]
+
+
+def test_raw_lo_simulate_export_golden(in_tmp):
+    (in_tmp / "run.cfg").write_text("lo = raw\n")
+    stdout = run_cli(
+        ["simulate", "--config", "run.cfg", "--seed", "3", "--samples", "2000", "--out", "samples.csv"]
+    )
+    assert sha256(stdout) == RAW_SIMULATE_STDOUT_SHA256
+    assert sha256((in_tmp / "samples.csv").read_bytes()) == RAW_SIMULATE_CSV_SHA256
