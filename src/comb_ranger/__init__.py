@@ -3,10 +3,10 @@
 Submodules:
 
     air_model   Boensch-Potulski refractive index of air and its derivatives
-    mode_algebra  Hermite-Gauss spectral modes, inner products, Gram-Schmidt
+    mode_algebra  Hermite-Gauss spectral modes and inner products
     dispersion  spectral-phase propagation and its second-order expansion
-    detection   homodyne detection modes, linearized field, purification,
-                shot-noise limits
+    detection   homodyne detection modes, linearized field, exact
+                purification, shot-noise limits
     multicolor  two-/three-wavelength interferometry baselines
     simulator   seeded Monte Carlo of the shaped-LO measurement
     config/cli  run configuration and command-line front end
@@ -50,7 +50,6 @@ from .mode_algebra import (
     GaussianPulse,
     SpectralMode,
     gaussian_mode,
-    gram_schmidt,
     hermite_gauss,
     inner_product,
     quadrature_inner_product,
@@ -96,7 +95,6 @@ __all__ = [
     "dispersion_scalars",
     "expansion_times",
     "gaussian_mode",
-    "gram_schmidt",
     "group_index",
     "hermite_gauss",
     "homodyne_signal",

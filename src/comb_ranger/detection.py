@@ -21,10 +21,11 @@ omega0 +/- 8.51 delta_omega.  The first-order perturbed field
 u + sum_i p_i K_i w_i (`linearized_field`) is built from these modes.
 
 Purifying a mode against interferers orthogonalizes it to their span,
-trading sensitivity (K^p = K <w^p, w> < K) for immunity.  The ranging
-purification factor is evaluated as an exact rational Gram-determinant
-ratio: the quantity 1 - s is ~1e-10 here and naive double arithmetic on the
-near-unit overlaps would lose six digits to cancellation.
+trading sensitivity (K^p = K sqrt(1 - s) < K) for immunity.  `purify` is the
+one place the factor 1 - s is computed, for `sensitivity`, `simulate` and
+`modes` alike: a Gram-Schmidt in exact integer arithmetic on the double
+coefficients, since 1 - s is ~1e-10 for the ranging modes and double
+arithmetic on the near-unit overlaps would lose six digits to cancellation.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -44,8 +44,13 @@ from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity, pha
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import GaussianPulse, SpectralMode, gaussian_mode, inner_product
 
-_ORTHOGONALITY_TOL = 1e-10
-_DEPENDENCE_TOL = 1e-12
+# Refusal floor of `purify` on each residual share 1 - s.  Its arithmetic is
+# exact, so the only error left is the double representation of the mode
+# vectors: a relative change u = 2**-53 in the inputs moves sqrt(1 - s) by
+# about u / sqrt(1 - s) relative.  The floor is where that bound reaches a
+# budget of 2**-20 (~1e-6, six significant digits of K):
+# 1 - s = (2**-53 / 2**-20)**2 = 2**-66 ~ 1.4e-20.
+PURIFY_FLOOR = 2.0**-66
 
 
 @dataclass(frozen=True)
@@ -170,42 +175,61 @@ def linearized_field(
     return LinearizedField(SpectralMode(pulse, tuple(vec)), amplitudes)
 
 
-def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> DetectionMode:
-    """Re-orthogonalize `target` against the span of `against`.
+def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
+    """The real coefficients padded to `order`, as exact integers up to a common 2**-k."""
+    vec = mode.padded(order)
+    if np.any(vec.imag != 0.0):
+        raise ValidationError("purification expects real coefficient vectors")
+    ratios = [x.as_integer_ratio() for x in vec.real.tolist()]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios]
 
-    Returns a unit-norm mode orthogonal to every interferer, with
-    k_const = K_target * <w^p, w_target>.  An empty `against` returns the
-    target unchanged.
+
+def _dot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(a * b for a, b in zip(u, v))
+
+
+def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> DetectionMode:
+    """Re-orthogonalize `target` against the span of `against`, exactly.
+
+    Each double coefficient is an integer times a power of two, so a
+    fraction-free Gram-Schmidt, r <- (q.q) r - (q.r) q, runs on integers
+    without rounding.  Every input x (interferers in order, then the target)
+    leaves a residual r whose share 1 - s = (r.x)^2 / (|r|^2 |x|^2) is one
+    correctly rounded integer division; a share at or below
+    PURIFY_FLOOR raises SeparabilityError.  Returns the target's residual,
+    rounded once and normalized, with k_const = K_target sqrt(1 - s).  An
+    empty `against` returns the target unchanged.
     """
     if len(against) == 0:
         return target
-    try:
-        basis = mode_algebra.gram_schmidt([dm.mode for dm in against], tol=_DEPENDENCE_TOL)
-    except DomainError as exc:
-        raise SeparabilityError(f"interfering modes are degenerate: {exc}") from exc
-    order = max(target.mode.order, max(q.order for q in basis))
-    vec = target.mode.padded(order)
-    qs = [q.padded(order) for q in basis]
-    for _ in range(2):
-        for q in qs:
-            vec = vec - np.vdot(q, vec) * q
-    res = float(np.linalg.norm(vec))
-    if res**2 <= _DEPENDENCE_TOL:
-        raise SeparabilityError(
-            f"parameter {target.label!r} not separable: its detection mode "
-            "lies in the span of the interfering modes"
-        )
-    mode = SpectralMode(target.mode.pulse, tuple(vec / res))
-    for dm in against:
-        leak = abs(inner_product(mode, dm.mode))
-        if leak > _ORTHOGONALITY_TOL:
-            raise DomainError(
-                f"purification left overlap {leak:.2e} with {dm.label!r} "
-                f"(tolerance {_ORTHOGONALITY_TOL})"
+    if any(dm.mode.pulse != target.mode.pulse for dm in against):
+        raise ValidationError("purification needs every mode on the target's pulse basis")
+    order = max(dm.mode.order for dm in (target, *against))
+    basis: list[tuple[list[int], int]] = []
+    for dm in (*against, target):
+        x = _integer_vector(dm.mode, order)
+        r = x
+        for q, qq in basis:
+            qr = _dot(q, r)
+            r = [qq * a - qr * b for a, b in zip(r, q)]
+        rr = _dot(r, r)
+        share = _dot(r, x) ** 2 / (rr * _dot(x, x)) if rr else 0.0
+        if share <= PURIFY_FLOOR:
+            if dm is target:
+                raise SeparabilityError(
+                    f"parameter {target.label!r} not separable: its detection mode "
+                    "lies in the span of the interfering modes"
+                )
+            raise SeparabilityError(
+                f"interfering modes are degenerate: {dm.label!r} lies in the span of those before it"
             )
-    overlap = inner_product(mode, target.mode).real
+        basis.append((r, rr))
+    scale = 1 << max(abs(c) for c in r).bit_length()
+    vec = np.array([c / scale for c in r])
+    mode = SpectralMode(target.mode.pulse, tuple(vec / np.linalg.norm(vec)))
     label = f"{target.label}^p({','.join(dm.label for dm in against)})"
-    return DetectionMode(label, mode, target.k_const * overlap)
+    return DetectionMode(label, mode, target.k_const * math.sqrt(share))
 
 
 def homodyne_signal(field, lo: DetectionMode) -> float:
@@ -277,55 +301,6 @@ def _contamination_matrix(modes: Sequence[DetectionMode]) -> np.ndarray:
     return mat
 
 
-def _exact_gram_ratio(target: SpectralMode, others: Sequence[SpectralMode]) -> float:
-    """(K^p / K)^2 = 1 - s as an exact Gram-determinant ratio.
-
-    Computed in rational arithmetic directly from the raw (float)
-    coefficient vectors, including their norms; this is the cancellation-
-    safe form of the closed-form purification factor.  Supports one or two
-    interfering modes.
-    """
-    order = max([target.order] + [m.order for m in others])
-
-    def fvec(m: SpectralMode):
-        v = m.padded(order)
-        if np.max(np.abs(v.imag)) != 0.0:
-            raise ValidationError("exact purification factor expects real coefficient vectors")
-        return [Fraction(x) for x in v.real]
-
-    def dot(u, v):
-        return sum(a * b for a, b in zip(u, v))
-
-    t = fvec(target)
-    nt = dot(t, t)
-    if len(others) == 1:
-        x = fvec(others[0])
-        nx = dot(x, x)
-        dtx = dot(t, x)
-        g2 = nx
-        g3 = nt * nx - dtx * dtx
-    elif len(others) == 2:
-        x, p = fvec(others[0]), fvec(others[1])
-        nx, np_ = dot(x, x), dot(p, p)
-        dtx, dtp, dxp = dot(t, x), dot(t, p), dot(x, p)
-        g2 = nx * np_ - dxp * dxp
-        g3 = (
-            nt * nx * np_
-            + 2 * dtx * dtp * dxp
-            - nt * dxp * dxp
-            - nx * dtp * dtp
-            - np_ * dtx * dtx
-        )
-    else:
-        raise ValidationError("exact purification factor supports 1 or 2 interferers")
-    if g2 == 0:
-        raise SeparabilityError("interfering modes are exactly degenerate")
-    ratio = g3 / (g2 * nt)
-    if ratio <= 0:
-        raise SeparabilityError("target lies in the span of the interfering modes")
-    return float(ratio)
-
-
 @dataclass(frozen=True)
 class PurifiedSensitivity:
     """Shot-noise distance sensitivities with and without purification.
@@ -344,13 +319,8 @@ class PurifiedSensitivity:
 
     @classmethod
     def build(cls, w_l: DetectionMode, w_x: DetectionMode, w_pw: DetectionMode, n_photons: float) -> "PurifiedSensitivity":
-        o_xp = inner_product(w_x.mode, w_pw.mode).real
-        if 1.0 - o_xp**2 <= _DEPENDENCE_TOL:
-            raise SeparabilityError(
-                "w_X and w_Pw are near-degenerate; full purification undefined"
-            )
-        k_full = w_l.k_const * math.sqrt(_exact_gram_ratio(w_l.mode, [w_x.mode, w_pw.mode]))
-        k_x = w_l.k_const * math.sqrt(_exact_gram_ratio(w_l.mode, [w_x.mode]))
+        k_full = purify(w_l, [w_x, w_pw]).k_const
+        k_x = purify(w_l, [w_x]).k_const
         return cls(
             n_photons=n_photons,
             k_raw=w_l.k_const,

@@ -14,7 +14,8 @@ coefficient vector and homodyne signals are plain real parts.
 
 Modes are represented primarily by their (complex) coefficients on {v_n};
 every mode of interest is a low-degree polynomial times u, so inner products
-and Gram-Schmidt are exact in coefficient space.  Sampling onto a frequency
+are exact in coefficient space (purification, on the same coefficients, is
+`detection.purify`).  Sampling onto a frequency
 grid is derived from the coefficients, and a trapezoid quadrature over
 omega0 +/- 8 Delta_omega (Gaussian tails < 1e-14 there) serves as the
 independent oracle in the test suite.
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermval
@@ -37,8 +37,6 @@ MAX_ORDER_DEFAULT = 8
 # Default quadrature grid: half-width in units of Delta_omega and point count.
 GRID_HALF_WIDTH = 8.0
 GRID_POINTS = 4096
-
-_NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -99,15 +97,6 @@ class SpectralMode:
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector))
-
-    def is_normalized(self, tol: float = _NORM_TOL) -> bool:
-        return abs(self.norm() ** 2 - 1.0) <= tol
-
-    def normalized(self) -> "SpectralMode":
-        n = self.norm()
-        if n == 0.0:
-            raise DomainError("cannot normalize the zero mode")
-        return SpectralMode(self.pulse, tuple(self.vector / n))
 
     def padded(self, order: int) -> np.ndarray:
         """Coefficient vector zero-padded out to the given order.
@@ -256,37 +245,3 @@ def quadrature_inner_product(
                 "grid does not cover omega0 +/- 8 delta_omega with >= 2048 points"
             )
     return complex(np.trapezoid(np.conj(f) * g, w))
-
-
-def gram_schmidt(modes: Sequence[SpectralMode], tol: float = 1e-12) -> list[SpectralMode]:
-    """Sequential Gram-Schmidt orthonormalization in coefficient space.
-
-    The k-th output depends only on the first k inputs.  A residual whose
-    squared norm falls below `tol` (relative to the normalized input) marks
-    the offending mode as linearly dependent on its predecessors.
-    """
-    if len(modes) == 0:
-        return []
-    pulse = modes[0].pulse
-    for m in modes[1:]:
-        _require_same_pulse(modes[0], m)
-    order = max(m.order for m in modes)
-    basis: list[np.ndarray] = []
-    for idx, m in enumerate(modes):
-        vec = m.padded(order)
-        n0 = np.linalg.norm(vec)
-        if n0 == 0.0:
-            raise DomainError(f"mode {idx} is zero")
-        vec = vec / n0
-        # two projection passes: classical "twice is enough" reorthogonalization
-        for _ in range(2):
-            for q in basis:
-                vec = vec - np.vdot(q, vec) * q
-        res2 = float(np.real(np.vdot(vec, vec)))
-        if res2 <= tol:
-            raise DomainError(
-                f"mode {idx} is linearly dependent on its predecessors "
-                f"(residual norm^2 {res2:.3e} <= {tol})"
-            )
-        basis.append(vec / math.sqrt(res2))
-    return [SpectralMode(pulse, tuple(q)) for q in basis]

@@ -16,10 +16,10 @@ import pytest
 from comb_ranger import cli
 from comb_ranger.cli import EXIT_OK, main
 
-SIMULATE_STDOUT_SHA256 = "88cb4be1fb00d8c17255675f95e09fe7a5cebe6b1aca799712489b660a1303c3"
-SIMULATE_CSV_SHA256 = "f29ebe39c4d7f3f145a4b465ae2300b75714d66ab43de5875fa03f44ae9e0259"
-MODES_STDOUT_SHA256 = "8bc571cc96aa72252fe99517952037598e2488cf7e69e922cd87c40110dac5a6"
-MODES_CSV_SHA256 = "28fc3a34a29bb38926317f03d222679344dbe3448cf935de322b9bef9198ba50"
+SIMULATE_STDOUT_SHA256 = "57c0dcc62bf54f6d322f0d615a1dad6f31d147df1738642162481dc5f13e805f"
+SIMULATE_CSV_SHA256 = "a1c476cf1a3f412df9c9db42e312e87e8b0374ba42e85694bf2b0be37a2f297d"
+MODES_STDOUT_SHA256 = "5ea4477cda44fc2b175bc638d6913c7c8ec7de7dc60c3180c34686d851500e2d"
+MODES_CSV_SHA256 = "7297d620a0d436d29588df6816bfbbfaeab3be44fa593602229479e2fcf1b5fe"
 
 # stdout of the subcommands that write no file
 STDOUT_SHA256 = {

@@ -3,7 +3,9 @@
 import csv
 import errno
 import io
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -364,6 +366,17 @@ class TestSimulateCommand:
         _, via_flag = run_cli(["simulate", "--samples", "2000", "--seed", "42"])
         assert "seed = 42" in via_flag
 
+    def test_purified_sigma_matches_sensitivity_at_1550(self, tmp_path):
+        # 1 - s is ~7e-13 there; both subcommands take it from one purify
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pulse.wavelength_nm = 1550\n")
+        code, sim = run_cli(["simulate", "--config", str(cfg), "--samples", "2000"])
+        assert code == EXIT_OK
+        code, sens = run_cli(["sensitivity", "--config", str(cfg)])
+        assert code == EXIT_OK
+        assert "predicted_sigma_m = 5.026990380472e-10" in sim.splitlines()
+        assert "shot_noise_purified_m = 5.026990380472e-10" in sens.splitlines()
+
     def test_config_file_roundtrip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples = 1500\nseed = 9\nlo = raw\nfluct.density_factor = 0\nfluct.water_vapor_pa = 0\n")
@@ -374,15 +387,36 @@ class TestSimulateCommand:
         assert "immune = n/a" in text
 
 
-def test_console_entry_point():
-    # the child imports the package from where this process found it
+def run_child(argv):
+    """Run a Python child that imports the package from where this process found it."""
     package_root = str(Path(comb_ranger.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "comb_ranger.cli", "air-index", "--wavelength", "633"],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_console_entry_point():
+    proc = run_child(["-m", "comb_ranger.cli", "air-index", "--wavelength", "633"])
     assert proc.returncode == 0
     assert "n_phi" in proc.stdout
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["reproduce_sensitivities.py"], ["immunity_demo.py", "--samples", "2000"]],
+    ids=lambda argv: argv[0],
+)
+def test_script_prints_finite_numbers(argv):
+    proc = run_child([str(SCRIPTS / argv[0]), *argv[1:]])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert not re.search(r"\b(nan|inf)", proc.stdout, re.IGNORECASE)
+    numbers = re.findall(r"[-+]?\d+\.\d*(?:e[-+]?\d+)?", proc.stdout)
+    assert numbers and all(math.isfinite(float(x)) for x in numbers)

