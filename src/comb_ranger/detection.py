@@ -207,7 +207,7 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
         raise ValidationError("purification needs every mode on the target's pulse basis")
     order = max(dm.mode.order for dm in (target, *against))
     basis: list[tuple[list[int], int]] = []
-    for dm in (*against, target):
+    for i, dm in enumerate((*against, target)):
         x = _integer_vector(dm.mode, order)
         r = x
         for q, qq in basis:
@@ -216,7 +216,7 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
         rr = _dot(r, r)
         share = _dot(r, x) ** 2 / (rr * _dot(x, x)) if rr else 0.0
         if share <= PURIFY_FLOOR:
-            if dm is target:
+            if i == len(against):
                 raise SeparabilityError(
                     f"parameter {target.label!r} not separable: its detection mode "
                     "lies in the span of the interfering modes"

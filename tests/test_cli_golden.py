@@ -33,8 +33,9 @@ STDOUT_SHA256 = {
         "a12207800d016946bd92acc4736b78ad84ce07a16a00fa02d9ff561f8ef2c712",
 }
 
-# runs with a `--config` file holding one line; these never use a purified
-# LO's mode, so no change to purification may move them
+# runs with a `--config` file holding one line; no purified mode enters them
+# and their purified K come from the exact 1 - s, so a change to how the
+# purified mode is built must leave their bytes as they are
 CONFIG_STDOUT_SHA256 = {
     ("sensitivity", "pulse.wavelength_nm = 1550"): "d777cd123cd39ae8edc405228a9f6b19e1a46b1235cdaf3fde652aa6d70c2b40",
     ("sensitivity", "pulse.relative_bandwidth = 0.02"): "0d1644b4598b54d826386b754ab35eb8d3055164a00da8a9bd37b8d5bf901e05",

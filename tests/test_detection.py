@@ -13,6 +13,8 @@ from comb_ranger import (
     GaussianPulse,
     PerturbationVector,
     SPEED_OF_LIGHT,
+    SimConfig,
+    SpectralMode,
     contamination_report,
     dispersion_scalars,
     hermite_gauss,
@@ -24,14 +26,12 @@ from comb_ranger import (
     purified_ranging_sensitivity,
     purify,
     ranging_modes,
-    SimConfig,
-    SpectralMode,
     time_detection_modes,
 )
 from comb_ranger.detection import PURIFY_FLOOR
 from comb_ranger.dispersion import phase_gradient
-from comb_ranger.simulator import select_lo
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
+from comb_ranger.simulator import select_lo
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
 AIR = AirState.standard()
