@@ -109,6 +109,14 @@ class TestPurify:
         assert_allclose(pure.mode.padded(2), w_g.mode.padded(2), atol=1e-15)
         assert pure.k_const == pytest.approx(w_g.k_const, rel=1e-15)
 
+    def test_orthonormal_input_unchanged(self):
+        # each of v0, v1, v2 purified against the other two is itself
+        modes = [DetectionMode(f"v{n}", hermite_gauss(n, PULSE), 1.0) for n in range(3)]
+        for n, target in enumerate(modes):
+            pure = purify(target, modes[:n] + modes[n + 1 :])
+            assert_allclose(pure.mode.padded(2), target.mode.padded(2), atol=1e-12)
+            assert pure.k_const == pytest.approx(1.0, rel=1e-12)
+
     def test_empty_against_returns_target(self):
         w_phi = time_detection_modes(PULSE)[0]
         assert purify(w_phi, []) is w_phi
