@@ -60,6 +60,13 @@ POLE_GUARD = 1e-6
 TEMPERATURE_MIN_C = -40.0
 TEMPERATURE_MAX_C = 100.0
 
+# Upper bounds of the state.  At 1e6 Pa (ten atmospheres) the second-order
+# density term 1e-8 (E - F T) P is still under 1 % of the first; far beyond,
+# the formula is an extrapolation, and near 1e154 Pa its P**2 overflows.
+# CO2 is a percentage by volume.
+PRESSURE_MAX_PA = 1e6
+CO2_MAX_PERCENT = 100.0
+
 # d(sigma[um^-1]) / d(omega[rad/s])
 _DSIGMA_DOMEGA = 1e-6 / (2.0 * math.pi * SPEED_OF_LIGHT)
 
@@ -83,10 +90,14 @@ class AirState:
                 f"temperature_c={self.temperature_c} outside model window "
                 f"[{TEMPERATURE_MIN_C}, {TEMPERATURE_MAX_C}] C"
             )
-        for name in ("pressure_pa", "co2_percent", "water_vapor_pa"):
+        for name, upper in (
+            ("pressure_pa", PRESSURE_MAX_PA),
+            ("co2_percent", CO2_MAX_PERCENT),
+            ("water_vapor_pa", PRESSURE_MAX_PA),
+        ):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0.0):
-                raise ValidationError(f"{name}={value} must be finite and >= 0")
+            if not 0.0 <= value <= upper:
+                raise ValidationError(f"{name}={value} must be finite and in [0, {upper:g}]")
         if self.water_vapor_pa > self.pressure_pa:
             raise ValidationError(
                 f"water_vapor_pa={self.water_vapor_pa} exceeds total "

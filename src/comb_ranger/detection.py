@@ -52,6 +52,14 @@ from .mode_algebra import GaussianPulse, SpectralMode, gaussian_mode, inner_prod
 # 1 - s = (2**-53 / 2**-20)**2 = 2**-66 ~ 1.4e-20.
 PURIFY_FLOOR = 2.0**-66
 
+# Path lengths the ranging modes accept: from a micrometre, about one
+# carrier wavelength, to 1000 km, beyond any path through the atmosphere.
+# Far outside, K_X and K_Pw (linear in the length) carry the report's
+# figures out of the double range: at 1e300 m 2 sqrt(N) K_X overflows and
+# min_X reads 0, at 1e-300 m K_L / K_Pw overflows to an infinite M[Pw][L].
+LENGTH_MIN_M = 1e-6
+LENGTH_MAX_M = 1e6
+
 
 @dataclass(frozen=True)
 class DetectionMode:
@@ -79,6 +87,14 @@ def min_detectable(k_const: float, n_photons: float) -> float:
     if not k_const > 0.0:
         raise ValidationError(f"k_const={k_const} must be > 0")
     return 1.0 / (2.0 * math.sqrt(n_photons) * k_const)
+
+
+def check_length(length_m: float) -> None:
+    """Refuse a path length outside [LENGTH_MIN_M, LENGTH_MAX_M] (or NaN)."""
+    if not LENGTH_MIN_M <= length_m <= LENGTH_MAX_M:
+        raise ValidationError(
+            f"length_m={length_m} must be finite and in [{LENGTH_MIN_M:g}, {LENGTH_MAX_M:g}] m"
+        )
 
 
 def time_detection_modes(pulse: GaussianPulse) -> tuple[DetectionMode, DetectionMode, DetectionMode]:
@@ -119,8 +135,7 @@ def ranging_modes(
     length.  The water-vapor mode carries an overall minus sign (n decreases
     with P_w), keeping K_Pw positive.
     """
-    if not 0.0 < length_m < math.inf:
-        raise ValidationError(f"length_m={length_m} must be finite and > 0")
+    check_length(length_m)
     del state  # shapes are state-independent by construction
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)

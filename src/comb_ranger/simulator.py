@@ -17,7 +17,14 @@ how the run is cut into blocks, and reruns are bit-identical.
 A run streams its samples in blocks of CHUNK_ROWS rows: each block is
 drawn, projected and folded into running moments and a running regression,
 then dropped, so memory is O(CHUNK_ROWS), not O(samples), unless the
-sample table is kept.
+sample table is kept.  One block is drawn ahead: while block i is projected
+and folded, a helper thread fills block i+1 from the same generator (numpy
+releases the interpreter lock while it draws), so the draw time hides the
+rest of the work.  The draws live in two preallocated CHUNK_ROWS x 4
+buffers that the two threads take in turn.  The generator is used by one
+thread at a time and the blocks are drawn in order, so the rows, and every
+aggregate, are those of a sequential run: the reproducibility contract is
+unchanged.
 
 Leakage of the environmental parameters into the distance estimate is
 characterized by ordinary least squares of the signal against the injected
@@ -34,6 +41,7 @@ estimate without the cancellation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +54,9 @@ from .mode_algebra import GaussianPulse
 
 LO_CHOICES = ("raw", "purified", "purified_x_only")
 
-# rows per streamed block: a few MB of float64 per block; 2**17 rows raised
-# the peak RSS of a 1e5-sample `simulate --out` by 5 %
+# rows per streamed block: a few MB of float64 per block, and two 2 MB draw
+# buffers, one being folded while the helper thread fills the other; 2**17
+# rows raised the peak RSS of a 1e5-sample `simulate --out` by 5 %
 CHUNK_ROWS = 65536
 # rows per QR update: 8192 x 4 float64 (256 KB) stays in cache, which made
 # the update of a 65536-row block about 3x faster than one QR of the block
@@ -99,8 +108,7 @@ class SimConfig:
                 raise ValidationError(f"{name}={getattr(self, name)} must be finite")
         if not self.n_photons >= 1.0:
             raise ValidationError(f"n_photons={self.n_photons} must be >= 1")
-        if not self.length_m > 0.0:
-            raise ValidationError(f"length_m={self.length_m} must be > 0")
+        detection.check_length(self.length_m)
         for name in ("sigma_p_l_m", "sigma_p_x", "sigma_p_pw_pa"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be >= 0")
@@ -197,15 +205,42 @@ def draw_generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed))
 
 
-def perturbation_draws(gen: np.random.Generator, count: int) -> np.ndarray:
+def perturbation_draws(
+    gen: np.random.Generator, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """The next `count` rows of standard-normal draws from `gen`, shape (count, 4).
 
     Row i of a run holds sample i's draws (z_L, z_X, z_Pw, z_noise).  The
     generator's stream is consumed in order, so successive calls on one
     generator give the same rows as a single call for their total count:
-    rows depend on (seed, i) alone, whatever the block sizes.
+    rows depend on (seed, i) alone, whatever the block sizes.  With `out`, a
+    C-contiguous (count, 4) float64 array, the rows are written there and
+    `out` is returned; nothing is allocated.
     """
-    return gen.standard_normal((count, 4))
+    return gen.standard_normal((count, 4), out=out)
+
+
+class _DrawAhead(threading.Thread):
+    """Fills `out` with the next rows of `gen` while the caller works on.
+
+    After `join`, `check` raises again any error the draw raised.
+    """
+
+    def __init__(self, gen: np.random.Generator, out: np.ndarray) -> None:
+        super().__init__(name="comb_ranger-draw-ahead", daemon=True)
+        self._gen, self._out = gen, out
+        self._error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            perturbation_draws(self._gen, len(self._out), out=self._out)
+        except BaseException as exc:  # raised in the caller by check()
+            self._error = exc
+
+    def check(self) -> None:
+        if self._error is not None:
+            raise self._error
 
 
 def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
@@ -215,9 +250,10 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     field on the LO; with the ranging modes this reduces to the
     contamination-matrix row of the chosen LO, which is how it is
     evaluated (vectorized) here.  Samples are drawn, projected and folded
-    into the aggregates CHUNK_ROWS at a time; the (n, 5) sample table
-    (index, p_L, p_X, p_Pw, signal) is the only O(n) array, and it is
-    built only with `keep_samples`.
+    into the aggregates CHUNK_ROWS at a time, the next block being drawn in
+    a helper thread meanwhile; the (n, 5) sample table (index, p_L, p_X,
+    p_Pw, signal) is the only O(n) array, and it is built only with
+    `keep_samples`.
     """
     n = config.sample_count
     labels = config.fluctuating_labels
@@ -247,39 +283,52 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     # to the slopes is the OLS of the signal itself; the QR then never
     # sees the raw LO's 1.7e7:1 cancellation of signal against noise
     r = np.zeros((k + 1, k + 1))
-    for start in range(0, n, CHUNK_ROWS):
+    # block b is drawn into buffers[b % 2]: the first block here, each later
+    # one by a helper thread while the block before it is folded
+    rows = min(CHUNK_ROWS, n)
+    buffers = [np.empty((rows, 4)) for _ in range(1 if rows == n else 2)]
+    perturbation_draws(gen, rows, out=buffers[0])
+    for b, start in enumerate(range(0, n, CHUNK_ROWS)):
         m = min(CHUNK_ROWS, n - start)
-        z = perturbation_draws(gen, m)
-        perts = np.empty((m, 3))
-        for j in range(3):
-            perts[:, j] = offsets[j] + sigmas[j] * z[:, j]
-        projection = perts @ coeff
-        signal = projection + sigma_s * z[:, 3]
-        del z  # the largest array of the block
+        z = buffers[b % 2][:m]
+        ahead = None
+        if start + m < n:
+            ahead = _DrawAhead(gen, buffers[(b + 1) % 2][: min(CHUNK_ROWS, n - start - m)])
+        try:
+            perts = np.empty((m, 3))
+            for j in range(3):
+                perts[:, j] = offsets[j] + sigmas[j] * z[:, j]
+            projection = perts @ coeff
+            signal = projection + sigma_s * z[:, 3]
 
-        # Chan's merge of this block's mean and squared deviations; the
-        # deviations are squared in place as np.std does, so a one-block
-        # run matches np.mean and np.std(ddof=1) bit for bit
-        block_mean = float(np.mean(signal))
-        dev = signal - block_mean
-        np.multiply(dev, dev, out=dev)
-        block_m2 = float(np.sum(dev))
-        if start == 0:
-            mean, m2 = block_mean, block_m2
-        else:
-            delta = block_mean - mean
-            total = start + m
-            mean += delta * m / total
-            m2 += block_m2 + delta * delta * start * m / total
+            # Chan's merge of this block's mean and squared deviations; the
+            # deviations are squared in place as np.std does, so a one-block
+            # run matches np.mean and np.std(ddof=1) bit for bit
+            block_mean = float(np.mean(signal))
+            dev = signal - block_mean
+            np.multiply(dev, dev, out=dev)
+            block_m2 = float(np.sum(dev))
+            if start == 0:
+                mean, m2 = block_mean, block_m2
+            else:
+                delta = block_mean - mean
+                total = start + m
+                mean += delta * m / total
+                m2 += block_m2 + delta * delta * start * m / total
 
-        if labels:
-            response = np.subtract(signal, projection, out=projection)
-            r = _fold_qr(r, perts[:, columns], response)
+            if labels:
+                response = np.subtract(signal, projection, out=projection)
+                r = _fold_qr(r, perts[:, columns], response)
 
-        if samples is not None:
-            samples[start : start + m, 0] = np.arange(start, start + m)
-            samples[start : start + m, 1:4] = perts
-            samples[start : start + m, 4] = signal
+            if samples is not None:
+                samples[start : start + m, 0] = np.arange(start, start + m)
+                samples[start : start + m, 1:4] = perts
+                samples[start : start + m, 4] = signal
+        finally:
+            if ahead is not None:
+                ahead.join()
+        if ahead is not None:
+            ahead.check()
 
     std = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
     sem = std / math.sqrt(n) if n > 1 else math.inf

@@ -292,14 +292,24 @@ def test_criterion_11_purification_orthogonality_and_cost():
     pure = purify(w_l, [w_x, w_pw])
     o_x = abs(inner_product(pure.mode, w_x.mode).real)
     o_pw = abs(inner_product(pure.mode, w_pw.mode).real)
+    # K_L^p against a float least-squares projection of w_L off span(w_X,
+    # w_Pw), independent of purify's exact Gram-Schmidt: K_L sqrt(1 - s) with
+    # 1 - s = |residual|^2.  The residual (|r| = 1.2e-5) is formed in doubles
+    # from unit vectors, so it carries a relative error of order
+    # u / |r| = 9e-12; measured 3.0e-13
+    order = max(m.mode.order for m in (w_l, w_x, w_pw))
+    basis = np.column_stack([m.mode.padded(order).real for m in (w_x, w_pw)])
+    target = w_l.mode.padded(order).real
+    residual = target - basis @ np.linalg.lstsq(basis, target, rcond=None)[0]
+    k_ref = w_l.k_const * math.sqrt(residual @ residual / (target @ target))
     sens = purified_ranging_sensitivity(PULSE, AIR, 1.0, N_PHOTONS)
-    k_rel = abs(pure.k_const / sens.k_full - 1.0)
-    ok = o_x < 1e-10 and o_pw < 1e-10 and k_rel < 1e-10
+    k_rel = abs(sens.k_full / k_ref - 1.0)
+    ok = o_x < 1e-10 and o_pw < 1e-10 and k_rel < 1e-11
     record(
         11,
         ok,
-        f"purified overlaps {o_x:.1e}, {o_pw:.1e} < 1e-10; closed-form vs "
-        f"Gram-Schmidt K_L^p relative difference {k_rel:.1e} < 1e-10",
+        f"purified overlaps {o_x:.1e}, {o_pw:.1e} < 1e-10; exact Gram-Schmidt vs float "
+        f"least-squares K_L^p relative difference {k_rel:.1e} < 1e-11",
     )
     assert ok
 

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from comb_ranger import air_model
 from comb_ranger.air_model import (
+    CO2_MAX_PERCENT,
+    PRESSURE_MAX_PA,
     AirState,
     Wavenumber,
     density_factor,
@@ -246,6 +248,17 @@ class TestValidation:
     def test_negative_pressure(self):
         with pytest.raises(ValidationError):
             AirState(20.0, -1.0, 0.04, 0.0)
+
+    @pytest.mark.parametrize(
+        "args", [(20.0, 1.0000001e6, 0.04, 0.0), (20.0, 101325.0, 100.5, 0.0)]
+    )
+    def test_upper_bounds(self, args):
+        with pytest.raises(ValidationError):
+            AirState(*args)
+
+    def test_upper_bounds_inclusive(self):
+        state = AirState(20.0, PRESSURE_MAX_PA, CO2_MAX_PERCENT, PRESSURE_MAX_PA)
+        assert math.isfinite(phase_index(1.58, state))
 
     def test_water_vapor_exceeding_pressure(self):
         with pytest.raises(ValidationError):

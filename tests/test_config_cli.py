@@ -164,6 +164,17 @@ class TestAirIndexCommand:
         assert text == ""
         assert key in capsys.readouterr().err
 
+    # a huge but finite pressure is refused before the index overflows
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "flag, value, key", [("--pressure", "1e300", "pressure_pa"), ("--co2", "1e300", "co2_percent")]
+    )
+    def test_huge_air_state(self, flag, value, key, capsys):
+        code, text = run_cli(["air-index", flag, value])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"{key}=1e+300 must be finite" in capsys.readouterr().err
+
 
 class TestModesCommand:
     def test_table_and_profiles(self, tmp_path):
@@ -229,6 +240,19 @@ class TestSensitivityCommand:
         assert code == EXIT_VALIDATION
         assert text == ""
         assert f"{key}=inf must be finite" in capsys.readouterr().err
+
+    # refused before K_X or K_L / K_Pw leaves the double range: 1e300 printed
+    # min_X = 0 and 1e-300 an infinite M[Pw], each after an overflow warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sensitivity", "simulate", "modes"])
+    @pytest.mark.parametrize("length", ["1e300", "1e-300"])
+    def test_extreme_length_in_config(self, tmp_path, capsys, command, length):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"length_m = {length}\nsamples = 2000\n")
+        code, text = run_cli([command, "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"length_m={float(length)!r} must be finite" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("omega0, delta_omega", [(float("inf"), 1.0), (2e15, float("inf"))])

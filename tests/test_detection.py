@@ -28,7 +28,7 @@ from comb_ranger import (
     ranging_modes,
     time_detection_modes,
 )
-from comb_ranger.detection import PURIFY_FLOOR
+from comb_ranger.detection import LENGTH_MAX_M, LENGTH_MIN_M, PURIFY_FLOOR
 from comb_ranger.dispersion import phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
 from comb_ranger.simulator import select_lo
@@ -428,6 +428,27 @@ class TestMinDetectable:
 
 
 class TestContaminationReport:
+    # at both ends of the length window every figure of the report is a
+    # finite, nonzero double for any pulse, state and photon count accepted
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [LENGTH_MIN_M, LENGTH_MAX_M])
+    @pytest.mark.parametrize("photons", [3.0, 1e300])
+    @pytest.mark.parametrize("wavelength_m, bandwidth", [(400e-9, 0.05), (1600e-9, 0.3)])
+    def test_length_window_edges_finite(self, length, photons, wavelength_m, bandwidth):
+        pulse = GaussianPulse.from_wavelength(wavelength_m, bandwidth)
+        report = contamination_report(pulse, AirState(20.0, 1e6, 100.0, 1e6), length, photons)
+        values = (
+            list(report.k_consts.values())
+            + list(report.min_detectable.values())
+            + [v for row in report.matrix for v in row]
+        )
+        assert all(math.isfinite(v) and v != 0.0 for v in values)
+
+    @pytest.mark.parametrize("length", [LENGTH_MIN_M * 0.999, LENGTH_MAX_M * 1.001, math.nan])
+    def test_length_outside_window_refused(self, length):
+        with pytest.raises(ValidationError, match="length_m"):
+            ranging_modes(PULSE, AIR, length)
+
     def test_prefactors(self):
         report = contamination_report(PULSE, AIR, 1.0, 8e16)
         assert report.x_contamination_per_m == pytest.approx(X_PREFACTOR, rel=1e-12)

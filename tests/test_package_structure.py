@@ -6,7 +6,10 @@ Also checks that the spans the benchmark reads by name still exist.
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import comb_ranger
@@ -78,3 +81,17 @@ def test_perfbench_span_names_resolve():
         if not (inspect.isfunction(obj) and obj.__module__ == module.__name__):
             unresolved.append(key)
     assert unresolved == []
+
+
+def test_cli_import_loads_no_executor_or_queue():
+    # the simulator's draw-ahead thread is a plain threading.Thread, which
+    # numpy already imports; concurrent.futures would add its import (and
+    # logging's) to every process
+    code = (
+        "import sys, comb_ranger.cli; "
+        "print(sorted(m for m in ('concurrent.futures', 'queue') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -68,6 +70,15 @@ class TestReproducibility:
         table = run(cfg, keep_samples=True).samples
         assert hashlib.sha256(table.tobytes()).hexdigest() == self.SAMPLE_TABLE_SHA256
 
+    def test_draws_into_out_buffer(self):
+        expected = perturbation_draws(draw_generator(77), 1000)
+        buf = np.full((1000, 4), np.nan)
+        got = perturbation_draws(draw_generator(77), 1000, out=buf)
+        assert got is buf
+        assert np.array_equal(buf, expected)
+
+    # 2000 rows in blocks of 1, 7 or 1000 rows: the two draw buffers are
+    # each filled and folded up to 1000 times
     @pytest.mark.parametrize("lo", LO_CHOICES)
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
     def test_block_size_invariance(self, monkeypatch, lo, chunk_rows):
@@ -102,6 +113,111 @@ class TestReproducibility:
         a = run(make_config(rng_seed=1))
         b = run(make_config(rng_seed=2))
         assert a.mean_estimate_m != b.mean_estimate_m
+
+
+def _run_bounded(cfg, timeout_s=60.0):
+    """run(cfg) in a thread joined with a timeout: (result, error)."""
+    outcome = {}
+
+    def target():
+        try:
+            outcome["result"] = run(cfg)
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target)
+    thread.start()
+    thread.join(timeout_s)
+    assert not thread.is_alive(), "run did not return"
+    return outcome.get("result"), outcome.get("error")
+
+
+class TestDrawAhead:
+    CONFIG = dict(sample_count=5000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
+
+    def test_later_blocks_drawn_off_the_calling_thread(self, monkeypatch):
+        threads = []
+        real = simulator.perturbation_draws
+
+        def recording(gen, count, out=None):
+            threads.append(threading.current_thread())
+            return real(gen, count, out=out)
+
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(simulator, "perturbation_draws", recording)
+        run(make_config(**self.CONFIG))
+        assert len(threads) == 5
+        assert threads[0] is threading.current_thread()
+        assert all(t is not threading.current_thread() for t in threads[1:])
+
+    def test_draw_error_raised_by_run(self, monkeypatch):
+        error = RuntimeError("draw failed")
+        calls = []
+        real = simulator.perturbation_draws
+
+        def failing_second(gen, count, out=None):
+            calls.append(count)
+            if len(calls) == 2:
+                raise error
+            return real(gen, count, out=out)
+
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(simulator, "perturbation_draws", failing_second)
+        before = threading.active_count()
+        result, raised = _run_bounded(make_config(**self.CONFIG))
+        assert result is None and raised is error
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_fold_error_leaves_no_thread(self, monkeypatch):
+        error = RuntimeError("fold failed")
+
+        def failing_fold(*args):
+            raise error
+
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(simulator, "_fold_qr", failing_fold)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run(make_config(**self.CONFIG))
+        assert info.value is error
+        assert threading.active_count() == before
+
+    def test_concurrent_runs_match_alone(self, monkeypatch):
+        # four runs at once (more threads than cores, each with its own
+        # helper), the interpreter switching threads every microsecond
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 7)
+        configs = [
+            make_config(**{**self.CONFIG, "sample_count": 700, "rng_seed": seed, "lo_choice": lo})
+            for seed, lo in zip(range(4), LO_CHOICES * 2)
+        ]
+        alone = [run(cfg, keep_samples=True) for cfg in configs]
+        together = [None] * len(configs)
+
+        def worker(i):
+            together[i] = run(configs[i], keep_samples=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(configs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for a, b in zip(alone, together):
+            assert a == b
+            assert np.array_equal(a.samples, b.samples)
+
+    @pytest.mark.parametrize("chunk_rows", [1000, 2500, 65536])
+    def test_no_thread_left_after_run(self, monkeypatch, chunk_rows):
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", chunk_rows)
+        before = threading.active_count()
+        run(make_config(**self.CONFIG))
+        assert threading.active_count() == before
 
 
 class TestCalibration:
