@@ -54,6 +54,21 @@ COEFF_J = 0.0384
 POLE_NEAR = 38.9  # um^-2
 POLE_FAR = 130.0  # um^-2
 POLE_GUARD = 1e-6
+_NEAR_POLE_MESSAGE = (
+    f"sigma^2 within {POLE_GUARD} of the {POLE_NEAR} um^-2 resonance "
+    "pole (or beyond); outside model validity"
+)
+_FAR_POLE_MESSAGE = f"sigma^2 within {POLE_GUARD} of the {POLE_FAR} um^-2 pole"
+
+# Carrier wavelengths accepted at input, in metres.  The lower bound lies
+# past the near pole (sigma^2 = 38.9 um^-2 at 160 nm), so every carrier the
+# pole check refuses as out of model validity still reaches that check; the
+# upper bound is the far infrared, where rotational water lines dominate and
+# the two-resonance dispersion formula no longer describes air.  Far outside,
+# sigma^2 overflows (1e-300 m) or omega0 and the mode vectors underflow to
+# zero (1e300 m); the window refuses those before any arithmetic.
+WAVELENGTH_MIN_M = 100e-9
+WAVELENGTH_MAX_M = 100e-6
 
 # Model validity window for temperature; inputs outside are rejected, never
 # extrapolated.
@@ -131,8 +146,7 @@ class Wavenumber:
 
     @classmethod
     def from_wavelength(cls, wavelength_m: float) -> "Wavenumber":
-        if not wavelength_m > 0.0:
-            raise ValidationError(f"wavelength_m={wavelength_m} must be > 0")
+        check_wavelength(wavelength_m)
         return cls(1e-6 / wavelength_m)
 
     @classmethod
@@ -164,6 +178,15 @@ class DispersionScalars:
     eta2: float
 
 
+def check_wavelength(wavelength_m: float) -> None:
+    """Refuse a carrier outside [WAVELENGTH_MIN_M, WAVELENGTH_MAX_M] (or NaN)."""
+    if not WAVELENGTH_MIN_M <= wavelength_m <= WAVELENGTH_MAX_M:
+        raise ValidationError(
+            f"wavelength_m={wavelength_m} must be finite and in "
+            f"[{WAVELENGTH_MIN_M:g}, {WAVELENGTH_MAX_M:g}] m"
+        )
+
+
 def sigma_from_omega(omega):
     """Angular frequency rad/s -> wavenumber um^-1."""
     return omega * _DSIGMA_DOMEGA
@@ -179,18 +202,28 @@ def _check_sigma_domain(sigma) -> None:
     # continuation to sigma < 0 (needed by quadrature grids whose Gaussian
     # tail formally crosses omega = 0); the Wavenumber type stays strictly
     # positive.
+    if isinstance(sigma, float):
+        # A scalar (np.float64 included) takes plain float arithmetic: the
+        # same correctly rounded square and comparisons as the array path,
+        # without numpy's per-call overhead on the designer's scalar calls.
+        s = float(sigma)
+        s2 = s * s
+        if not math.isfinite(s2):
+            raise DomainError("sigma must be finite")
+        if s2 >= POLE_NEAR - POLE_GUARD:
+            raise DomainError(_NEAR_POLE_MESSAGE)
+        if abs(s2 - POLE_FAR) < POLE_GUARD:
+            raise DomainError(_FAR_POLE_MESSAGE)
+        return
     s2 = np.square(sigma)
     if not np.all(np.isfinite(s2)):
         raise DomainError("sigma must be finite")
     if np.any(s2 >= POLE_NEAR - POLE_GUARD):
-        raise DomainError(
-            f"sigma^2 within {POLE_GUARD} of the {POLE_NEAR} um^-2 resonance "
-            "pole (or beyond); outside model validity"
-        )
+        raise DomainError(_NEAR_POLE_MESSAGE)
     # The far pole only matters for pathological inputs already rejected by
     # the near-pole test, but guard it anyway for raw-sigma callers.
     if np.any(np.abs(s2 - POLE_FAR) < POLE_GUARD):
-        raise DomainError(f"sigma^2 within {POLE_GUARD} of the {POLE_FAR} um^-2 pole")
+        raise DomainError(_FAR_POLE_MESSAGE)
 
 
 def k_dispersion(sigma):

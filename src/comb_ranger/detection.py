@@ -26,6 +26,19 @@ one place the factor 1 - s is computed, for `sensitivity`, `simulate` and
 `modes` alike: a Gram-Schmidt in exact integer arithmetic on the double
 coefficients, since 1 - s is ~1e-10 for the ranging modes and double
 arithmetic on the near-unit overlaps would lose six digits to cancellation.
+
+Two per-carrier memos, bounded `functools.lru_cache`s that hold MEMO_SIZE
+pulses, serve a design scan whose designs share pulses.  `_ranging_shapes`
+is keyed by the `GaussianPulse` and holds the unit ranging modes, their
+vector norms, K(sigma0) and g(sigma0); `ranging_modes` checks the length and scales
+K_X and K_Pw per call, in the same operation order.  `_purify_core` is keyed
+by the `SpectralMode`s of the target and the interferers (so two pulses
+never share an entry) and holds the unit residual, 1 - s and the position of
+a refused input; `purify` raises the refusal itself, naming the caller's
+labels, on every call.  Both are pure functions of their frozen, hashable
+keys, and keys that compare equal hold the same doubles, so a hit returns
+the very values a miss computes: results stay bit-identical.  Errors are not
+cached.
 """
 
 from __future__ import annotations
@@ -59,6 +72,11 @@ PURIFY_FLOOR = 2.0**-66
 # min_X reads 0, at 1e-300 m K_L / K_Pw overflows to an infinite M[Pw][L].
 LENGTH_MIN_M = 1e-6
 LENGTH_MAX_M = 1e6
+
+# Pulses held by the per-carrier memos: `_ranging_shapes` keeps MEMO_SIZE
+# pulses, `_purify_core` the full and the X-only purification of each.  A
+# design scan cycles over a few dozen pulses; an entry is a few hundred bytes.
+MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -122,6 +140,18 @@ def _ranging_vectors(pulse: GaussianPulse):
     return a_l, a_x, a_p
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _ranging_shapes(pulse: GaussianPulse):
+    """The pulse-only part of `ranging_modes`: unit modes, vector norms, K(sigma0), g(sigma0)."""
+    sigma0 = air_model.sigma_from_omega(pulse.omega0)
+    a_l, a_x, a_p = _ranging_vectors(pulse)
+    norms = tuple(float(np.linalg.norm(a)) for a in (a_l, a_x, a_p))
+    modes = tuple(
+        SpectralMode(pulse, tuple(a / np.linalg.norm(a))) for a in (a_l, a_x, -a_p)
+    )
+    return modes, norms, air_model.k_dispersion(sigma0), air_model.water_term(sigma0)
+
+
 def ranging_modes(
     pulse: GaussianPulse,
     state: AirState,
@@ -137,15 +167,11 @@ def ranging_modes(
     """
     check_length(length_m)
     del state  # shapes are state-independent by construction
-    sigma0 = air_model.sigma_from_omega(pulse.omega0)
-    a_l, a_x, a_p = _ranging_vectors(pulse)
-    k_l = float(np.linalg.norm(a_l)) / SPEED_OF_LIGHT
-    k_x = air_model.k_dispersion(sigma0) * length_m / SPEED_OF_LIGHT * float(np.linalg.norm(a_x))
-    k_p = air_model.water_term(sigma0) * length_m / SPEED_OF_LIGHT * float(np.linalg.norm(a_p))
-    w_l = DetectionMode("L", SpectralMode(pulse, tuple(a_l / np.linalg.norm(a_l))), k_l)
-    w_x = DetectionMode("X", SpectralMode(pulse, tuple(a_x / np.linalg.norm(a_x))), k_x)
-    w_pw = DetectionMode("Pw", SpectralMode(pulse, tuple(-a_p / np.linalg.norm(a_p))), k_p)
-    return w_l, w_x, w_pw
+    (m_l, m_x, m_pw), (n_l, n_x, n_p), k_sigma, g_sigma = _ranging_shapes(pulse)
+    k_l = n_l / SPEED_OF_LIGHT
+    k_x = k_sigma * length_m / SPEED_OF_LIGHT * n_x
+    k_p = g_sigma * length_m / SPEED_OF_LIGHT * n_p
+    return DetectionMode("L", m_l, k_l), DetectionMode("X", m_x, k_x), DetectionMode("Pw", m_pw, k_p)
 
 
 @dataclass(frozen=True)
@@ -204,6 +230,27 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
     return sum(a * b for a, b in zip(u, v))
 
 
+@functools.lru_cache(maxsize=2 * MEMO_SIZE)
+def _purify_core(target: SpectralMode, against: tuple[SpectralMode, ...]):
+    """(unit residual or None, share 1 - s, position of a refused input or None)."""
+    order = max(m.order for m in (target, *against))
+    basis: list[tuple[list[int], int]] = []
+    for i, m in enumerate((*against, target)):
+        x = _integer_vector(m, order)
+        r = x
+        for q, qq in basis:
+            qr = _dot(q, r)
+            r = [qq * a - qr * b for a, b in zip(r, q)]
+        rr = _dot(r, r)
+        share = _dot(r, x) ** 2 / (rr * _dot(x, x)) if rr else 0.0
+        if share <= PURIFY_FLOOR:
+            return None, share, i
+        basis.append((r, rr))
+    scale = 1 << max(abs(c) for c in r).bit_length()
+    vec = np.array([c / scale for c in r])
+    return SpectralMode(target.pulse, tuple(vec / np.linalg.norm(vec))), share, None
+
+
 def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> DetectionMode:
     """Re-orthogonalize `target` against the span of `against`, exactly.
 
@@ -220,29 +267,17 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
         return target
     if any(dm.mode.pulse != target.mode.pulse for dm in against):
         raise ValidationError("purification needs every mode on the target's pulse basis")
-    order = max(dm.mode.order for dm in (target, *against))
-    basis: list[tuple[list[int], int]] = []
-    for i, dm in enumerate((*against, target)):
-        x = _integer_vector(dm.mode, order)
-        r = x
-        for q, qq in basis:
-            qr = _dot(q, r)
-            r = [qq * a - qr * b for a, b in zip(r, q)]
-        rr = _dot(r, r)
-        share = _dot(r, x) ** 2 / (rr * _dot(x, x)) if rr else 0.0
-        if share <= PURIFY_FLOOR:
-            if i == len(against):
-                raise SeparabilityError(
-                    f"parameter {target.label!r} not separable: its detection mode "
-                    "lies in the span of the interfering modes"
-                )
-            raise SeparabilityError(
-                f"interfering modes are degenerate: {dm.label!r} lies in the span of those before it"
-            )
-        basis.append((r, rr))
-    scale = 1 << max(abs(c) for c in r).bit_length()
-    vec = np.array([c / scale for c in r])
-    mode = SpectralMode(target.mode.pulse, tuple(vec / np.linalg.norm(vec)))
+    mode, share, refused = _purify_core(target.mode, tuple(dm.mode for dm in against))
+    if refused == len(against):
+        raise SeparabilityError(
+            f"parameter {target.label!r} not separable: its detection mode "
+            "lies in the span of the interfering modes"
+        )
+    if refused is not None:
+        raise SeparabilityError(
+            f"interfering modes are degenerate: {against[refused].label!r} "
+            "lies in the span of those before it"
+        )
     label = f"{target.label}^p({','.join(dm.label for dm in against)})"
     return DetectionMode(label, mode, target.k_const * math.sqrt(share))
 
@@ -433,6 +468,11 @@ def contamination_report(
     largest coefficient deviation of the verbatim w_L mode from the exact
     Gauss-Hermite oracle.
     """
+    if baselines and not n_photons >= 3.0:
+        raise ValidationError(
+            f"photons={n_photons} must be >= 3: the three-colour baseline splits "
+            "the photon budget over three channels of at least one photon each"
+        )
     w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
     modes = (w_l, w_x, w_pw)
     mat = _contamination_matrix(modes)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .air_model import SPEED_OF_LIGHT
+from .air_model import SPEED_OF_LIGHT, check_wavelength
 from .errors import DomainError, ValidationError
 
 MAX_ORDER_DEFAULT = 8
@@ -63,8 +63,7 @@ class GaussianPulse:
 
     @classmethod
     def from_wavelength(cls, wavelength_m: float, relative_bandwidth: float = 1.0 / 6.0) -> "GaussianPulse":
-        if not wavelength_m > 0.0:
-            raise ValidationError(f"wavelength_m={wavelength_m} must be > 0")
+        check_wavelength(wavelength_m)
         omega0 = 2.0 * math.pi * SPEED_OF_LIGHT / wavelength_m
         return cls(omega0, relative_bandwidth * omega0)
 

@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 from comb_ranger import air_model
 from comb_ranger.air_model import (
     CO2_MAX_PERCENT,
+    POLE_FAR,
+    POLE_GUARD,
+    POLE_NEAR,
     PRESSURE_MAX_PA,
+    WAVELENGTH_MAX_M,
+    WAVELENGTH_MIN_M,
     AirState,
     Wavenumber,
     density_factor,
@@ -25,6 +30,7 @@ from comb_ranger.air_model import (
     water_term,
 )
 from comb_ranger.errors import DomainError, ValidationError
+from comb_ranger.mode_algebra import GaussianPulse
 
 # Frozen by direct evaluation of the closed forms with an independent script.
 K_AT_ZERO = 2.644400569309868e-04
@@ -276,3 +282,72 @@ class TestValidation:
         back = Wavenumber.from_angular_frequency(wn.angular_frequency)
         assert back.sigma == pytest.approx(wn.sigma, rel=1e-14)
         assert wn.wavelength_m == pytest.approx(633e-9, rel=1e-14)
+
+
+def _sigma_edge(s2_limit):
+    """(largest sigma with sigma^2 < s2_limit, next double above it), in doubles."""
+    below = math.sqrt(s2_limit)
+    while below * below >= s2_limit:
+        below = math.nextafter(below, 0.0)
+    while math.nextafter(below, math.inf) ** 2 < s2_limit:
+        below = math.nextafter(below, math.inf)
+    return below, math.nextafter(below, math.inf)
+
+
+def _verdict(sigma):
+    try:
+        air_model._check_sigma_domain(sigma)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestSigmaDomainScalarPath:
+    near_below, near_at = _sigma_edge(POLE_NEAR - POLE_GUARD)
+    far_lo_below, far_lo_at = _sigma_edge(POLE_FAR - POLE_GUARD)
+    far_hi_below, far_hi_at = _sigma_edge(POLE_FAR + POLE_GUARD)
+
+    def test_edges_straddle_the_limits(self):
+        assert self.near_below**2 < POLE_NEAR - POLE_GUARD <= self.near_at**2
+        assert self.far_lo_below**2 < POLE_FAR - POLE_GUARD <= self.far_lo_at**2
+        assert _verdict(self.near_below) is None
+        assert _verdict(self.near_at)[0] is DomainError
+
+    # float and np.float64 take the scalar path, 0-d and 1-element arrays the
+    # numpy one; all four must give the same verdict, class and message
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "sigma",
+        [near_below, near_at, far_lo_below, far_lo_at, far_hi_below, far_hi_at,
+         0.0, -0.0, -1.25, -near_at, 1.0 / 1.064, math.nan, math.inf, -math.inf, 1e200],
+    )
+    def test_same_verdict_as_array_path(self, sigma):
+        scalar = _verdict(sigma)
+        assert _verdict(np.float64(sigma)) == scalar
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert _verdict(np.array(sigma)) == scalar
+            assert _verdict(np.array([sigma])) == scalar
+
+    def test_overflowing_square_refused_as_non_finite(self):
+        assert _verdict(1e200) == (DomainError, "sigma must be finite")
+
+
+class TestCarrierWindow:
+    @pytest.mark.parametrize(
+        "wavelength_m",
+        [1e-300, WAVELENGTH_MIN_M * (1 - 1e-15), WAVELENGTH_MAX_M * (1 + 1e-15), 1e300,
+         math.nan, math.inf, 0.0, -800e-9],
+    )
+    def test_outside_refused_before_arithmetic(self, wavelength_m):
+        with pytest.raises(ValidationError, match="wavelength_m"):
+            Wavenumber.from_wavelength(wavelength_m)
+        with pytest.raises(ValidationError, match="wavelength_m"):
+            GaussianPulse.from_wavelength(wavelength_m)
+
+    def test_edges_accepted(self):
+        # the lower edge lies past the near pole, which still refuses it
+        with pytest.raises(DomainError, match="resonance pole"):
+            Wavenumber.from_wavelength(WAVELENGTH_MIN_M)
+        assert Wavenumber.from_wavelength(WAVELENGTH_MAX_M).sigma == pytest.approx(1e-2, rel=1e-15)
+        for wavelength_m in (WAVELENGTH_MIN_M, WAVELENGTH_MAX_M):
+            assert GaussianPulse.from_wavelength(wavelength_m).omega0 > 0.0

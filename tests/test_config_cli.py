@@ -153,6 +153,14 @@ class TestAirIndexCommand:
         code, _ = run_cli(["air-index", "--wavelength", "150"])
         assert code == EXIT_DOMAIN
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("wavelength_nm", ["1e-300", "99", "100001", "1e300", "nan"])
+    def test_wavelength_outside_window(self, capsys, wavelength_nm):
+        code, text = run_cli(["air-index", "--wavelength", wavelength_nm])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "wavelength_m=" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "flag, value, key",
         [("--pressure", "nan", "pressure_pa"), ("--pressure", "inf", "pressure_pa"),
@@ -253,6 +261,36 @@ class TestSensitivityCommand:
         assert code == EXIT_VALIDATION
         assert text == ""
         assert f"length_m={float(length)!r} must be finite" in capsys.readouterr().err
+
+    # the carrier is bounded at input: both exited 2 or 3 only after an
+    # overflow or divide-by-zero warning
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["sensitivity", "simulate", "modes"])
+    @pytest.mark.parametrize("wavelength_nm", ["1e300", "1e-300"])
+    def test_extreme_wavelength_in_config(self, tmp_path, capsys, command, wavelength_nm):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"pulse.wavelength_nm = {wavelength_nm}\nsamples = 2000\n")
+        code, text = run_cli([command, "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "wavelength_m=" in capsys.readouterr().err
+
+    # the refusal names the photon count the user gave, not a per-channel share
+    @pytest.mark.parametrize("photons", ["2", "1", "2.999"])
+    def test_too_few_photons_for_baselines(self, tmp_path, capsys, photons):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"photons = {photons}\n")
+        code, text = run_cli(["sensitivity", "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"photons={float(photons)!r} must be >= 3" in err
+        assert "three channels" in err
+
+    def test_three_photons_accepted(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("photons = 3\n")
+        assert run_cli(["sensitivity", "--config", str(cfg)])[0] == EXIT_OK
 
 
 @pytest.mark.parametrize("omega0, delta_omega", [(float("inf"), 1.0), (2e15, float("inf"))])

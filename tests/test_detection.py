@@ -28,6 +28,7 @@ from comb_ranger import (
     ranging_modes,
     time_detection_modes,
 )
+from comb_ranger import detection
 from comb_ranger.detection import LENGTH_MAX_M, LENGTH_MIN_M, PURIFY_FLOOR
 from comb_ranger.dispersion import phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
@@ -537,6 +538,114 @@ class TestPurifiedSensitivity:
         clone = DetectionMode("Pw", w_x.mode, 2.0 * w_x.k_const)
         with pytest.raises(SeparabilityError):
             PurifiedSensitivity.build(w_l, w_x, clone, 8e16)
+
+
+def _clear_memos():
+    detection._ranging_shapes.cache_clear()
+    detection._purify_core.cache_clear()
+
+
+def _ranging_snapshot(pulse, length_m=2.5):
+    """Labels, coefficients and K of the ranging modes and both purified w_L."""
+    w_l, w_x, w_pw = ranging_modes(pulse, AIR, length_m)
+    modes = (w_l, w_x, w_pw, purify(w_l, [w_x, w_pw]), purify(w_l, [w_x]))
+    return [(m.label, m.mode.pulse, m.mode.coefficients, m.k_const) for m in modes]
+
+
+MEMO_PULSES = [
+    GaussianPulse.from_wavelength(nm * 1e-9, rel)
+    for nm, rel in ((633.0, 0.05), (800.0, 1.0 / 6.0), (1064.0, 0.1), (1550.0, 0.02))
+]
+
+
+class TestPerCarrierMemos:
+    def test_cold_equals_warm(self):
+        cold = []
+        for pulse in MEMO_PULSES:
+            _clear_memos()
+            cold.append(_ranging_snapshot(pulse))
+        for pulse in MEMO_PULSES:
+            _ranging_snapshot(pulse)
+        misses = detection._ranging_shapes.cache_info().misses, detection._purify_core.cache_info().misses
+        warm = [_ranging_snapshot(pulse) for pulse in MEMO_PULSES]
+        assert (detection._ranging_shapes.cache_info().misses,
+                detection._purify_core.cache_info().misses) == misses
+        assert warm == cold
+
+    def test_length_scaling_per_call(self):
+        _clear_memos()
+        short, long = ranging_modes(PULSE, AIR, 1.0), ranging_modes(PULSE, AIR, 250.0)
+        assert detection._ranging_shapes.cache_info().currsize == 1
+        assert [m.k_const for m in short] != [m.k_const for m in long]
+        assert short[0].k_const == long[0].k_const
+        with pytest.raises(ValidationError, match="length_m"):
+            ranging_modes(PULSE, AIR, LENGTH_MAX_M * 2.0)
+
+    # K_X and K_Pw are formed per call as K(sigma0) * L / c * |a|, in that order
+    @pytest.mark.parametrize("length_m", [0.37, 2.5, 999.1])
+    def test_k_consts_in_uncached_operation_order(self, length_m):
+        from comb_ranger import air_model
+
+        for pulse in MEMO_PULSES:
+            sigma0 = air_model.sigma_from_omega(pulse.omega0)
+            a_l, a_x, a_p = detection._ranging_vectors(pulse)
+            expected = (
+                float(np.linalg.norm(a_l)) / SPEED_OF_LIGHT,
+                air_model.k_dispersion(sigma0) * length_m / SPEED_OF_LIGHT * float(np.linalg.norm(a_x)),
+                air_model.water_term(sigma0) * length_m / SPEED_OF_LIGHT * float(np.linalg.norm(a_p)),
+            )
+            for _ in range(2):
+                assert tuple(m.k_const for m in ranging_modes(pulse, AIR, length_m)) == expected
+
+    def test_pulses_never_share_an_entry(self):
+        _clear_memos()
+        # same carrier, different bandwidth: equal omega0, distinct keys
+        pulses = MEMO_PULSES + [GaussianPulse(MEMO_PULSES[1].omega0, MEMO_PULSES[1].delta_omega / 2)]
+        snapshots = [_ranging_snapshot(pulse) for pulse in pulses]
+        assert detection._ranging_shapes.cache_info().currsize == len(pulses)
+        assert detection._purify_core.cache_info().currsize == 2 * len(pulses)
+        for pulse, snapshot in zip(pulses, snapshots):
+            assert all(entry[1] == pulse for entry in snapshot)
+        assert len({tuple(snap[0][2]) for snap in snapshots}) == len(pulses)
+
+    def test_refusal_raised_on_every_call(self):
+        eps = math.sqrt(0.99 * PURIFY_FLOOR)
+        v0 = DetectionMode("v0", hermite_gauss(0, PULSE), 1.0)
+        near = SpectralMode(PULSE, (1.0, eps))
+        v2 = DetectionMode("v2", hermite_gauss(2, PULSE), 1.0)
+        # the labels come from each call, not from the memo
+        for label in ("near", "again", "again"):
+            with pytest.raises(SeparabilityError, match=f"'{label}' not separable"):
+                purify(DetectionMode(label, near, 1.0), [v0])
+            with pytest.raises(SeparabilityError, match=f"degenerate: '{label}' lies"):
+                purify(v2, [v0, DetectionMode(label, near, 1.0)])
+
+    def test_narrow_band_refusal_repeats(self):
+        pulse = GaussianPulse.from_wavelength(1600e-9, 0.001)
+        w_l, w_x, w_pw = ranging_modes(pulse, AIR, 1.0)
+        for _ in range(2):
+            with pytest.raises(SeparabilityError, match="'L' not separable"):
+                purify(w_l, [w_x, w_pw])
+
+    def test_errors_not_cached(self):
+        _clear_memos()
+        near_pole = GaussianPulse.from_wavelength(160e-9, 0.05)
+        for _ in range(2):
+            with pytest.raises(DomainError, match="resonance pole"):
+                ranging_modes(near_pole, AIR, 1.0)
+        rotated = DetectionMode("rot", SpectralMode(PULSE, (0.6, 0.8j)), 1.0)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="real coefficient"):
+                purify(rotated, [time_detection_modes(PULSE)[1]])
+        assert detection._ranging_shapes.cache_info().currsize == 0
+        assert detection._purify_core.cache_info().currsize == 0
+
+    def test_memo_bounded(self):
+        _clear_memos()
+        for k in range(detection.MEMO_SIZE + 8):
+            _ranging_snapshot(GaussianPulse.from_wavelength((700.0 + k) * 1e-9, 0.1))
+        assert detection._ranging_shapes.cache_info().currsize == detection.MEMO_SIZE
+        assert detection._purify_core.cache_info().currsize == 2 * detection.MEMO_SIZE
 
 
 class TestSensitivitySimulateAgreement:
