@@ -12,9 +12,8 @@ Usage: python scripts/immunity_demo.py [--samples 100000] [--seed 20260808]
 
 import argparse
 
-from comb_ranger import AirState, GaussianPulse, SimConfig
+from comb_ranger import AirState, GaussianPulse, SimConfig, run
 from comb_ranger.config import DEFAULT_SEED
-from comb_ranger.simulator import immunity_report
 
 
 def main() -> None:
@@ -41,7 +40,7 @@ def main() -> None:
             sigma_p_x=1e-6,
             sigma_p_pw_pa=10.0,
         )
-        res = immunity_report(config)
+        res = run(config)
         sx, spw = res.slopes["X"], res.slopes["Pw"]
         print(
             f"{lo:18s} {res.std_estimate_m:12.3e} {sx.value:12.3e} {sx.t_stat:8.1f} "

@@ -4,9 +4,9 @@ Submodules:
 
     air_model   Boensch-Potulski refractive index of air and its derivatives
     mode_algebra  Hermite-Gauss spectral modes and inner products
-    dispersion  spectral-phase propagation and its second-order expansion
-    detection   homodyne detection modes, linearized field, exact
-                purification, shot-noise limits
+    dispersion  ranging perturbations, exact phase gradients, linearity guard
+    detection   ranging detection modes, exact purification, shot-noise
+                limits, contamination report
     multicolor  two-/three-wavelength interferometry baselines
     simulator   seeded Monte Carlo of the shaped-LO measurement
     config/cli  run configuration and command-line front end
@@ -26,25 +26,16 @@ from .air_model import (
 )
 from .detection import (
     DetectionMode,
-    LinearizedField,
     PurifiedSensitivity,
     SensitivityReport,
     contamination_report,
-    homodyne_signal,
-    linearized_field,
     min_detectable,
     numeric_detection_mode,
     purified_ranging_sensitivity,
     purify,
     ranging_modes,
-    time_detection_modes,
 )
-from .dispersion import (
-    DelayTriple,
-    PerturbationVector,
-    apply_spectral_phase,
-    expansion_times,
-)
+from .dispersion import PerturbationVector
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import (
     GaussianPulse,
@@ -52,30 +43,25 @@ from .mode_algebra import (
     gaussian_mode,
     hermite_gauss,
     inner_product,
-    quadrature_inner_product,
-    sampling_grid,
 )
 from .multicolor import (
     MulticolorCombination,
     WavelengthSet,
     alpha_2wi,
-    humidity_systematic_2wi,
+    humidity_bias,
     phase_lengths,
-    shot_noise_2wi,
-    shot_noise_3wi,
+    shot_noise,
     synth_3wi,
     two_color_combination,
 )
-from .simulator import SimConfig, SimResult, immunity_report, run
+from .simulator import SimConfig, SimResult, run
 
 __all__ = [
     "AirState",
-    "DelayTriple",
     "DetectionMode",
     "DispersionScalars",
     "DomainError",
     "GaussianPulse",
-    "LinearizedField",
     "MulticolorCombination",
     "PerturbationVector",
     "PurifiedSensitivity",
@@ -89,34 +75,25 @@ __all__ = [
     "WavelengthSet",
     "Wavenumber",
     "alpha_2wi",
-    "apply_spectral_phase",
     "contamination_report",
     "density_factor",
     "dispersion_scalars",
-    "expansion_times",
     "gaussian_mode",
     "group_index",
     "hermite_gauss",
-    "homodyne_signal",
-    "humidity_systematic_2wi",
-    "immunity_report",
+    "humidity_bias",
     "inner_product",
     "k_dispersion",
-    "linearized_field",
     "min_detectable",
     "numeric_detection_mode",
     "phase_index",
     "phase_lengths",
     "purified_ranging_sensitivity",
     "purify",
-    "quadrature_inner_product",
     "ranging_modes",
     "run",
-    "sampling_grid",
-    "shot_noise_2wi",
-    "shot_noise_3wi",
+    "shot_noise",
     "synth_3wi",
-    "time_detection_modes",
     "two_color_combination",
     "water_term",
 ]

@@ -124,16 +124,12 @@ class AirState:
         """Standard dry air: 20 C, 101325 Pa, 0.04 % CO2, no water vapor."""
         return cls(20.0, 101325.0, 0.04, 0.0)
 
-    @classmethod
-    def vacuum(cls) -> "AirState":
-        return cls(20.0, 0.0, 0.04, 0.0)
-
 
 @dataclass(frozen=True)
 class Wavenumber:
     """Vacuum wavenumber sigma = 1/lambda in um^-1.
 
-    Owns the conversions to/from wavelength and angular frequency.  Strictly
+    Owns the conversions from wavelength and to angular frequency.  Strictly
     positive and below the nearer resonance pole of the dispersion function.
     """
 
@@ -148,14 +144,6 @@ class Wavenumber:
     def from_wavelength(cls, wavelength_m: float) -> "Wavenumber":
         check_wavelength(wavelength_m)
         return cls(1e-6 / wavelength_m)
-
-    @classmethod
-    def from_angular_frequency(cls, omega: float) -> "Wavenumber":
-        return cls(sigma_from_omega(omega))
-
-    @property
-    def wavelength_m(self) -> float:
-        return 1e-6 / self.sigma
 
     @property
     def angular_frequency(self) -> float:
@@ -321,16 +309,3 @@ def dispersion_scalars(omega0: float) -> DispersionScalars:
         eta1=sigma0 * g1 / g,
         eta2=sigma0**2 * g2 / (2.0 * g),
     )
-
-
-def index_omega_derivatives(omega0: float, state: AirState):
-    """(n_phi, dn/domega, d2n/domega2) at the carrier, for the given state."""
-    sigma0 = sigma_from_omega(omega0)
-    k, k1, k2 = k_derivatives(sigma0)
-    g, g1, g2 = g_derivatives(sigma0)
-    x = density_factor(state)
-    pw = state.water_vapor_pa
-    n = 1.0 + k * x - g * pw
-    n1 = (k1 * x - g1 * pw) * _DSIGMA_DOMEGA
-    n2 = (k2 * x - g2 * pw) * _DSIGMA_DOMEGA**2
-    return n, n1, n2

@@ -339,14 +339,12 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
 
     if args.scheme == "2wi":
         comb = multicolor.two_color_combination(ws)
-        alpha = multicolor.alpha_2wi(*ws.wavelengths_m)
-        noise = multicolor.shot_noise_2wi(ws)
-        coeff_cols = {"alpha": alpha, "beta": "", "gamma": ""}
+        coeff_cols = {"alpha": -comb.weights[1], "beta": "", "gamma": ""}
     else:
         comb = multicolor.synth_3wi(*ws.wavelengths_m)
-        noise = multicolor.shot_noise_3wi(ws, comb)
         coeff_cols = {"alpha": "", "beta": comb.weights[1], "gamma": comb.weights[2]}
-    bias = comb.reconstruct(multicolor.phase_lengths(ws, moist, args.length)) - args.length
+    noise = multicolor.shot_noise(ws, comb)
+    bias = multicolor.humidity_bias(ws, comb, moist, args.length)
 
     writer = csv.writer(out, lineterminator="\n")
     header = (

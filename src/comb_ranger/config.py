@@ -81,14 +81,6 @@ class RunConfig:
         return self.values["photons"]
 
     @property
-    def lo(self) -> str:
-        return self.values["lo"]
-
-    @property
-    def samples(self) -> int:
-        return self.values["samples"]
-
-    @property
     def seed(self) -> int:
         return self.values["seed"]
 

@@ -5,20 +5,14 @@ projecting the perturbed field onto w and taking the real part estimates p
 at the coherent-state Cramer-Rao level, with minimum detectable value
 p_min = 1 / (2 sqrt(N) K) for N photons.
 
-Time-delay family (phase delay, group delay, GVD delay):
-
-    w_phi = v0 (K = omega0),  w_g = v1 (K = delta_omega),
-    w_gvd = v0/sqrt(3) + sqrt(2/3) v2 (K = sqrt(3) delta_omega^2/omega0).
-
-Ranging-through-air family (length L, density factor X, water vapor P_w):
-coefficient vectors built from the carrier-only dispersion ratios delta/eta
-of `air_model.dispersion_scalars`; the L mode keeps the vacuum form
-(omega0 v0 + delta_omega v1)/(c K_L), dropping the ~(n-1)-sized dispersive
-corrections.  An exact oracle (`numeric_detection_mode`) quantifies that
-drop: it projects the exact gradient i (dphi/dp) u of the propagated field
-onto the basis with a 24-node Gauss-Hermite rule, whose nodes span
-omega0 +/- 8.51 delta_omega.  The first-order perturbed field
-u + sum_i p_i K_i w_i (`linearized_field`) is built from these modes.
+The ranging parameters are the length L, the density factor X and the
+water-vapor pressure P_w.  Their coefficient vectors are built from the
+carrier-only dispersion ratios delta/eta of `air_model.dispersion_scalars`;
+the L mode keeps the vacuum form (omega0 v0 + delta_omega v1)/(c K_L),
+dropping the ~(n-1)-sized dispersive corrections.  An exact oracle
+(`numeric_detection_mode`) quantifies that drop: it projects the exact
+gradient i (dphi/dp) u of the propagated field onto the basis with a
+24-node Gauss-Hermite rule, whose nodes span omega0 +/- 8.51 delta_omega.
 
 Purifying a mode against interferers orthogonalizes it to their span,
 trading sensitivity (K^p = K sqrt(1 - s) < K) for immunity.  `purify` is the
@@ -45,7 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,9 +47,9 @@ from numpy.polynomial.hermite import hermgauss, hermvander
 
 from . import air_model, mode_algebra, multicolor
 from .air_model import SPEED_OF_LIGHT, AirState
-from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity, phase_gradient
+from .dispersion import RANGING_LABELS, phase_gradient
 from .errors import DomainError, SeparabilityError, ValidationError
-from .mode_algebra import GaussianPulse, SpectralMode, gaussian_mode, inner_product
+from .mode_algebra import GaussianPulse, SpectralMode, inner_product
 
 # Refusal floor of `purify` on each residual share 1 - s.  Its arithmetic is
 # exact, so the only error left is the double representation of the mode
@@ -83,8 +77,8 @@ MEMO_SIZE = 256
 class DetectionMode:
     """A unit-norm spectral mode tagged with the parameter it detects.
 
-    k_const carries the dimensional normalization: rad/s for time delays,
-    1/m for L, dimensionless for X, 1/Pa for P_w.
+    k_const carries the dimensional normalization: 1/m for L,
+    dimensionless for X, 1/Pa for P_w.
     """
 
     label: str
@@ -113,19 +107,6 @@ def check_length(length_m: float) -> None:
         raise ValidationError(
             f"length_m={length_m} must be finite and in [{LENGTH_MIN_M:g}, {LENGTH_MAX_M:g}] m"
         )
-
-
-def time_detection_modes(pulse: GaussianPulse) -> tuple[DetectionMode, DetectionMode, DetectionMode]:
-    """Detection modes (w_phi, w_g, w_gvd) for the delay triple."""
-    w0, dw = pulse.omega0, pulse.delta_omega
-    w_phi = DetectionMode("phi", SpectralMode(pulse, (1.0,)), w0)
-    w_g = DetectionMode("g", SpectralMode(pulse, (0.0, 1.0)), dw)
-    w_gvd = DetectionMode(
-        "gvd",
-        SpectralMode(pulse, (1.0 / math.sqrt(3.0), 0.0, math.sqrt(2.0 / 3.0))),
-        math.sqrt(3.0) * dw**2 / w0,
-    )
-    return w_phi, w_g, w_gvd
 
 
 def _ranging_vectors(pulse: GaussianPulse):
@@ -172,48 +153,6 @@ def ranging_modes(
     k_x = k_sigma * length_m / SPEED_OF_LIGHT * n_x
     k_p = g_sigma * length_m / SPEED_OF_LIGHT * n_p
     return DetectionMode("L", m_l, k_l), DetectionMode("X", m_x, k_x), DetectionMode("Pw", m_pw, k_p)
-
-
-@dataclass(frozen=True)
-class LinearizedField:
-    """First-order field u + sum_i p_i K_i w_i in coefficient space.
-
-    `amplitudes` maps each parameter label to its modal amplitude p_i K_i.
-    """
-
-    mode: SpectralMode
-    amplitudes: dict[str, float]
-
-
-def linearized_field(
-    pulse: GaussianPulse,
-    pert: PerturbationVector,
-    state: AirState | None = None,
-    length_m: float | None = None,
-) -> LinearizedField:
-    """Linearized perturbed field for either parameter family.
-
-    Builds on the detection modes: the deviation from u along parameter i is
-    p_i K_i w_i.  Raises the linearity guard instead of silently returning a
-    stale expansion.
-    """
-    check_linearity(pert, pulse, state, length_m)
-    if pert.kind == "time":
-        modes = time_detection_modes(pulse)
-    else:
-        if state is None or length_m is None:
-            raise ValidationError("ranging perturbations need state and length_m")
-        modes = ranging_modes(pulse, state, length_m)
-
-    order = max(m.mode.order for m in modes)
-    vec = gaussian_mode(pulse).padded(order)
-    amplitudes: dict[str, float] = {}
-    for dm, (label, value) in zip(modes, pert.items()):
-        amp = value * dm.k_const
-        amplitudes[label] = amp
-        if amp != 0.0:
-            vec = vec + amp * dm.mode.padded(order)
-    return LinearizedField(SpectralMode(pulse, tuple(vec)), amplitudes)
 
 
 def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
@@ -282,50 +221,33 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
     return DetectionMode(label, mode, target.k_const * math.sqrt(share))
 
 
-def homodyne_signal(field, lo: DetectionMode) -> float:
-    """Homodyne estimate S = (Re<u(p), w_lo> - Re<u, w_lo>) / K_lo.
-
-    `field` is a SpectralMode or a LinearizedField; signal and LO
-    are taken phase-locked (zero relative quadrature phase).
-    """
-    mode = getattr(field, "mode", field)
-    if not isinstance(mode, SpectralMode):
-        raise ValidationError("field must be a SpectralMode or LinearizedField")
-    offset = inner_product(gaussian_mode(mode.pulse), lo.mode).real
-    return (inner_product(mode, lo.mode).real - offset) / lo.k_const
-
-
 @functools.cache
-def _oracle_table(max_order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node offsets sqrt(2) x_k (in delta_omega) and rows w_k H_n(x_k) / sqrt(pi 2^n n!).
+def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
+    """Node offsets sqrt(2) x_k (in delta_omega) and rows w_k H_n(x_k) / sqrt(pi 2^n n!)
+    for n <= MAX_ORDER_DEFAULT.
 
     24 Gauss-Hermite nodes reach omega0 +/- 8.51 delta_omega; 48 agree to ~4e-16.
     """
+    order = mode_algebra.MAX_ORDER_DEFAULT
     x, w = hermgauss(24)
-    norm = [(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(max_order + 1)]
-    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * hermvander(x, max_order).T * w
+    norm = [(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(order + 1)]
+    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * hermvander(x, order).T * w
     offsets.flags.writeable = table.flags.writeable = False
     return offsets, table
 
 
 def numeric_detection_mode(
-    label: str,
-    pulse: GaussianPulse,
-    state: AirState | None = None,
-    length_m: float | None = None,
-    max_order: int = mode_algebra.MAX_ORDER_DEFAULT,
+    label: str, pulse: GaussianPulse, state: AirState, length_m: float
 ) -> DetectionMode:
     """Exact-gradient oracle for the analytic detection modes.
 
     Every parameter enters the phase linearly, so du/dp = i (dphi/dp) u
     exactly; its coefficients are a 24-node Gauss-Hermite projection (nodes at
     omega0 +/- 8.51 delta_omega, exact for polynomial dphi/dp of degree
-    <= 47 - max_order).  Nodes past the resonance pole raise DomainError.
+    <= 39).  Nodes past the resonance pole raise DomainError.
     """
-    if max_order < 0:
-        raise ValidationError(f"max_order={max_order} must be >= 0")
-    offsets, table = _oracle_table(max_order)
-    grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, pulse, state, length_m)
+    offsets, table = _oracle_table()
+    grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
     coeffs = table @ grad
     k_est = float(np.linalg.norm(coeffs))
     if k_est == 0.0:
@@ -406,7 +328,9 @@ class SensitivityReport:
     `matrix` rows/columns are ordered (L, X, Pw); entry [i][j] is the
     coefficient of p_j in the signal measured with LO w_i, so the diagonal
     is exactly 1.  Minimum detectable values are recomputable from the
-    stored k_consts as 1/(2 sqrt(N) K).
+    stored k_consts as 1/(2 sqrt(N) K).  `numeric_mode_deviation` is None,
+    and `oracle_refusal` says why, when the oracle's nodes leave the air
+    model's validity band.
     """
 
     n_photons: float
@@ -420,10 +344,13 @@ class SensitivityReport:
     x_contamination_per_m: float
     pw_contamination_per_m_pa: float
     purified: PurifiedSensitivity
-    numeric_mode_deviation: float
-    baselines: dict[str, float] = field(default_factory=dict)
+    numeric_mode_deviation: float | None
+    baselines: dict[str, float]
+    oracle_refusal: str | None = None
 
     def to_text(self) -> str:
+        dev = self.numeric_mode_deviation
+        deviation = f"n/a ({self.oracle_refusal})" if dev is None else f"{dev:.6e}"
         lines = [
             "# ranging sensitivity report",
             "# units: p_L in m; p_X dimensionless (density-factor deviation); p_Pw in Pa",
@@ -444,7 +371,7 @@ class SensitivityReport:
             f"shot_noise_raw_m = {self.purified.raw_m:.12e}",
             f"shot_noise_purified_m = {self.purified.full_m:.12e}",
             f"shot_noise_x_only_purified_m = {self.purified.x_only_m:.12e}",
-            f"numeric_mode_deviation = {self.numeric_mode_deviation:.6e}",
+            f"numeric_mode_deviation = {deviation}",
         ]
         for key in sorted(self.baselines):
             lines.append(f"{key} = {self.baselines[key]:.12e}")
@@ -459,16 +386,17 @@ def contamination_report(
     state: AirState,
     length_m: float,
     n_photons: float = 8e16,
-    baselines: bool = True,
 ) -> SensitivityReport:
     """Full cross-signal report for the ranging parameter set.
 
     Includes the multicolor shot-noise baselines (same total photon budget,
-    frequency-doubled/tripled 1064 nm set) when `baselines` is true, and the
-    largest coefficient deviation of the verbatim w_L mode from the exact
-    Gauss-Hermite oracle.
+    frequency-doubled/tripled 1064 nm set) and the largest coefficient
+    deviation of the verbatim w_L mode from the exact Gauss-Hermite oracle.
+    The oracle's outer nodes reach omega0 +/- 8.51 delta_omega, past the
+    pulse itself; where they cross the resonance pole the deviation is
+    reported as not available and the rest of the report stands.
     """
-    if baselines and not n_photons >= 3.0:
+    if not n_photons >= 3.0:
         raise ValidationError(
             f"photons={n_photons} must be >= 3: the three-colour baseline splits "
             "the photon budget over three channels of at least one photon each"
@@ -480,20 +408,23 @@ def contamination_report(
     pref_pw = mat[0, 2] / length_m
     purified = PurifiedSensitivity.build(w_l, w_x, w_pw, n_photons)
 
-    numeric_l = numeric_detection_mode("L", pulse, state, length_m)
-    order = max(w_l.mode.order, numeric_l.mode.order)
-    deviation = float(np.max(np.abs(w_l.mode.padded(order) - numeric_l.mode.padded(order))))
+    deviation, refusal = None, None
+    try:
+        numeric_l = numeric_detection_mode("L", pulse, state, length_m)
+    except DomainError as exc:
+        refusal = f"oracle refused: {exc}"
+    else:
+        order = max(w_l.mode.order, numeric_l.mode.order)
+        deviation = float(np.max(np.abs(w_l.mode.padded(order) - numeric_l.mode.padded(order))))
 
-    base: dict[str, float] = {}
-    if baselines:
-        two = multicolor.WavelengthSet((1.064e-6, 0.532e-6), (n_photons / 2, n_photons / 2))
-        three = multicolor.WavelengthSet(
-            (1.064e-6, 0.532e-6, 0.355e-6), (n_photons / 3,) * 3
-        )
-        base["two_color_shot_noise_m"] = multicolor.shot_noise_2wi(two)
-        base["three_color_shot_noise_m"] = multicolor.shot_noise_3wi(
+    two = multicolor.WavelengthSet((1.064e-6, 0.532e-6), (n_photons / 2, n_photons / 2))
+    three = multicolor.WavelengthSet((1.064e-6, 0.532e-6, 0.355e-6), (n_photons / 3,) * 3)
+    base = {
+        "two_color_shot_noise_m": multicolor.shot_noise(two, multicolor.two_color_combination(two)),
+        "three_color_shot_noise_m": multicolor.shot_noise(
             three, multicolor.synth_3wi(*three.wavelengths_m)
-        )
+        ),
+    }
 
     return SensitivityReport(
         n_photons=n_photons,
@@ -511,4 +442,5 @@ def contamination_report(
         purified=purified,
         numeric_mode_deviation=deviation,
         baselines=base,
+        oracle_refusal=refusal,
     )

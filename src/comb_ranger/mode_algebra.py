@@ -12,13 +12,11 @@ with H_n the physicists' Hermite polynomials.  The global phase factor i is
 kept inside the basis, so every local-oscillator mode built later has a real
 coefficient vector and homodyne signals are plain real parts.
 
-Modes are represented primarily by their (complex) coefficients on {v_n};
-every mode of interest is a low-degree polynomial times u, so inner products
-are exact in coefficient space (purification, on the same coefficients, is
-`detection.purify`).  Sampling onto a frequency
-grid is derived from the coefficients, and a trapezoid quadrature over
-omega0 +/- 8 Delta_omega (Gaussian tails < 1e-14 there) serves as the
-independent oracle in the test suite.
+Modes are represented by their (complex) coefficients on {v_n}; every mode
+of interest is a low-degree polynomial times u, so inner products are exact
+in coefficient space (purification, on the same coefficients, is
+`detection.purify`).  Real spectral profiles for plotting are derived from
+the coefficients on a frequency grid.
 """
 
 from __future__ import annotations
@@ -29,14 +27,22 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.hermite import hermval
 
-from .air_model import SPEED_OF_LIGHT, check_wavelength
+from .air_model import SPEED_OF_LIGHT, WAVELENGTH_MAX_M, WAVELENGTH_MIN_M, check_wavelength
 from .errors import DomainError, ValidationError
 
 MAX_ORDER_DEFAULT = 8
 
-# Default quadrature grid: half-width in units of Delta_omega and point count.
+# Half-width of the profile grid in units of Delta_omega: the Gaussian tails
+# are below 1e-14 there.
 GRID_HALF_WIDTH = 8.0
-GRID_POINTS = 4096
+
+# The carrier window of `air_model.check_wavelength` in angular frequency.
+# Each bound is the expression `from_wavelength` evaluates, so pulses built
+# at either boundary wavelength are accepted.  Far outside, omega0 and the
+# ranging-mode vectors underflow to a divide by zero (omega0 = 1e-280
+# rad/s) before any later check could refuse the pulse.
+OMEGA0_MIN = 2.0 * math.pi * SPEED_OF_LIGHT / WAVELENGTH_MAX_M
+OMEGA0_MAX = 2.0 * math.pi * SPEED_OF_LIGHT / WAVELENGTH_MIN_M
 
 
 @dataclass(frozen=True)
@@ -51,8 +57,11 @@ class GaussianPulse:
     delta_omega: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.omega0 < math.inf:
-            raise ValidationError(f"omega0={self.omega0} must be finite and > 0")
+        if not OMEGA0_MIN <= self.omega0 <= OMEGA0_MAX:
+            raise ValidationError(
+                f"omega0={self.omega0} must be finite and in [{OMEGA0_MIN:.6g}, {OMEGA0_MAX:.6g}] "
+                f"rad/s (carrier wavelength in [{WAVELENGTH_MIN_M:g}, {WAVELENGTH_MAX_M:g}] m)"
+            )
         if not 0.0 < self.delta_omega < math.inf:
             raise ValidationError(f"delta_omega={self.delta_omega} must be finite and > 0")
         if self.delta_omega > 0.5 * self.omega0:
@@ -165,15 +174,6 @@ def hermite_envelope(n: int, pulse: GaussianPulse, omega: np.ndarray) -> np.ndar
     return hermval(x, coeffs) / math.sqrt(2.0**n * math.factorial(n)) * gaussian_envelope(pulse, omega)
 
 
-def sample(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
-    """Complex spectral amplitude of the mode on a frequency grid."""
-    out = np.zeros(np.shape(omega), dtype=complex)
-    for n, c in enumerate(mode.coefficients):
-        if c != 0:
-            out += c * 1j * hermite_envelope(n, mode.pulse, omega)
-    return out
-
-
 def real_coefficients(mode: SpectralMode, order: int | None = None) -> np.ndarray:
     """Real coefficient vector of a single-global-phase mode.
 
@@ -200,47 +200,3 @@ def real_profile(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
         if c != 0.0:
             out += c * hermite_envelope(n, mode.pulse, omega)
     return out
-
-
-def sampling_grid(
-    pulse: GaussianPulse,
-    points: int = GRID_POINTS,
-    half_width: float = GRID_HALF_WIDTH,
-) -> np.ndarray:
-    """Uniform frequency grid omega0 +/- half_width * delta_omega."""
-    if points < 2048:
-        raise ValidationError(f"points={points} below the 2048 minimum")
-    if half_width < GRID_HALF_WIDTH:
-        raise ValidationError(f"half_width={half_width} below the +/-{GRID_HALF_WIDTH} sigma minimum")
-    return np.linspace(
-        pulse.omega0 - half_width * pulse.delta_omega,
-        pulse.omega0 + half_width * pulse.delta_omega,
-        points,
-    )
-
-
-def quadrature_inner_product(
-    f_sampled: np.ndarray,
-    g_sampled: np.ndarray,
-    omega: np.ndarray,
-    pulse: GaussianPulse | None = None,
-) -> complex:
-    """Trapezoid integral of f* g on a shared grid.
-
-    Oracle-grade only: used by tests and for modes that are not polynomials
-    times u.  When a pulse is given, the grid must cover at least
-    omega0 +/- 8 delta_omega with >= 2048 points.
-    """
-    f = np.asarray(f_sampled)
-    g = np.asarray(g_sampled)
-    w = np.asarray(omega, dtype=float)
-    if f.shape != g.shape or f.shape != w.shape:
-        raise ValidationError("sampled modes and grid have mismatched shapes")
-    if pulse is not None:
-        lo = pulse.omega0 - GRID_HALF_WIDTH * pulse.delta_omega
-        hi = pulse.omega0 + GRID_HALF_WIDTH * pulse.delta_omega
-        if w.size < 2048 or w[0] > lo or w[-1] < hi:
-            raise ValidationError(
-                "grid does not cover omega0 +/- 8 delta_omega with >= 2048 points"
-            )
-    return complex(np.trapezoid(np.conj(f) * g, w))

@@ -123,15 +123,20 @@ def _channel_shot_noise(ws: WavelengthSet) -> np.ndarray:
     )
 
 
-def shot_noise_2wi(ws: WavelengthSet) -> float:
-    """Shot-noise limit of the two-color distance, quadrature-combined."""
-    comb = two_color_combination(ws)
+def shot_noise(ws: WavelengthSet, comb: MulticolorCombination) -> float:
+    """Shot-noise limit of the reconstructed distance: channel noises
+    weighted by the combination and added in quadrature."""
+    if len(comb.weights) != len(ws.wavelengths_m):
+        raise ValidationError("one combination weight per wavelength")
     return float(np.linalg.norm(np.asarray(comb.weights) * _channel_shot_noise(ws)))
 
 
-def humidity_systematic_2wi(ws: WavelengthSet, state: AirState, length_m: float) -> float:
-    """Uncorrected humidity bias of the two-color reconstruction (meters)."""
-    comb = two_color_combination(ws)
+def humidity_bias(
+    ws: WavelengthSet, comb: MulticolorCombination, state: AirState, length_m: float
+) -> float:
+    """Reconstruction error (m) of the combination in the given air: the
+    uncorrected humidity systematic of the two-color scheme, zero to
+    rounding for the three-color one."""
     return comb.reconstruct(phase_lengths(ws, state, length_m)) - length_m
 
 
@@ -157,10 +162,3 @@ def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> Multicolo
         residual_x=float(k1 + beta * (k2 - k1) + gamma * (k3 - k1)),
         residual_pw=-float(g1 + beta * (g2 - g1) + gamma * (g3 - g1)),
     )
-
-
-def shot_noise_3wi(ws: WavelengthSet, combination: MulticolorCombination) -> float:
-    """Shot-noise limit of the three-color distance."""
-    if len(ws.wavelengths_m) != 3 or len(combination.weights) != 3:
-        raise ValidationError("three-color shot noise needs 3 wavelengths and weights")
-    return float(np.linalg.norm(np.asarray(combination.weights) * _channel_shot_noise(ws)))

@@ -394,18 +394,3 @@ def _leakage_slopes(
         lab: RegressionSlope(float(beta[j]), math.sqrt(float(variances[j])))
         for j, lab in enumerate(labels, start=1)
     }
-
-
-def immunity_report(config: SimConfig, keep_samples: bool = False) -> SimResult:
-    """Run with fluctuating environment and report the leakage verdict.
-
-    Requires at least one nonzero fluctuation; a zero-fluctuation control is
-    a degenerate regression and is rejected so it cannot masquerade as an
-    immunity demonstration.
-    """
-    if not config.fluctuating_labels:
-        raise ValidationError(
-            "immunity report needs at least one fluctuating parameter "
-            "(all sigma_p_* are zero)"
-        )
-    return run(config, keep_samples=keep_samples)

@@ -1,12 +1,6 @@
 import pytest
 
-from comb_ranger import AirState, GaussianPulse
-
-
-@pytest.fixture
-def pulse800() -> GaussianPulse:
-    """3 fs FWHM pulse: 800 nm carrier, delta_omega = omega0/6."""
-    return GaussianPulse.from_wavelength(800e-9)
+from comb_ranger import AirState
 
 
 @pytest.fixture
@@ -16,4 +10,4 @@ def standard_air() -> AirState:
 
 @pytest.fixture
 def vacuum() -> AirState:
-    return AirState.vacuum()
+    return AirState(20.0, 0.0, 0.04, 0.0)

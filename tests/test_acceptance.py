@@ -23,29 +23,26 @@ from numpy.polynomial.hermite_e import hermegauss
 from comb_ranger import (
     AirState,
     GaussianPulse,
-    PerturbationVector,
     SPEED_OF_LIGHT,
     SimConfig,
     WavelengthSet,
     alpha_2wi,
     contamination_report,
-    homodyne_signal,
     inner_product,
-    linearized_field,
     min_detectable,
     numeric_detection_mode,
     phase_index,
     purified_ranging_sensitivity,
     purify,
     ranging_modes,
-    shot_noise_2wi,
-    shot_noise_3wi,
+    shot_noise,
     synth_3wi,
-    time_detection_modes,
+    two_color_combination,
 )
 from comb_ranger.air_model import k_dispersion, sigma_from_omega
 from comb_ranger.multicolor import phase_lengths
-from comb_ranger.simulator import immunity_report, run
+from comb_ranger.simulator import run
+from reference import TimeDelays, homodyne_signal, linearized_field, lstsq_purify, time_detection_modes
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
 AIR = AirState.standard()
@@ -71,7 +68,8 @@ def test_criterion_02_two_color_alpha():
 
 
 def test_criterion_03_two_color_shot_noise():
-    noise = shot_noise_2wi(WavelengthSet((1.064e-6, 0.532e-6), (4e16, 4e16)))
+    ws = WavelengthSet((1.064e-6, 0.532e-6), (4e16, 4e16))
+    noise = shot_noise(ws, two_color_combination(ws))
     ok = 2e-14 <= noise <= 4e-14
     record(3, ok, f"two-color shot noise at 4e16 photons/color: {noise:.3e} m in [2e-14, 4e-14]")
     assert ok
@@ -79,7 +77,7 @@ def test_criterion_03_two_color_shot_noise():
 
 def test_criterion_04_three_color_shot_noise():
     ws = WavelengthSet((1.064e-6, 0.532e-6, 0.355e-6), (N_PHOTONS / 3,) * 3)
-    noise = shot_noise_3wi(ws, synth_3wi(*ws.wavelengths_m))
+    noise = shot_noise(ws, synth_3wi(*ws.wavelengths_m))
     ok = 3e-13 <= noise <= 3e-12
     record(4, ok, f"three-color shot noise at 8e16 total photons: {noise:.3e} m in [3e-13, 3e-12]")
     assert ok
@@ -112,7 +110,7 @@ def test_criterion_06_signal_cross_terms():
     worst = 0.0
     for _ in range(25):
         p_phi, p_g, p_gvd = rng.uniform(-1, 1, 3) * (1e-19, 1e-18, 1e-18)
-        field = linearized_field(PULSE, PerturbationVector.time_delays(p_phi, p_g, p_gvd))
+        field = linearized_field(PULSE, TimeDelays(p_phi, p_g, p_gvd))
         s_phi = homodyne_signal(field, w_phi)
         s_gvd = homodyne_signal(field, w_gvd)
         expect_phi = p_phi + r2 * p_gvd
@@ -137,7 +135,7 @@ def test_criterion_07_displacement_sensitivity():
 
 
 def test_criterion_08_contamination_prefactors():
-    report = contamination_report(PULSE, AIR, 1.0, N_PHOTONS, baselines=False)
+    report = contamination_report(PULSE, AIR, 1.0, N_PHOTONS)
     x_ok = abs(report.x_contamination_per_m / 27e-5 - 1.0) <= 0.20
     pw_ok = abs(report.pw_contamination_per_m_pa / -3.7e-10 - 1.0) <= 0.05
     ok = x_ok and pw_ok
@@ -297,11 +295,7 @@ def test_criterion_11_purification_orthogonality_and_cost():
     # 1 - s = |residual|^2.  The residual (|r| = 1.2e-5) is formed in doubles
     # from unit vectors, so it carries a relative error of order
     # u / |r| = 9e-12; measured 3.0e-13
-    order = max(m.mode.order for m in (w_l, w_x, w_pw))
-    basis = np.column_stack([m.mode.padded(order).real for m in (w_x, w_pw)])
-    target = w_l.mode.padded(order).real
-    residual = target - basis @ np.linalg.lstsq(basis, target, rcond=None)[0]
-    k_ref = w_l.k_const * math.sqrt(residual @ residual / (target @ target))
+    k_ref = w_l.k_const * math.sqrt(lstsq_purify(w_l, [w_x, w_pw])[0])
     sens = purified_ranging_sensitivity(PULSE, AIR, 1.0, N_PHOTONS)
     k_rel = abs(sens.k_full / k_ref - 1.0)
     ok = o_x < 1e-10 and o_pw < 1e-10 and k_rel < 1e-11
@@ -324,11 +318,11 @@ def test_criterion_12_monte_carlo_calibration():
     sigma_ok = abs(res_quiet.std_estimate_m - res_quiet.predicted_sigma_m) < 3 * se_sigma
 
     noisy = dict(sigma_p_x=1e-6, sigma_p_pw_pa=10.0, rng_seed=8)
-    res_pure = immunity_report(SimConfig(lo_choice="purified", **base, **noisy))
+    res_pure = run(SimConfig(lo_choice="purified", **base, **noisy))
     pure_ok = res_pure.immune is True
 
-    res_raw = immunity_report(SimConfig(lo_choice="raw", **base, **noisy))
-    expected = contamination_report(PULSE, AIR, 1.0, N_PHOTONS, baselines=False).matrix[0]
+    res_raw = run(SimConfig(lo_choice="raw", **base, **noisy))
+    expected = contamination_report(PULSE, AIR, 1.0, N_PHOTONS).matrix[0]
     raw_ok = all(
         abs(res_raw.slopes[lab].value - truth) < 3 * res_raw.slopes[lab].std_error
         for lab, truth in (("X", expected[1]), ("Pw", expected[2]))

@@ -21,6 +21,7 @@ from comb_ranger.config import SCHEMA, build_config, load_config, parse_config
 from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import real_profile
 from comb_ranger import detection
+from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,7 +39,7 @@ class TestConfigParsing:
         assert cfg.length_m == 1.0
         assert cfg.photons == 8e16
         assert cfg.state.pressure_pa == 101325.0
-        assert cfg.lo == "purified"
+        assert cfg.values["lo"] == "purified"
 
     def test_file_overrides(self):
         cfg = parse_config(
@@ -52,7 +53,7 @@ class TestConfigParsing:
         )
         assert cfg.length_m == 12.0
         assert cfg.seed == 7
-        assert cfg.lo == "raw"
+        assert cfg.values["lo"] == "raw"
         assert cfg.pulse.omega0 == pytest.approx(
             GaussianPulse.from_wavelength(1064e-9).omega0, rel=1e-15
         )
@@ -89,7 +90,7 @@ class TestConfigParsing:
 
     def test_integer_key_forms(self):
         cfg = parse_config(f"samples = 1e3\nseed = {2**128 - 1}")
-        assert cfg.samples == 1000
+        assert cfg.values["samples"] == 1000
         assert cfg.seed == 2**128 - 1
 
     def test_unknown_override_key_named(self):
@@ -292,11 +293,43 @@ class TestSensitivityCommand:
         cfg.write_text("photons = 3\n")
         assert run_cli(["sensitivity", "--config", str(cfg)])[0] == EXIT_OK
 
+    # the oracle's outer node, omega0 (1 + 8.51 * 0.3), lies at 141 nm, past the
+    # 160 nm pole; the ranging modes need the air model at the carrier only
+    @pytest.mark.filterwarnings("error")
+    def test_near_pole_oracle_not_available(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("pulse.wavelength_nm = 500\npulse.relative_bandwidth = 0.3\nsamples = 2000\n")
+        runs = [run_cli([c, "--config", str(cfg)]) for c in ("sensitivity", "simulate")]
+        assert [code for code, _ in runs] == [EXIT_OK, EXIT_OK]
+        values = dict(line.split(" = ", 1) for _, out in runs for line in out.splitlines() if " = " in line)
+        assert values["numeric_mode_deviation"].startswith("n/a (oracle refused: sigma^2 within")
+        assert "resonance pole" in values["numeric_mode_deviation"]
+        assert values["shot_noise_purified_m"] == values["predicted_sigma_m"]
+
 
 @pytest.mark.parametrize("omega0, delta_omega", [(float("inf"), 1.0), (2e15, float("inf"))])
 def test_gaussian_pulse_refuses_non_finite(omega0, delta_omega):
     with pytest.raises(ValidationError, match="must be finite"):
         GaussianPulse(omega0, delta_omega)
+
+
+# a pulse built directly, not from a wavelength, meets the same carrier
+# window: 1e-280 rad/s reached a divide by zero before any refusal
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("omega0", [1e-280, 1e13, 1.9e16, 1e300])
+def test_gaussian_pulse_refuses_carrier_outside_window(omega0):
+    with pytest.raises(ValidationError, match="omega0="):
+        detection.contamination_report(
+            GaussianPulse(omega0, omega0 / 10), comb_ranger.AirState.standard(), 1.0, 8e16
+        )
+
+
+# the window's edges are the carriers of its edge wavelengths, to the bit
+@pytest.mark.parametrize("wavelength_m, outward", [(WAVELENGTH_MIN_M, math.inf), (WAVELENGTH_MAX_M, 0.0)])
+def test_gaussian_pulse_at_window_edges(wavelength_m, outward):
+    omega0 = GaussianPulse.from_wavelength(wavelength_m, 0.1).omega0
+    with pytest.raises(ValidationError, match="omega0="):
+        GaussianPulse(math.nextafter(omega0, outward), omega0 / 10)
 
 
 class TestMulticolorCommand:

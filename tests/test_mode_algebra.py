@@ -8,21 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from comb_ranger import (
-    GaussianPulse,
-    SpectralMode,
-    gaussian_mode,
-    hermite_gauss,
-    inner_product,
-    quadrature_inner_product,
-    sampling_grid,
-)
+from comb_ranger import GaussianPulse, SpectralMode, gaussian_mode, hermite_gauss, inner_product
 from comb_ranger.errors import DomainError, ValidationError
-from comb_ranger.mode_algebra import (
-    gaussian_envelope,
-    real_profile,
-    sample,
-)
+from comb_ranger.mode_algebra import gaussian_envelope, real_profile
+from reference import quadrature_inner_product, sample, sampling_grid
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
 GRID = sampling_grid(PULSE)

@@ -9,10 +9,9 @@ from comb_ranger import (
     AirState,
     WavelengthSet,
     alpha_2wi,
-    humidity_systematic_2wi,
+    humidity_bias,
     phase_lengths,
-    shot_noise_2wi,
-    shot_noise_3wi,
+    shot_noise,
     synth_3wi,
     two_color_combination,
 )
@@ -29,6 +28,7 @@ HUMIDITY_BIAS_100M_1000PA = -1.0374396138390335e-04
 
 PAIR = WavelengthSet((1.064e-6, 0.532e-6), (4e16, 4e16))
 TRIPLE = WavelengthSet((1.064e-6, 0.532e-6, 0.355e-6), (8e16 / 3,) * 3)
+PAIR_COMB = two_color_combination(PAIR)
 
 dry_states = st.builds(
     AirState,
@@ -77,47 +77,46 @@ def test_dry_air_reconstruction_exact(state):
 
 class TestShotNoise2WI:
     def test_frozen_value(self):
-        assert shot_noise_2wi(PAIR) == pytest.approx(SHOT_2WI_M, rel=1e-12)
+        assert shot_noise(PAIR, PAIR_COMB) == pytest.approx(SHOT_2WI_M, rel=1e-12)
 
     def test_degeneracy_amplifies_noise(self):
         near = WavelengthSet((1.064e-6, 1.063e-6), (4e16, 4e16))
-        assert shot_noise_2wi(near) > 100.0 * shot_noise_2wi(PAIR)
+        assert shot_noise(near, two_color_combination(near)) > 100.0 * shot_noise(PAIR, PAIR_COMB)
 
     def test_monotone_degradation_towards_degeneracy(self):
         seconds = (0.532e-6, 0.7e-6, 0.9e-6, 1.0e-6)
-        noises = [
-            shot_noise_2wi(WavelengthSet((1.064e-6, lam), (4e16, 4e16))) for lam in seconds
-        ]
+        sets = [WavelengthSet((1.064e-6, lam), (4e16, 4e16)) for lam in seconds]
+        noises = [shot_noise(ws, two_color_combination(ws)) for ws in sets]
         assert all(a < b for a, b in zip(noises, noises[1:]))
 
     def test_exceeds_single_color_floor(self):
         # the combination can never beat its own first-channel noise
         alpha = alpha_2wi(*PAIR.wavelengths_m)
         single = air_model.SPEED_OF_LIGHT / (2.0 * np.sqrt(4e16) * PAIR.omegas[0])
-        assert shot_noise_2wi(PAIR) > abs(1 + alpha) * single * 0.9
+        assert shot_noise(PAIR, PAIR_COMB) > abs(1 + alpha) * single * 0.9
 
 
 class TestHumiditySystematic:
     def test_dry_bias_vanishes(self, standard_air):
-        assert abs(humidity_systematic_2wi(PAIR, standard_air, 100.0)) < 1e-9
+        assert abs(humidity_bias(PAIR, PAIR_COMB, standard_air, 100.0)) < 1e-9
 
     def test_linear_in_water_vapor(self):
         s1 = AirState(20.0, 101325.0, 0.04, 500.0)
         s2 = AirState(20.0, 101325.0, 0.04, 1000.0)
-        b1 = humidity_systematic_2wi(PAIR, s1, 100.0)
-        b2 = humidity_systematic_2wi(PAIR, s2, 100.0)
+        b1 = humidity_bias(PAIR, PAIR_COMB, s1, 100.0)
+        b2 = humidity_bias(PAIR, PAIR_COMB, s2, 100.0)
         assert b2 == pytest.approx(2.0 * b1, rel=1e-6)
 
     def test_frozen_value(self):
         moist = AirState(20.0, 101325.0, 0.04, 1000.0)
-        bias = humidity_systematic_2wi(PAIR, moist, 100.0)
+        bias = humidity_bias(PAIR, PAIR_COMB, moist, 100.0)
         assert bias == pytest.approx(HUMIDITY_BIAS_100M_1000PA, rel=1e-7)
 
     def test_matches_analytic_residual(self):
         moist = AirState(20.0, 101325.0, 0.04, 1000.0)
         comb = two_color_combination(PAIR)
         expected = comb.residual_pw * 1000.0 * 100.0
-        assert humidity_systematic_2wi(PAIR, moist, 100.0) == pytest.approx(expected, rel=1e-6)
+        assert humidity_bias(PAIR, PAIR_COMB, moist, 100.0) == pytest.approx(expected, rel=1e-6)
 
 
 class TestSynth3WI:
@@ -159,15 +158,29 @@ class TestSynth3WI:
             synth_3wi(1.064e-6, 0.532e-6, 0.532e-6)
 
 
+class TestThreeColorBias:
+    def test_moist_bias_vanishes(self):
+        # the bias function is the two-color one; the three-color
+        # combination cancels water vapour, so it reads zero to rounding
+        moist = AirState(20.0, 101325.0, 0.04, 1000.0)
+        comb = synth_3wi(*TRIPLE.wavelengths_m)
+        assert abs(humidity_bias(TRIPLE, comb, moist, 100.0)) < 1e-8
+        assert abs(humidity_bias(PAIR, PAIR_COMB, moist, 100.0)) > 1e-5
+
+
 class TestShotNoise3WI:
     def test_frozen_value(self):
         comb = synth_3wi(*TRIPLE.wavelengths_m)
-        assert shot_noise_3wi(TRIPLE, comb) == pytest.approx(SHOT_3WI_M, rel=1e-10)
+        assert shot_noise(TRIPLE, comb) == pytest.approx(SHOT_3WI_M, rel=1e-10)
+
+    def test_one_weight_per_wavelength(self):
+        with pytest.raises(ValidationError, match="one combination weight per wavelength"):
+            shot_noise(PAIR, synth_3wi(*TRIPLE.wavelengths_m))
 
     def test_degrades_on_two_color_at_same_budget(self):
         # same total photon number: the third color costs one to two orders
         comb = synth_3wi(*TRIPLE.wavelengths_m)
-        ratio = shot_noise_3wi(TRIPLE, comb) / shot_noise_2wi(PAIR)
+        ratio = shot_noise(TRIPLE, comb) / shot_noise(PAIR, PAIR_COMB)
         assert 10.0 < ratio < 100.0
 
 
@@ -180,11 +193,11 @@ class TestConsistencyWithCombScheme:
 
         pulse = GaussianPulse.from_wavelength(800e-9)
         sens = purified_ranging_sensitivity(pulse, standard_air, 1.0, 8e16)
-        two_color = shot_noise_2wi(PAIR)
+        two_color = shot_noise(PAIR, PAIR_COMB)
         assert sens.full_m > two_color
         assert sens.x_only_m > two_color
         moist = AirState(20.0, 101325.0, 0.04, 1000.0)
-        assert abs(humidity_systematic_2wi(PAIR, moist, 1.0)) > 1e-7
+        assert abs(humidity_bias(PAIR, PAIR_COMB, moist, 1.0)) > 1e-7
 
 
 class TestWavelengthSetValidation:

@@ -1,22 +1,29 @@
 """Import structure of the package: module-level imports only, no cycles.
 
-Also checks that the spans the benchmark reads by name still exist.
+Also checks that the spans the benchmark reads by name still exist, and that
+the package ships no public definition that only the tests use.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+import pytest
 
 import comb_ranger
 
 PACKAGE_DIR = Path(comb_ranger.__file__).parent
 MODULES = sorted(PACKAGE_DIR.glob("*.py"))
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+REPO = Path(__file__).resolve().parent.parent
+TRACING = REPO / "perfbench" / "tracing.py"
+README = REPO / "README.md"
 
 
 def parse(path: Path) -> ast.Module:
@@ -95,3 +102,52 @@ def test_cli_import_loads_no_executor_or_queue():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def identifiers(node: ast.AST) -> Counter:
+    """Identifiers used in `node`: names, attribute names and import aliases."""
+    out: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.name.rpartition(".")[2]] += 1
+            if sub.asname:
+                out[sub.asname] += 1
+    return out
+
+
+def readme_api_example() -> ast.Module:
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    return ast.parse(re.search(r"```python\n(.*?)```", section, re.S).group(1))
+
+
+def test_every_public_definition_has_a_caller():
+    # a public function or class must be used outside its own body by the
+    # package (its re-exports in __init__ do not count), by a script, by the
+    # benchmark, or by README's library example; what only the tests use
+    # belongs in tests/reference.py
+    modules = {p.stem: parse(p) for p in MODULES if p.stem != "__init__"}
+    users = [parse(p) for d in ("scripts", "perfbench") for p in sorted((REPO / d).glob("*.py"))]
+    used = sum(map(identifiers, [*modules.values(), *users, readme_api_example()]), Counter())
+    unused = [
+        f"{stem}.{node.name}"
+        for stem, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and used[node.name] == identifiers(node)[node.name]
+    ]
+    assert unused == []
+
+
+def test_package_holds_only_the_ranging_family():
+    from comb_ranger.dispersion import PerturbationVector, phase_gradient
+
+    assert [f.name for f in dataclasses.fields(PerturbationVector)] == ["values"]
+    with pytest.raises(comb_ranger.ValidationError, match="unknown parameter label 'phi'"):
+        phase_gradient("phi", [2e15], comb_ranger.AirState.standard(), 1.0)
+    source = "".join(p.read_text(encoding="utf-8") for p in MODULES)
+    assert [n for n in ("TIME_LABELS", "time_delays", "DelayTriple") if n in source] == []

@@ -15,7 +15,6 @@ from comb_ranger.errors import ValidationError
 from comb_ranger.simulator import (
     LO_CHOICES,
     draw_generator,
-    immunity_report,
     perturbation_draws,
     run,
     select_lo,
@@ -254,8 +253,8 @@ class TestCalibration:
 class TestLeakage:
     def test_raw_lo_recovers_contamination_matrix(self):
         cfg = make_config(sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
-        res = immunity_report(cfg)
-        expected = contamination_report(PULSE, AIR, 1.0, 8e16, baselines=False).matrix[0]
+        res = run(cfg)
+        expected = contamination_report(PULSE, AIR, 1.0, 8e16).matrix[0]
         for lab, truth in (("X", expected[1]), ("Pw", expected[2])):
             slope = res.slopes[lab]
             assert abs(slope.value - truth) < 3.0 * slope.std_error
@@ -263,7 +262,7 @@ class TestLeakage:
 
     def test_purified_lo_slopes_statistically_zero(self):
         cfg = make_config(lo_choice="purified", sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
-        res = immunity_report(cfg)
+        res = run(cfg)
         assert abs(res.slopes["X"].t_stat) < 3.0
         assert abs(res.slopes["Pw"].t_stat) < 3.0
         assert res.immune is True
@@ -273,21 +272,24 @@ class TestLeakage:
         raw = run(make_config(p_x=p_x, rng_seed=21))
         pure = run(make_config(lo_choice="purified", p_x=p_x, rng_seed=21))
         expected_shift = (
-            contamination_report(PULSE, AIR, 1.0, 8e16, baselines=False).matrix[0][1] * p_x
+            contamination_report(PULSE, AIR, 1.0, 8e16).matrix[0][1] * p_x
         )
         assert raw.mean_estimate_m == pytest.approx(expected_shift, rel=1e-3)
         assert abs(pure.mean_estimate_m) < 3.0 * pure.std_error_mean_m
 
     def test_x_only_purification_still_leaks_water(self):
         cfg = make_config(lo_choice="purified_x_only", sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
-        res = immunity_report(cfg)
+        res = run(cfg)
         assert abs(res.slopes["X"].t_stat) < 3.0
         assert abs(res.slopes["Pw"].t_stat) > 3.0
         assert res.immune is False
 
-    def test_zero_fluctuation_control_rejected(self):
-        with pytest.raises(ValidationError):
-            immunity_report(make_config())
+    def test_zero_fluctuation_control_has_no_verdict(self):
+        # no fluctuation, no regression: the verdict is absent, not "immune"
+        res = run(make_config())
+        assert res.slopes == {} and res.immune is None
+        text = res.to_text()
+        assert all(f"leakage_{lab} = n/a" in text for lab in RANGING_LABELS) and "immune = n/a" in text
 
     def test_insufficient_samples_for_regression(self, monkeypatch):
         def no_draws(*args):
@@ -398,7 +400,7 @@ class TestConfigValidation:
 
     def test_result_text_contains_verdict(self):
         cfg = make_config(lo_choice="purified", sigma_p_x=1e-6, sample_count=5000)
-        text = immunity_report(cfg).to_text()
+        text = run(cfg).to_text()
         assert "immune = " in text
         assert "leakage_X" in text
         assert "leakage_Pw = n/a" in text
