@@ -3,23 +3,27 @@
 
 Each figure is the time of one warm call, best of REPEATS (5) loops, taken
 in a fresh interpreter with one BLAS thread, on this tree and on PARENT
-(the commit before the scalar pole check and the per-carrier memos):
+(the commit before the baseline, oracle-node, overlap and norm memos):
 
   * `air_model._check_sigma_domain` on a float;
   * `detection.ranging_modes`;
   * `detection.purify`, full (against w_X and w_Pw) and X-only;
+  * `detection.numeric_detection_mode` for L, the exact oracle;
   * `detection.contamination_report`;
   * one whole `design_scan` design (`perfbench.workloads.DesignScan.op`),
     after a first epoch has visited every shared pulse.
 
 The two trees run ROUNDS times each, alternating, and each figure keeps the
-best round.  PARENT is read from git with `git archive`, so the script runs
-from a git checkout.  A call of the script with a `src` directory as its one
-argument times that tree and prints the figures as JSON.
+best round.  Every run also hashes `contamination_report(...).to_text()` over
+the designs it timed; the script writes nothing unless all runs of both trees
+give the same bytes.  PARENT is read from git with `git archive`, so the
+script runs from a git checkout.  A call of the script with a `src` directory
+as its one argument times that tree and prints the figures as JSON.
 
 Usage: python scripts/bench_design.py
 """
 
+import hashlib
 import io
 import json
 import os
@@ -31,7 +35,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PARENT = "9271498"
+PARENT = "f615fcb"
 SEED = 7
 REPEATS = 5
 ROUNDS = 2
@@ -41,6 +45,7 @@ LOOPS = {
     "ranging_modes": 2_000,
     "purify_full": 2_000,
     "purify_x_only": 2_000,
+    "oracle_l": 2_000,
     "contamination_report": 200,
     "design": 512,
 }
@@ -59,7 +64,8 @@ def best_per_call(fn, calls: int) -> float:
 
 
 def time_tree(src: str) -> dict:
-    """Per-call seconds of each timed call on the package in `src`."""
+    """Per-call seconds of each timed call on the package in `src`, and the
+    SHA-256 of the report text over the timed designs."""
     sys.path[:0] = [src, ROOT]
     from comb_ranger import air_model, detection, mode_algebra
     from perfbench.workloads import EPOCH, DesignScan
@@ -76,10 +82,16 @@ def time_tree(src: str) -> dict:
         "ranging_modes": lambda: detection.ranging_modes(pulse, state, 1.0),
         "purify_full": lambda: detection.purify(w_l, [w_x, w_pw]),
         "purify_x_only": lambda: detection.purify(w_l, [w_x]),
+        "oracle_l": lambda: detection.numeric_detection_mode("L", pulse, state, 1.0),
         "contamination_report": lambda: detection.contamination_report(pulse, state, 1.0, 8e16),
         "design": lambda: scan.op(scan.inputs(next(designs))),
     }
-    return {name: best_per_call(fn, LOOPS[name]) for name, fn in calls.items()}
+    per_call = {name: best_per_call(fn, LOOPS[name]) for name, fn in calls.items()}
+    digest = hashlib.sha256()
+    for i in range(EPOCH, next(designs)):
+        report = scan.op(scan.inputs(i))[0]
+        digest.update(report.to_text().encode())
+    return {"per_call_s": per_call, "report_sha256": digest.hexdigest()}
 
 
 def run_tree(src: str) -> dict:
@@ -102,8 +114,12 @@ def main() -> None:
             for side, src in trees.items():
                 rounds[side].append(run_tree(src))
 
+    digests = {r["report_sha256"] for runs in rounds.values() for r in runs}
+    if len(digests) != 1:
+        sys.exit(f"report text differs between the trees ({len(digests)} digests); nothing written")
     per_call = {
-        name: {side: min(r[name] for r in rounds[side]) for side in trees} for name in LOOPS
+        name: {side: min(r["per_call_s"][name] for r in rounds[side]) for side in trees}
+        for name in LOOPS
     }
     for figures in per_call.values():
         figures["speedup"] = figures["parent"] / figures["change"]
@@ -118,6 +134,7 @@ def main() -> None:
         "inputs": "800 nm, bandwidth 1/6, standard air, 1 m, 8e16 photons; design_scan seed "
                   f"{SEED}, designs after the first epoch",
         "per_call_s": per_call,
+        "report_text_sha256": digests.pop(),
         "host": {
             "python": platform.python_version(),
             "numpy": np.__version__,

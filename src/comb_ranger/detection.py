@@ -21,18 +21,27 @@ one place the factor 1 - s is computed, for `sensitivity`, `simulate` and
 coefficients, since 1 - s is ~1e-10 for the ranging modes and double
 arithmetic on the near-unit overlaps would lose six digits to cancellation.
 
-Two per-carrier memos, bounded `functools.lru_cache`s that hold MEMO_SIZE
-pulses, serve a design scan whose designs share pulses.  `_ranging_shapes`
-is keyed by the `GaussianPulse` and holds the unit ranging modes, their
-vector norms, K(sigma0) and g(sigma0); `ranging_modes` checks the length and scales
-K_X and K_Pw per call, in the same operation order.  `_purify_core` is keyed
-by the `SpectralMode`s of the target and the interferers (so two pulses
-never share an entry) and holds the unit residual, 1 - s and the position of
-a refused input; `purify` raises the refusal itself, naming the caller's
-labels, on every call.  Both are pure functions of their frozen, hashable
-keys, and keys that compare equal hold the same doubles, so a hit returns
-the very values a miss computes: results stay bit-identical.  Errors are not
-cached.
+Four memos serve a design scan whose designs share pulses; each is a pure
+function of frozen, hashable keys (keys that compare equal hold the same
+doubles), so a hit returns the very values a miss computes and results stay
+bit-identical.  Errors, such as a near-pole DomainError, are not cached: they
+are raised again on every call.
+  * `_ranging_shapes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE
+    pulses: the unit ranging modes, their vector norms, K(sigma0), g(sigma0)
+    and the overlaps Re<m_i, m_j>.  `ranging_modes` checks the length and
+    scales K_X and K_Pw per call, and the contamination matrix forms
+    (K_j / K_i) Re<m_i, m_j> per call, each in the uncached operation order.
+  * `_purify_core`, keyed by the `SpectralMode`s of the target and the
+    interferers (so two pulses never share an entry), bounded at 2 MEMO_SIZE:
+    the unit residual, 1 - s and the position of a refused input; `purify`
+    raises the refusal itself, naming the caller's labels.
+  * `_oracle_nodes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE: the
+    oracle's 24 node frequencies and K, g at them; the L oracle forms
+    n_phi omega / c per call from the air state, in `phase_gradient`'s order.
+  * `_baseline_combinations`, one entry per process: the two- and
+    three-colour combination weights, which depend on the fixed wavelengths
+    alone; each report scales their shot noise by its own photon budget.
+`SpectralMode.norm` is computed once per mode instance as well.
 """
 
 from __future__ import annotations
@@ -67,10 +76,15 @@ PURIFY_FLOOR = 2.0**-66
 LENGTH_MIN_M = 1e-6
 LENGTH_MAX_M = 1e6
 
-# Pulses held by the per-carrier memos: `_ranging_shapes` keeps MEMO_SIZE
-# pulses, `_purify_core` the full and the X-only purification of each.  A
-# design scan cycles over a few dozen pulses; an entry is a few hundred bytes.
+# Pulses held by the per-carrier memos: `_ranging_shapes` and `_oracle_nodes`
+# keep MEMO_SIZE pulses, `_purify_core` the full and the X-only purification
+# of each.  A design scan cycles over a few dozen pulses; an entry is at
+# most about a kilobyte.
 MEMO_SIZE = 256
+
+# The report's multicolor baselines: a 1064 nm comb, frequency-doubled and
+# -tripled, sharing the report's photon budget.
+_BASELINE_WAVELENGTHS_M = (1.064e-6, 0.532e-6, 0.355e-6)
 
 
 @dataclass(frozen=True)
@@ -123,14 +137,19 @@ def _ranging_vectors(pulse: GaussianPulse):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _ranging_shapes(pulse: GaussianPulse):
-    """The pulse-only part of `ranging_modes`: unit modes, vector norms, K(sigma0), g(sigma0)."""
+    """The pulse-only part of `ranging_modes`: unit modes, vector norms, K(sigma0),
+    g(sigma0), and the overlaps Re<m_i, m_j> (1 on the diagonal)."""
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)
     norms = tuple(float(np.linalg.norm(a)) for a in (a_l, a_x, a_p))
     modes = tuple(
         SpectralMode(pulse, tuple(a / np.linalg.norm(a))) for a in (a_l, a_x, -a_p)
     )
-    return modes, norms, air_model.k_dispersion(sigma0), air_model.water_term(sigma0)
+    overlaps = tuple(
+        tuple(1.0 if i == j else inner_product(mi, mj).real for j, mj in enumerate(modes))
+        for i, mi in enumerate(modes)
+    )
+    return modes, norms, air_model.k_dispersion(sigma0), air_model.water_term(sigma0), overlaps
 
 
 def ranging_modes(
@@ -148,7 +167,7 @@ def ranging_modes(
     """
     check_length(length_m)
     del state  # shapes are state-independent by construction
-    (m_l, m_x, m_pw), (n_l, n_x, n_p), k_sigma, g_sigma = _ranging_shapes(pulse)
+    (m_l, m_x, m_pw), (n_l, n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
     k_l = n_l / SPEED_OF_LIGHT
     k_x = k_sigma * length_m / SPEED_OF_LIGHT * n_x
     k_p = g_sigma * length_m / SPEED_OF_LIGHT * n_p
@@ -236,6 +255,18 @@ def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
     return offsets, table
 
 
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _oracle_nodes(pulse: GaussianPulse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The oracle's node frequencies omega_k and K(sigma_k), g(sigma_k) there."""
+    offsets, _ = _oracle_table()
+    w = pulse.omega0 + pulse.delta_omega * offsets
+    sigma = air_model.sigma_from_omega(w)
+    nodes = w, air_model.k_dispersion(sigma), air_model.water_term(sigma)
+    for a in nodes:
+        a.flags.writeable = False
+    return nodes
+
+
 def numeric_detection_mode(
     label: str, pulse: GaussianPulse, state: AirState, length_m: float
 ) -> DetectionMode:
@@ -244,10 +275,17 @@ def numeric_detection_mode(
     Every parameter enters the phase linearly, so du/dp = i (dphi/dp) u
     exactly; its coefficients are a 24-node Gauss-Hermite projection (nodes at
     omega0 +/- 8.51 delta_omega, exact for polynomial dphi/dp of degree
-    <= 39).  Nodes past the resonance pole raise DomainError.
+    <= 39).  Nodes past the resonance pole raise DomainError.  The L gradient
+    n_phi omega / c is formed from the pulse's memoised K and g at the nodes,
+    in `phase_gradient`'s operation order.
     """
     offsets, table = _oracle_table()
-    grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
+    if label == "L":
+        w, k, g = _oracle_nodes(pulse)
+        x = air_model.density_factor(state)
+        grad = (1.0 + k * x - g * state.water_vapor_pa) * w / SPEED_OF_LIGHT
+    else:
+        grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
     coeffs = table @ grad
     k_est = float(np.linalg.norm(coeffs))
     if k_est == 0.0:
@@ -260,16 +298,17 @@ def contamination_coefficient(lo: DetectionMode, mode: DetectionMode) -> float:
     return mode.k_const / lo.k_const * inner_product(lo.mode, mode.mode).real
 
 
-def _contamination_matrix(modes: Sequence[DetectionMode]) -> np.ndarray:
-    """M[i][j] = contamination_coefficient(w_i, w_j): coefficient of p_j in S[w_i].
+def _contamination_matrix(k_consts: Sequence[float], overlaps) -> np.ndarray:
+    """M[i][j] = (K_j / K_i) Re<w_i, w_j>, `contamination_coefficient`'s product in
+    its order: the coefficient of p_j in S[w_i], from memoised overlaps.
 
     The diagonal is the self-projection of a unit-norm mode, identically 1.
     """
-    n = len(modes)
+    n = len(k_consts)
     mat = np.empty((n, n))
-    for i, wi in enumerate(modes):
-        for j, wj in enumerate(modes):
-            mat[i, j] = 1.0 if i == j else contamination_coefficient(wi, wj)
+    for i, ki in enumerate(k_consts):
+        for j, kj in enumerate(k_consts):
+            mat[i, j] = 1.0 if i == j else kj / ki * overlaps[i][j]
     return mat
 
 
@@ -319,6 +358,14 @@ def purified_ranging_sensitivity(
     """
     w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
     return PurifiedSensitivity.build(w_l, w_x, w_pw, n_photons)
+
+
+@functools.cache
+def _baseline_combinations() -> tuple[multicolor.MulticolorCombination, multicolor.MulticolorCombination]:
+    """The two- and three-colour combinations of _BASELINE_WAVELENGTHS_M: they
+    depend on the wavelengths alone, not on the photon budget."""
+    two = multicolor.WavelengthSet(_BASELINE_WAVELENGTHS_M[:2], (1.0, 1.0))
+    return multicolor.two_color_combination(two), multicolor.synth_3wi(*_BASELINE_WAVELENGTHS_M)
 
 
 @dataclass(frozen=True)
@@ -403,7 +450,8 @@ def contamination_report(
         )
     w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
     modes = (w_l, w_x, w_pw)
-    mat = _contamination_matrix(modes)
+    *_, overlaps = _ranging_shapes(pulse)
+    mat = _contamination_matrix([m.k_const for m in modes], overlaps)
     pref_x = mat[0, 1] / length_m
     pref_pw = mat[0, 2] / length_m
     purified = PurifiedSensitivity.build(w_l, w_x, w_pw, n_photons)
@@ -417,13 +465,12 @@ def contamination_report(
         order = max(w_l.mode.order, numeric_l.mode.order)
         deviation = float(np.max(np.abs(w_l.mode.padded(order) - numeric_l.mode.padded(order))))
 
-    two = multicolor.WavelengthSet((1.064e-6, 0.532e-6), (n_photons / 2, n_photons / 2))
-    three = multicolor.WavelengthSet((1.064e-6, 0.532e-6, 0.355e-6), (n_photons / 3,) * 3)
+    two_comb, three_comb = _baseline_combinations()
+    two = multicolor.WavelengthSet(_BASELINE_WAVELENGTHS_M[:2], (n_photons / 2, n_photons / 2))
+    three = multicolor.WavelengthSet(_BASELINE_WAVELENGTHS_M, (n_photons / 3,) * 3)
     base = {
-        "two_color_shot_noise_m": multicolor.shot_noise(two, multicolor.two_color_combination(two)),
-        "three_color_shot_noise_m": multicolor.shot_noise(
-            three, multicolor.synth_3wi(*three.wavelengths_m)
-        ),
+        "two_color_shot_noise_m": multicolor.shot_noise(two, two_comb),
+        "three_color_shot_noise_m": multicolor.shot_noise(three, three_comb),
     }
 
     return SensitivityReport(

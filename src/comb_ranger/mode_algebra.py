@@ -21,6 +21,7 @@ the coefficients on a frequency grid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -103,8 +104,13 @@ class SpectralMode:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    def norm(self) -> float:
+    @functools.cached_property
+    def _norm(self) -> float:
+        # kept in the instance __dict__, outside the fields, eq and hash
         return float(np.linalg.norm(self.vector))
+
+    def norm(self) -> float:
+        return self._norm
 
     def padded(self, order: int) -> np.ndarray:
         """Coefficient vector zero-padded out to the given order.
@@ -137,10 +143,10 @@ def gaussian_mode(pulse: GaussianPulse) -> SpectralMode:
     return SpectralMode(pulse, (-1j,))
 
 
-def hermite_gauss(n: int, pulse: GaussianPulse, max_order: int = MAX_ORDER_DEFAULT) -> SpectralMode:
-    """Basis mode v_n as the coefficient unit vector e_n."""
-    if not 0 <= n <= max_order:
-        raise ValidationError(f"order n={n} outside [0, {max_order}]")
+def hermite_gauss(n: int, pulse: GaussianPulse) -> SpectralMode:
+    """Basis mode v_n as the coefficient unit vector e_n, n <= MAX_ORDER_DEFAULT."""
+    if not 0 <= n <= MAX_ORDER_DEFAULT:
+        raise ValidationError(f"order n={n} outside [0, {MAX_ORDER_DEFAULT}]")
     coeffs = [0j] * (n + 1)
     coeffs[n] = 1.0 + 0j
     return SpectralMode(pulse, tuple(coeffs))

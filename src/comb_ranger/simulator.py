@@ -183,15 +183,12 @@ class SimResult:
 
 def select_lo(
     config: SimConfig,
-    modes: tuple[detection.DetectionMode, ...] | None = None,
+    modes: tuple[detection.DetectionMode, ...],
 ) -> detection.DetectionMode:
     """Resolve the configured LO choice to a detection mode.
 
-    `modes` are the config's ranging modes (w_L, w_X, w_Pw) when the caller
-    already holds them; otherwise they are computed here.
+    `modes` are the config's ranging modes (w_L, w_X, w_Pw).
     """
-    if modes is None:
-        modes = detection.ranging_modes(config.pulse, config.state, config.length_m)
     w_l, w_x, w_pw = modes
     if config.lo_choice == "raw":
         return w_l

@@ -1,5 +1,6 @@
 """Detection modes, purification, homodyne signals, sensitivities."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -533,6 +534,8 @@ class TestPurifiedSensitivity:
 def _clear_memos():
     detection._ranging_shapes.cache_clear()
     detection._purify_core.cache_clear()
+    detection._oracle_nodes.cache_clear()
+    detection._baseline_combinations.cache_clear()
 
 
 def _ranging_snapshot(pulse, length_m=2.5):
@@ -561,6 +564,71 @@ class TestPerCarrierMemos:
         assert (detection._ranging_shapes.cache_info().misses,
                 detection._purify_core.cache_info().misses) == misses
         assert warm == cold
+
+    def test_report_cold_equals_warm(self):
+        state = AirState(12.5, 98000.0, 0.05, 900.0)
+        cold = []
+        for pulse in MEMO_PULSES:
+            _clear_memos()
+            cold.append(contamination_report(pulse, state, 2.5, 3e9))
+        for pulse in MEMO_PULSES:
+            contamination_report(pulse, state, 2.5, 3e9)
+        memos = (detection._ranging_shapes, detection._purify_core,
+                 detection._oracle_nodes, detection._baseline_combinations)
+        misses = [memo.cache_info().misses for memo in memos]
+        for report, pulse in zip(cold, MEMO_PULSES):
+            warm = contamination_report(pulse, state, 2.5, 3e9)
+            assert dataclasses.asdict(warm) == dataclasses.asdict(report)
+            assert warm.to_text() == report.to_text()
+        assert [memo.cache_info().misses for memo in memos] == misses
+
+    # the per-call L gradient from memoised nodes is phase_gradient's, bit for bit
+    @pytest.mark.parametrize(
+        "state", [AIR, AirState(-10.0, 80000.0, 0.2, 0.0), AirState(35.0, 104000.0, 0.04, 4000.0)]
+    )
+    def test_oracle_l_equals_phase_gradient_projection(self, state):
+        offsets, table = detection._oracle_table()
+        for pulse in MEMO_PULSES:
+            for length_m in (1.0, 37.5):
+                grad = phase_gradient("L", pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
+                coeffs = table @ grad
+                k = float(np.linalg.norm(coeffs))
+                for _ in range(2):
+                    num = numeric_detection_mode("L", pulse, state, length_m)
+                    assert num.mode.coefficients == tuple(complex(c) for c in coeffs / k)
+                    assert num.k_const == k
+
+    # the report's matrix and simulate's LO row are one coefficient, to the bit
+    @pytest.mark.parametrize("length_m", [0.37, 2.5, 999.1])
+    def test_matrix_equals_contamination_coefficient(self, length_m):
+        for pulse in MEMO_PULSES:
+            modes = ranging_modes(pulse, AIR, length_m)
+            matrix = contamination_report(pulse, AIR, length_m).matrix
+            for i, wi in enumerate(modes):
+                for j, wj in enumerate(modes):
+                    if i != j:
+                        assert matrix[i][j] == detection.contamination_coefficient(wi, wj)
+
+    def test_oracle_refusal_repeats(self):
+        _clear_memos()
+        pulse = GaussianPulse.from_wavelength(500e-9, 0.3)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(DomainError, match="pole") as exc:
+                numeric_detection_mode("L", pulse, AIR, 1.0)
+            messages.add(str(exc.value))
+        assert len(messages) == 1
+        assert detection._oracle_nodes.cache_info().currsize == 0
+
+    def test_cached_norm_keeps_unit_check(self):
+        long = SpectralMode(PULSE, (0.6, 0.8, 0.1))
+        assert long.norm() == float(np.linalg.norm(long.vector))
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="not unit norm"):
+                DetectionMode("long", long, 1.0)
+        # the cached norm is not a field: equality and hash ignore it
+        fresh = SpectralMode(PULSE, (0.6, 0.8, 0.1))
+        assert fresh == long and hash(fresh) == hash(long)
 
     def test_length_scaling_per_call(self):
         _clear_memos()
@@ -631,9 +699,12 @@ class TestPerCarrierMemos:
     def test_memo_bounded(self):
         _clear_memos()
         for k in range(detection.MEMO_SIZE + 8):
-            _ranging_snapshot(GaussianPulse.from_wavelength((700.0 + k) * 1e-9, 0.1))
+            pulse = GaussianPulse.from_wavelength((700.0 + k) * 1e-9, 0.1)
+            _ranging_snapshot(pulse)
+            numeric_detection_mode("L", pulse, AIR, 1.0)
         assert detection._ranging_shapes.cache_info().currsize == detection.MEMO_SIZE
         assert detection._purify_core.cache_info().currsize == 2 * detection.MEMO_SIZE
+        assert detection._oracle_nodes.cache_info().currsize == detection.MEMO_SIZE
 
 
 class TestSensitivitySimulateAgreement:
@@ -660,7 +731,8 @@ class TestSensitivitySimulateAgreement:
                 for lo, attr in (("purified", "k_full"), ("purified_x_only", "k_x_only")):
                     cfg = SimConfig(pulse, AIR, 1.0, 8e16, lo, 1000, 1)
                     try:
-                        k = select_lo(cfg).k_const
+                        modes = ranging_modes(cfg.pulse, cfg.state, cfg.length_m)
+                        k = select_lo(cfg, modes).k_const
                     except SeparabilityError as exc:
                         assert str(exc) == refusal, (nm, rel, lo)
                         continue

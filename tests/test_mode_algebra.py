@@ -78,7 +78,6 @@ class TestHermiteGauss:
     def test_order_overflow(self):
         with pytest.raises(ValidationError):
             hermite_gauss(9, PULSE)
-        hermite_gauss(12, PULSE, max_order=12)
 
 
 class TestInnerProduct:

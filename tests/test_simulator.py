@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comb_ranger import AirState, GaussianPulse, SimConfig, contamination_report, simulator
+from comb_ranger import AirState, GaussianPulse, SimConfig, contamination_report, ranging_modes, simulator
 from comb_ranger.dispersion import RANGING_LABELS
 from comb_ranger.errors import ValidationError
 from comb_ranger.simulator import (
@@ -395,8 +395,9 @@ class TestConfigValidation:
             make_config(sigma_p_pw_pa=1e4)
 
     def test_select_lo_labels(self):
-        assert select_lo(make_config()).label == "L"
-        assert "X" in select_lo(make_config(lo_choice="purified")).label
+        raw, pure = make_config(), make_config(lo_choice="purified")
+        assert select_lo(raw, ranging_modes(raw.pulse, raw.state, raw.length_m)).label == "L"
+        assert "X" in select_lo(pure, ranging_modes(pure.pulse, pure.state, pure.length_m)).label
 
     def test_result_text_contains_verdict(self):
         cfg = make_config(lo_choice="purified", sigma_p_x=1e-6, sample_count=5000)
