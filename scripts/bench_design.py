@@ -3,7 +3,8 @@
 
 Each figure is the time of one warm call, best of REPEATS (5) loops, taken
 in a fresh interpreter with one BLAS thread, on this tree and on PARENT
-(the commit before the baseline, oracle-node, overlap and norm memos):
+(the commit before the memos' copies of the contamination coefficient and
+the oracle's gradient were folded back into the functions they copy):
 
   * `air_model._check_sigma_domain` on a float;
   * `detection.ranging_modes`;
@@ -35,7 +36,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PARENT = "f615fcb"
+PARENT = "285e509"
 SEED = 7
 REPEATS = 5
 ROUNDS = 2

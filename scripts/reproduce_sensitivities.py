@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Reproduce the headline sensitivity numbers of the ranging scheme.
 
-Prints, for the reference configuration (800 nm carrier, relative bandwidth
-1/6, standard air, L = 1 m, N = 8e16 photons):
+Prints, for the default configuration of `comb_ranger.config` (800 nm
+carrier, relative bandwidth 1/6, standard air, L = 1 m, N = 8e16 photons):
 
   * shot-noise displacement sensitivity of the raw length mode,
   * contamination prefactors of the density factor and water vapor,
@@ -14,19 +14,24 @@ Usage: python scripts/reproduce_sensitivities.py [--wavelength-nm 800]
 
 import argparse
 
-from comb_ranger import AirState, GaussianPulse, contamination_report
+from comb_ranger import contamination_report
+from comb_ranger.config import SCHEMA, build_config
+
+# command-line option -> configuration key, whose SCHEMA default it takes
+OPTIONS = {
+    "--wavelength-nm": "pulse.wavelength_nm",
+    "--relative-bandwidth": "pulse.relative_bandwidth",
+    "--length-m": "length_m",
+    "--photons": "photons",
+}
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--wavelength-nm", type=float, default=800.0)
-    parser.add_argument("--relative-bandwidth", type=float, default=1.0 / 6.0)
-    parser.add_argument("--length-m", type=float, default=1.0)
-    parser.add_argument("--photons", type=float, default=8e16)
-    args = parser.parse_args()
-
-    pulse = GaussianPulse.from_wavelength(args.wavelength_nm * 1e-9, args.relative_bandwidth)
-    report = contamination_report(pulse, AirState.standard(), args.length_m, args.photons)
+    for option, key in OPTIONS.items():
+        parser.add_argument(option, dest=key, type=float, default=SCHEMA[key][1])
+    config = build_config(vars(parser.parse_args()))
+    report = contamination_report(config.pulse, config.state, config.length_m, config.photons)
     print(report.to_text())
 
     sens = report.purified

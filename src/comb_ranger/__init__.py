@@ -31,7 +31,6 @@ from .detection import (
     contamination_report,
     min_detectable,
     numeric_detection_mode,
-    purified_ranging_sensitivity,
     purify,
     ranging_modes,
 )
@@ -88,7 +87,6 @@ __all__ = [
     "numeric_detection_mode",
     "phase_index",
     "phase_lengths",
-    "purified_ranging_sensitivity",
     "purify",
     "ranging_modes",
     "run",

@@ -58,7 +58,6 @@ _NEAR_POLE_MESSAGE = (
     f"sigma^2 within {POLE_GUARD} of the {POLE_NEAR} um^-2 resonance "
     "pole (or beyond); outside model validity"
 )
-_FAR_POLE_MESSAGE = f"sigma^2 within {POLE_GUARD} of the {POLE_FAR} um^-2 pole"
 
 # Carrier wavelengths accepted at input, in metres.  The lower bound lies
 # past the near pole (sigma^2 = 38.9 um^-2 at 160 nm), so every carrier the
@@ -200,35 +199,28 @@ def _check_sigma_domain(sigma) -> None:
             raise DomainError("sigma must be finite")
         if s2 >= POLE_NEAR - POLE_GUARD:
             raise DomainError(_NEAR_POLE_MESSAGE)
-        if abs(s2 - POLE_FAR) < POLE_GUARD:
-            raise DomainError(_FAR_POLE_MESSAGE)
         return
     s2 = np.square(sigma)
     if not np.all(np.isfinite(s2)):
         raise DomainError("sigma must be finite")
     if np.any(s2 >= POLE_NEAR - POLE_GUARD):
         raise DomainError(_NEAR_POLE_MESSAGE)
-    # The far pole only matters for pathological inputs already rejected by
-    # the near-pole test, but guard it anyway for raw-sigma callers.
-    if np.any(np.abs(s2 - POLE_FAR) < POLE_GUARD):
-        raise DomainError(_FAR_POLE_MESSAGE)
 
 
 def k_dispersion(sigma):
     """Dispersion function K(sigma), dimensionless; sigma in um^-1."""
     _check_sigma_domain(sigma)
     s2 = np.square(sigma)
-    return 1e-8 * (COEFF_A + COEFF_B / (130.0 - s2) + COEFF_C / (38.9 - s2))
+    return 1e-8 * (COEFF_A + COEFF_B / (POLE_FAR - s2) + COEFF_C / (POLE_NEAR - s2))
 
 
 def k_derivatives(sigma):
     """(K, dK/dsigma, d2K/dsigma2) with analytic rational forms."""
-    _check_sigma_domain(sigma)
+    k = k_dispersion(sigma)
     s = np.asarray(sigma, dtype=float)
     s2 = s * s
-    u = 130.0 - s2
-    v = 38.9 - s2
-    k = 1e-8 * (COEFF_A + COEFF_B / u + COEFF_C / v)
+    u = POLE_FAR - s2
+    v = POLE_NEAR - s2
     k1 = 1e-8 * (2.0 * COEFF_B * s / u**2 + 2.0 * COEFF_C * s / v**2)
     k2 = 1e-8 * (
         2.0 * COEFF_B / u**2
@@ -278,7 +270,12 @@ def density_factor(state: AirState) -> float:
 
 def phase_index(sigma, state: AirState):
     """Phase refractive index n_phi(sigma, state); exactly 1 in vacuum."""
-    return 1.0 + k_dispersion(sigma) * density_factor(state) - water_term(sigma) * state.water_vapor_pa
+    return phase_index_from(k_dispersion(sigma), water_term(sigma), state)
+
+
+def phase_index_from(k, g, state: AirState):
+    """n_phi = 1 + K X - g P_w from K and g already evaluated at the wavenumbers."""
+    return 1.0 + k * density_factor(state) - g * state.water_vapor_pa
 
 
 def group_index(sigma, state: AirState):

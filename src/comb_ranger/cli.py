@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import math
 import os
 import sys
@@ -262,9 +261,8 @@ def _mode_table(config: RunConfig):
     pulse = config.pulse
     w_l, w_x, w_pw = detection.ranging_modes(pulse, config.state, config.length_m)
     w_lp = detection.purify(w_l, [w_x, w_pw])
-    u = mode_algebra.gaussian_mode(pulse)
-    rows = [
-        ("u", u, None),
+    return [
+        ("u", mode_algebra.gaussian_mode(pulse), None),
         ("v0", mode_algebra.hermite_gauss(0, pulse), None),
         ("v1", mode_algebra.hermite_gauss(1, pulse), None),
         ("v2", mode_algebra.hermite_gauss(2, pulse), None),
@@ -273,12 +271,11 @@ def _mode_table(config: RunConfig):
         ("w_Pw", w_pw.mode, w_pw.k_const),
         ("w_L_p", w_lp.mode, w_lp.k_const),
     ]
-    return rows, (w_l, w_x, w_pw, w_lp)
 
 
 def cmd_modes(args: argparse.Namespace, out) -> int:
     config = load_config(args.config)
-    rows, _ = _mode_table(config)
+    rows = _mode_table(config)
 
     pulse = config.pulse
     x = np.linspace(-mode_algebra.GRID_HALF_WIDTH, mode_algebra.GRID_HALF_WIDTH, 2049)
@@ -293,15 +290,13 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
         np.column_stack([x] + profiles),
     )
 
-    order = 2
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["mode", "c0", "c1", "c2", "k_const"])
+    # no field needs CSV quoting: labels and formatted numbers
+    print("mode,c0,c1,c2,k_const", file=out)
     for label, mode, k_const in rows:
         # + 0.0 turns the -0.0 of a rotated zero into 0.0
-        coeffs = [float(c) + 0.0 for c in mode_algebra.real_coefficients(mode, order)]
-        writer.writerow(
-            [label] + [f"{ic:.12e}" for ic in coeffs] + ["" if k_const is None else f"{k_const:.12e}"]
-        )
+        coeffs = [float(c) + 0.0 for c in mode_algebra.real_coefficients(mode, 2)]
+        fields = [label] + [f"{ic:.12e}" for ic in coeffs] + ["" if k_const is None else f"{k_const:.12e}"]
+        print(",".join(fields), file=out)
     print(f"# profiles written to {args.out}", file=out)
     return EXIT_OK
 
@@ -346,21 +341,22 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
     noise = multicolor.shot_noise(ws, comb)
     bias = multicolor.humidity_bias(ws, comb, moist, args.length)
 
-    writer = csv.writer(out, lineterminator="\n")
+    # no field needs CSV quoting: names and formatted numbers
     header = (
         ["scheme"]
         + [f"lambda{i + 1}_nm" for i in range(expected)]
         + [f"photons{i + 1}" for i in range(expected)]
         + ["alpha", "beta", "gamma", "shot_noise_m", "humidity_bias_m"]
     )
-    writer.writerow(header)
-    writer.writerow(
+    row = (
         [args.scheme]
         + [f"{lam:.6f}" for lam in lambdas_nm]
         + [f"{n:.6e}" for n in photons]
         + [v if v == "" else f"{v:.9e}" for v in coeff_cols.values()]
         + [f"{noise:.9e}", f"{bias:.9e}"]
     )
+    print(",".join(header), file=out)
+    print(",".join(row), file=out)
     return EXIT_OK
 
 

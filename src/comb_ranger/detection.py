@@ -24,20 +24,22 @@ arithmetic on the near-unit overlaps would lose six digits to cancellation.
 Four memos serve a design scan whose designs share pulses; each is a pure
 function of frozen, hashable keys (keys that compare equal hold the same
 doubles), so a hit returns the very values a miss computes and results stay
-bit-identical.  Errors, such as a near-pole DomainError, are not cached: they
-are raised again on every call.
+bit-identical.  A memo holds only the pulse-only inputs of a quantity; the
+quantity itself is formed per call by the one function that defines it.
+Errors, such as a near-pole DomainError, are not cached: they are raised
+again on every call.
   * `_ranging_shapes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE
     pulses: the unit ranging modes, their vector norms, K(sigma0), g(sigma0)
     and the overlaps Re<m_i, m_j>.  `ranging_modes` checks the length and
-    scales K_X and K_Pw per call, and the contamination matrix forms
-    (K_j / K_i) Re<m_i, m_j> per call, each in the uncached operation order.
+    scales K_X and K_Pw per call; the report's matrix passes the overlaps
+    to `contamination_coefficient`.
   * `_purify_core`, keyed by the `SpectralMode`s of the target and the
     interferers (so two pulses never share an entry), bounded at 2 MEMO_SIZE:
     the unit residual, 1 - s and the position of a refused input; `purify`
     raises the refusal itself, naming the caller's labels.
   * `_oracle_nodes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE: the
-    oracle's 24 node frequencies and K, g at them; the L oracle forms
-    n_phi omega / c per call from the air state, in `phase_gradient`'s order.
+    oracle's 24 node frequencies and K, g at them; `dispersion.gradient_from`
+    turns them into the L, X or P_w gradient per call.
   * `_baseline_combinations`, one entry per process: the two- and
     three-colour combination weights, which depend on the fixed wavelengths
     alone; each report scales their shot noise by its own photon budget.
@@ -56,7 +58,7 @@ from numpy.polynomial.hermite import hermgauss, hermvander
 
 from . import air_model, mode_algebra, multicolor
 from .air_model import SPEED_OF_LIGHT, AirState
-from .dispersion import RANGING_LABELS, phase_gradient
+from .dispersion import RANGING_LABELS, gradient_from
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import GaussianPulse, SpectralMode, inner_product
 
@@ -167,11 +169,11 @@ def ranging_modes(
     """
     check_length(length_m)
     del state  # shapes are state-independent by construction
-    (m_l, m_x, m_pw), (n_l, n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
+    modes, (n_l, n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
     k_l = n_l / SPEED_OF_LIGHT
     k_x = k_sigma * length_m / SPEED_OF_LIGHT * n_x
     k_p = g_sigma * length_m / SPEED_OF_LIGHT * n_p
-    return DetectionMode("L", m_l, k_l), DetectionMode("X", m_x, k_x), DetectionMode("Pw", m_pw, k_p)
+    return tuple(map(DetectionMode, RANGING_LABELS, modes, (k_l, k_x, k_p)))
 
 
 def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
@@ -275,41 +277,22 @@ def numeric_detection_mode(
     Every parameter enters the phase linearly, so du/dp = i (dphi/dp) u
     exactly; its coefficients are a 24-node Gauss-Hermite projection (nodes at
     omega0 +/- 8.51 delta_omega, exact for polynomial dphi/dp of degree
-    <= 39).  Nodes past the resonance pole raise DomainError.  The L gradient
-    n_phi omega / c is formed from the pulse's memoised K and g at the nodes,
-    in `phase_gradient`'s operation order.
+    <= 39).  Nodes past the resonance pole raise DomainError.  The gradient
+    is `phase_gradient`'s, formed from the pulse's memoised K and g at the
+    nodes.
     """
-    offsets, table = _oracle_table()
-    if label == "L":
-        w, k, g = _oracle_nodes(pulse)
-        x = air_model.density_factor(state)
-        grad = (1.0 + k * x - g * state.water_vapor_pa) * w / SPEED_OF_LIGHT
-    else:
-        grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
-    coeffs = table @ grad
+    _, table = _oracle_table()
+    coeffs = table @ gradient_from(label, *_oracle_nodes(pulse), state, length_m)
     k_est = float(np.linalg.norm(coeffs))
     if k_est == 0.0:
         raise DomainError(f"parameter {label!r} has no effect on the field")
     return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple(coeffs / k_est)), k_est)
 
 
-def contamination_coefficient(lo: DetectionMode, mode: DetectionMode) -> float:
-    """(K_j / K_lo) Re<w_lo, w_j>: coefficient of p_j in the signal S[w_lo]."""
-    return mode.k_const / lo.k_const * inner_product(lo.mode, mode.mode).real
-
-
-def _contamination_matrix(k_consts: Sequence[float], overlaps) -> np.ndarray:
-    """M[i][j] = (K_j / K_i) Re<w_i, w_j>, `contamination_coefficient`'s product in
-    its order: the coefficient of p_j in S[w_i], from memoised overlaps.
-
-    The diagonal is the self-projection of a unit-norm mode, identically 1.
-    """
-    n = len(k_consts)
-    mat = np.empty((n, n))
-    for i, ki in enumerate(k_consts):
-        for j, kj in enumerate(k_consts):
-            mat[i, j] = 1.0 if i == j else kj / ki * overlaps[i][j]
-    return mat
+def contamination_coefficient(k_lo: float, k_j: float, overlap: float) -> float:
+    """(K_j / K_lo) Re<w_lo, w_j>: coefficient of p_j in the signal S[w_lo],
+    given the overlap Re<w_lo, w_j>."""
+    return float(k_j / k_lo * overlap)
 
 
 @dataclass(frozen=True)
@@ -341,23 +324,6 @@ class PurifiedSensitivity:
             full_m=min_detectable(k_full, n_photons),
             x_only_m=min_detectable(k_x, n_photons),
         )
-
-
-def purified_ranging_sensitivity(
-    pulse: GaussianPulse,
-    state: AirState,
-    length_m: float,
-    n_photons: float,
-) -> PurifiedSensitivity:
-    """Shot-noise distance sensitivity of the purified-LO measurement.
-
-    Returns the fully purified value (immune to X and P_w), the X-only
-    purified value, and the unpurified one.  All three are independent of
-    the path length: the purification factor is built from overlaps whose
-    length dependence cancels.
-    """
-    w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
-    return PurifiedSensitivity.build(w_l, w_x, w_pw, n_photons)
 
 
 @functools.cache
@@ -432,7 +398,7 @@ def contamination_report(
     pulse: GaussianPulse,
     state: AirState,
     length_m: float,
-    n_photons: float = 8e16,
+    n_photons: float,
 ) -> SensitivityReport:
     """Full cross-signal report for the ranging parameter set.
 
@@ -448,12 +414,13 @@ def contamination_report(
             f"photons={n_photons} must be >= 3: the three-colour baseline splits "
             "the photon budget over three channels of at least one photon each"
         )
-    w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
-    modes = (w_l, w_x, w_pw)
+    modes = w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
     *_, overlaps = _ranging_shapes(pulse)
-    mat = _contamination_matrix([m.k_const for m in modes], overlaps)
-    pref_x = mat[0, 1] / length_m
-    pref_pw = mat[0, 2] / length_m
+    k_consts = [m.k_const for m in modes]
+    matrix = tuple(
+        tuple(contamination_coefficient(k_lo, k_j, o) for k_j, o in zip(k_consts, row))
+        for k_lo, row in zip(k_consts, overlaps)
+    )
     purified = PurifiedSensitivity.build(w_l, w_x, w_pw, n_photons)
 
     deviation, refusal = None, None
@@ -483,9 +450,9 @@ def contamination_report(
         min_detectable={
             lab: min_detectable(m.k_const, n_photons) for lab, m in zip(RANGING_LABELS, modes)
         },
-        matrix=tuple(tuple(float(v) for v in row) for row in mat),
-        x_contamination_per_m=pref_x,
-        pw_contamination_per_m_pa=pref_pw,
+        matrix=matrix,
+        x_contamination_per_m=matrix[0][1] / length_m,
+        pw_contamination_per_m_pa=matrix[0][2] / length_m,
         purified=purified,
         numeric_mode_deviation=deviation,
         baselines=base,

@@ -58,15 +58,22 @@ def phase_gradient(
     length_m: float,
 ) -> np.ndarray:
     """d(spectral phase)/d(parameter) on a grid; exact in each parameter."""
-    if label not in RANGING_LABELS:
-        raise ValidationError(f"unknown parameter label {label!r}")
     w = np.asarray(omega, dtype=float)
     sigma = air_model.sigma_from_omega(w)
+    k, g = air_model.k_dispersion(sigma), air_model.water_term(sigma)
+    return gradient_from(label, w, k, g, state, length_m)
+
+
+def gradient_from(label: str, w, k, g, state: AirState, length_m: float):
+    """d(spectral phase)/d(parameter) at angular frequencies w, from K and g
+    already evaluated there: the one place each label's gradient is written."""
     if label == "L":
-        return air_model.phase_index(sigma, state) * w / SPEED_OF_LIGHT
+        return air_model.phase_index_from(k, g, state) * w / SPEED_OF_LIGHT
     if label == "X":
-        return air_model.k_dispersion(sigma) * w * length_m / SPEED_OF_LIGHT
-    return -air_model.water_term(sigma) * w * length_m / SPEED_OF_LIGHT
+        return k * w * length_m / SPEED_OF_LIGHT
+    if label == "Pw":
+        return -g * w * length_m / SPEED_OF_LIGHT
+    raise ValidationError(f"unknown parameter label {label!r}")
 
 
 def check_linearity(

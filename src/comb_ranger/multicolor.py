@@ -66,17 +66,10 @@ class WavelengthSet:
 
 @dataclass(frozen=True)
 class MulticolorCombination:
-    """Weights on the phase-length observables and their residuals.
-
-    weights sum to 1 and reconstruct L from (L_phi_i).  residual_x and
-    residual_pw are the first-order sensitivities of the combination,
-    d(combination)/(L dX) and d(combination)/(L dP_w) [1/Pa]; they vanish
-    for every parameter the scheme compensates.
-    """
+    """Weights on the phase-length observables; they sum to 1 and
+    reconstruct L from (L_phi_i)."""
 
     weights: tuple[float, ...]
-    residual_x: float
-    residual_pw: float
 
     def reconstruct(self, phase_lengths_m) -> float:
         values = np.asarray(phase_lengths_m, dtype=float)
@@ -104,17 +97,12 @@ def alpha_2wi(lambda1_m: float, lambda2_m: float) -> float:
 
 
 def two_color_combination(ws: WavelengthSet) -> MulticolorCombination:
-    """Weights (1+alpha, -alpha) and the uncompensated humidity residual."""
+    """Weights (1+alpha, -alpha); `humidity_bias` gives their uncompensated
+    humidity error."""
     if len(ws.wavelengths_m) != 2:
         raise ValidationError("two-color combination needs exactly 2 wavelengths")
     alpha = alpha_2wi(*ws.wavelengths_m)
-    g1 = air_model.water_term(ws.sigmas[0])
-    g2 = air_model.water_term(ws.sigmas[1])
-    return MulticolorCombination(
-        weights=(1.0 + alpha, -alpha),
-        residual_x=0.0,
-        residual_pw=-(g1 + alpha * (g1 - g2)),
-    )
+    return MulticolorCombination(weights=(1.0 + alpha, -alpha))
 
 
 def _channel_shot_noise(ws: WavelengthSet) -> np.ndarray:
@@ -157,8 +145,4 @@ def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> Multicolo
     if abs(np.linalg.det(system)) < 1e-12 * np.abs(system).max() ** 2:
         raise DomainError("colinear dispersion: three-color system is singular")
     beta, gamma = np.linalg.solve(system, rhs)
-    return MulticolorCombination(
-        weights=(1.0 - beta - gamma, float(beta), float(gamma)),
-        residual_x=float(k1 + beta * (k2 - k1) + gamma * (k3 - k1)),
-        residual_pw=-float(g1 + beta * (g2 - g1) + gamma * (g3 - g1)),
-    )
+    return MulticolorCombination(weights=(1.0 - beta - gamma, float(beta), float(gamma)))

@@ -50,7 +50,7 @@ from . import detection
 from .air_model import AirState
 from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity
 from .errors import ValidationError
-from .mode_algebra import GaussianPulse
+from .mode_algebra import GaussianPulse, inner_product
 
 LO_CHOICES = ("raw", "purified", "purified_x_only")
 
@@ -264,7 +264,10 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     # with the raw LO the L entry is the self-projection <w_L, w_L>: it is
     # computed, not set to 1, because it is 1 only to rounding and the
     # samples carry its last bit
-    coeff = np.array([detection.contamination_coefficient(lo, m) for m in modes])
+    coeff = np.array([
+        detection.contamination_coefficient(lo.k_const, m.k_const, inner_product(lo.mode, m.mode).real)
+        for m in modes
+    ])
     sigma_s = detection.min_detectable(lo.k_const, config.n_photons)
     offsets = (config.p_l_m, config.p_x, config.p_pw_pa)
     sigmas = (config.sigma_p_l_m, config.sigma_p_x, config.sigma_p_pw_pa)

@@ -23,6 +23,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from comb_ranger import (
     AirState,
     GaussianPulse,
+    PurifiedSensitivity,
     SPEED_OF_LIGHT,
     SimConfig,
     WavelengthSet,
@@ -32,7 +33,6 @@ from comb_ranger import (
     min_detectable,
     numeric_detection_mode,
     phase_index,
-    purified_ranging_sensitivity,
     purify,
     ranging_modes,
     shot_noise,
@@ -200,7 +200,7 @@ def _exact_x_only(pulse, state, nodes=40):
 
 
 def test_criterion_09_purified_ranging_sensitivity():
-    sens = purified_ranging_sensitivity(PULSE, AIR, 1.0, N_PHOTONS)
+    sens = contamination_report(PULSE, AIR, 1.0, N_PHOTONS).purified
     full_ok = PUBLISHED_FULL_M / 3 <= sens.full_m <= PUBLISHED_FULL_M * 3
     order_ok = sens.full_m > sens.x_only_m > sens.raw_m
     second = _second_order_x_only(PULSE)
@@ -234,7 +234,7 @@ def test_criterion_09_published_pair_unreachable():
     for wavelength in np.linspace(500e-9, 1600e-9, 12):
         for rel_bw in np.linspace(0.04, 0.30, 14):
             pulse = GaussianPulse.from_wavelength(wavelength, rel_bw)
-            sens = purified_ranging_sensitivity(pulse, AIR, 1.0, N_PHOTONS)
+            sens = PurifiedSensitivity.build(*ranging_modes(pulse, AIR, 1.0), N_PHOTONS)
             off_full = abs(sens.full_m / PUBLISHED_FULL_M - 1.0)
             off_x_only = abs(sens.x_only_m / PUBLISHED_X_ONLY_M - 1.0)
             closest_full = min(closest_full, off_full)
@@ -296,7 +296,7 @@ def test_criterion_11_purification_orthogonality_and_cost():
     # from unit vectors, so it carries a relative error of order
     # u / |r| = 9e-12; measured 3.0e-13
     k_ref = w_l.k_const * math.sqrt(lstsq_purify(w_l, [w_x, w_pw])[0])
-    sens = purified_ranging_sensitivity(PULSE, AIR, 1.0, N_PHOTONS)
+    sens = PurifiedSensitivity.build(w_l, w_x, w_pw, N_PHOTONS)
     k_rel = abs(sens.k_full / k_ref - 1.0)
     ok = o_x < 1e-10 and o_pw < 1e-10 and k_rel < 1e-11
     record(

@@ -1,6 +1,7 @@
 """Detection modes, purification, homodyne signals, sensitivities."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -21,14 +22,13 @@ from comb_ranger import (
     inner_product,
     min_detectable,
     numeric_detection_mode,
-    purified_ranging_sensitivity,
     purify,
     ranging_modes,
 )
 from comb_ranger import air_model, detection
 from comb_ranger.detection import LENGTH_MAX_M, LENGTH_MIN_M, PURIFY_FLOOR, PurifiedSensitivity
 from comb_ranger.mode_algebra import gaussian_envelope
-from comb_ranger.dispersion import phase_gradient
+from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
 from comb_ranger.simulator import select_lo
 from reference import (
@@ -507,20 +507,20 @@ class TestModeSummaryTable:
 
 class TestPurifiedSensitivity:
     def test_ordering_strict(self):
-        sens = purified_ranging_sensitivity(PULSE, AIR, 1.0, 8e16)
+        sens = contamination_report(PULSE, AIR, 1.0, 8e16).purified
         assert sens.full_m > sens.x_only_m > sens.raw_m
 
     def test_closed_form_equals_gram_schmidt(self):
-        sens = purified_ranging_sensitivity(PULSE, AIR, 1.0, 8e16)
         w_l, w_x, w_pw = ranging_modes(PULSE, AIR, 1.0)
+        sens = PurifiedSensitivity.build(w_l, w_x, w_pw, 8e16)
         gs_full = purify(w_l, [w_x, w_pw])
         gs_x = purify(w_l, [w_x])
         assert gs_full.k_const == sens.k_full
         assert gs_x.k_const == sens.k_x_only
 
     def test_length_independent(self):
-        a = purified_ranging_sensitivity(PULSE, AIR, 1.0, 8e16)
-        b = purified_ranging_sensitivity(PULSE, AIR, 250.0, 8e16)
+        a = PurifiedSensitivity.build(*ranging_modes(PULSE, AIR, 1.0), 8e16)
+        b = PurifiedSensitivity.build(*ranging_modes(PULSE, AIR, 250.0), 8e16)
         assert a.full_m == pytest.approx(b.full_m, rel=1e-12)
         assert a.x_only_m == pytest.approx(b.x_only_m, rel=1e-12)
 
@@ -582,19 +582,20 @@ class TestPerCarrierMemos:
             assert warm.to_text() == report.to_text()
         assert [memo.cache_info().misses for memo in memos] == misses
 
-    # the per-call L gradient from memoised nodes is phase_gradient's, bit for bit
+    # the per-call gradient from memoised nodes is phase_gradient's, bit for
+    # bit: for L, the test's first subject, and for X and Pw alike
     @pytest.mark.parametrize(
         "state", [AIR, AirState(-10.0, 80000.0, 0.2, 0.0), AirState(35.0, 104000.0, 0.04, 4000.0)]
     )
     def test_oracle_l_equals_phase_gradient_projection(self, state):
         offsets, table = detection._oracle_table()
-        for pulse in MEMO_PULSES:
+        for label, pulse in itertools.product(RANGING_LABELS, MEMO_PULSES):
             for length_m in (1.0, 37.5):
-                grad = phase_gradient("L", pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
+                grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
                 coeffs = table @ grad
                 k = float(np.linalg.norm(coeffs))
                 for _ in range(2):
-                    num = numeric_detection_mode("L", pulse, state, length_m)
+                    num = numeric_detection_mode(label, pulse, state, length_m)
                     assert num.mode.coefficients == tuple(complex(c) for c in coeffs / k)
                     assert num.k_const == k
 
@@ -603,11 +604,13 @@ class TestPerCarrierMemos:
     def test_matrix_equals_contamination_coefficient(self, length_m):
         for pulse in MEMO_PULSES:
             modes = ranging_modes(pulse, AIR, length_m)
-            matrix = contamination_report(pulse, AIR, length_m).matrix
+            matrix = contamination_report(pulse, AIR, length_m, 8e16).matrix
             for i, wi in enumerate(modes):
                 for j, wj in enumerate(modes):
                     if i != j:
-                        assert matrix[i][j] == detection.contamination_coefficient(wi, wj)
+                        overlap = inner_product(wi.mode, wj.mode).real
+                        coeff = detection.contamination_coefficient(wi.k_const, wj.k_const, overlap)
+                        assert matrix[i][j] == coeff
 
     def test_oracle_refusal_repeats(self):
         _clear_memos()

@@ -114,8 +114,10 @@ class TestHumiditySystematic:
 
     def test_matches_analytic_residual(self):
         moist = AirState(20.0, 101325.0, 0.04, 1000.0)
-        comb = two_color_combination(PAIR)
-        expected = comb.residual_pw * 1000.0 * 100.0
+        # first-order humidity residual -(g1 + alpha (g1 - g2)) per pascal and metre
+        alpha = -two_color_combination(PAIR).weights[1]
+        g1, g2 = (air_model.water_term(s) for s in PAIR.sigmas)
+        expected = -(g1 + alpha * (g1 - g2)) * 1000.0 * 100.0
         assert humidity_bias(PAIR, PAIR_COMB, moist, 100.0) == pytest.approx(expected, rel=1e-6)
 
 
@@ -127,11 +129,14 @@ class TestSynth3WI:
         assert sum(comb.weights) == pytest.approx(1.0, rel=1e-12)
 
     def test_residuals_vanish(self):
-        comb = synth_3wi(*TRIPLE.wavelengths_m)
-        k1 = air_model.k_dispersion(TRIPLE.sigmas[0])
-        g1 = air_model.water_term(TRIPLE.sigmas[0])
-        assert abs(comb.residual_x) < 1e-12 * k1
-        assert abs(comb.residual_pw) < 1e-12 * g1
+        # first-order X and P_w sensitivities of the combination, from its weights
+        _, beta, gamma = synth_3wi(*TRIPLE.wavelengths_m).weights
+        k1, k2, k3 = (air_model.k_dispersion(s) for s in TRIPLE.sigmas)
+        g1, g2, g3 = (air_model.water_term(s) for s in TRIPLE.sigmas)
+        residual_x = k1 + beta * (k2 - k1) + gamma * (k3 - k1)
+        residual_pw = -(g1 + beta * (g2 - g1) + gamma * (g3 - g1))
+        assert abs(residual_x) < 1e-12 * k1
+        assert abs(residual_pw) < 1e-12 * g1
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -189,10 +194,10 @@ class TestConsistencyWithCombScheme:
         # the fully purified comb measurement is less precise than the
         # two-color displacement scheme at equal photon budget, but it has
         # no humidity systematic, while the two-color scheme does
-        from comb_ranger import GaussianPulse, purified_ranging_sensitivity
+        from comb_ranger import GaussianPulse, contamination_report
 
         pulse = GaussianPulse.from_wavelength(800e-9)
-        sens = purified_ranging_sensitivity(pulse, standard_air, 1.0, 8e16)
+        sens = contamination_report(pulse, standard_air, 1.0, 8e16).purified
         two_color = shot_noise(PAIR, PAIR_COMB)
         assert sens.full_m > two_color
         assert sens.x_only_m > two_color

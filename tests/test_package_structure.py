@@ -1,7 +1,8 @@
 """Import structure of the package: module-level imports only, no cycles.
 
 Also checks that the spans the benchmark reads by name still exist, and that
-the package ships no public definition that only the tests use.
+the package ships no public definition, and no dataclass field, that only
+the tests use.
 """
 
 import ast
@@ -141,6 +142,41 @@ def test_every_public_definition_has_a_caller():
         and used[node.name] == identifiers(node)[node.name]
     ]
     assert unused == []
+
+
+def dataclass_fields(tree: ast.Module):
+    """(class, field) of every @dataclass in a module."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            for stmt in node.body:
+                if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    yield node.name, stmt.target.id
+
+
+def test_every_dataclass_field_is_read():
+    # a field of a package dataclass must be read as an attribute somewhere
+    # in the package, a script, the benchmark or README's library example; a
+    # field that is only computed and stored (or read only by the tests)
+    # is dead weight on every construction
+    trees = [parse(p) for p in MODULES]
+    trees += [parse(p) for d in ("scripts", "perfbench") for p in sorted((REPO / d).glob("*.py"))]
+    trees.append(readme_api_example())
+    read = {
+        sub.attr
+        for tree in trees
+        for sub in ast.walk(tree)
+        if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.stem}.{cls}.{name}"
+        for path in MODULES
+        for cls, name in dataclass_fields(parse(path))
+        if name not in read
+    ]
+    assert unread == []
 
 
 def test_package_holds_only_the_ranging_family():
