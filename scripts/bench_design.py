@@ -3,8 +3,8 @@
 
 Each figure is the time of one warm call, best of REPEATS (5) loops, taken
 in a fresh interpreter with one BLAS thread, on this tree and on PARENT
-(the commit before the memos' copies of the contamination coefficient and
-the oracle's gradient were folded back into the functions they copy):
+(the commit before the multicolor combinations took their wavelengths and
+the report stopped building a wavelength set per call):
 
   * `air_model._check_sigma_domain` on a float;
   * `detection.ranging_modes`;
@@ -14,12 +14,13 @@ the oracle's gradient were folded back into the functions they copy):
   * one whole `design_scan` design (`perfbench.workloads.DesignScan.op`),
     after a first epoch has visited every shared pulse.
 
-The two trees run ROUNDS times each, alternating, and each figure keeps the
-best round.  Every run also hashes `contamination_report(...).to_text()` over
-the designs it timed; the script writes nothing unless all runs of both trees
-give the same bytes.  PARENT is read from git with `git archive`, so the
-script runs from a git checkout.  A call of the script with a `src` directory
-as its one argument times that tree and prints the figures as JSON.
+The two trees run ROUNDS times each, alternating, each tree first in every
+other round, and each figure keeps the best round.  Every run also hashes
+`contamination_report(...).to_text()` over the designs it timed; the script
+writes nothing unless all runs of both trees give the same bytes.  PARENT
+is read from git with `git archive`, so the script runs from a git checkout.
+A call of the script with a `src` directory as its one argument times that
+tree and prints the figures as JSON.
 
 Usage: python scripts/bench_design.py
 """
@@ -36,7 +37,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PARENT = "285e509"
+PARENT = "4fb43c0"
 SEED = 7
 REPEATS = 5
 ROUNDS = 2
@@ -111,8 +112,9 @@ def main() -> None:
             tar.extractall(scratch, filter="data")
         trees = {"change": os.path.join(ROOT, "src"), "parent": os.path.join(scratch, "src")}
         rounds = {side: [] for side in trees}
-        for _ in range(ROUNDS):
-            for side, src in trees.items():
+        for i in range(ROUNDS):
+            # each tree runs first in every other round
+            for side, src in list(trees.items())[:: 1 if i % 2 == 0 else -1]:
                 rounds[side].append(run_tree(src))
 
     digests = {r["report_sha256"] for runs in rounds.values() for r in runs}

@@ -45,8 +45,6 @@ from .mode_algebra import (
 )
 from .multicolor import (
     MulticolorCombination,
-    WavelengthSet,
-    alpha_2wi,
     humidity_bias,
     phase_lengths,
     shot_noise,
@@ -71,9 +69,7 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "SpectralMode",
     "ValidationError",
-    "WavelengthSet",
     "Wavenumber",
-    "alpha_2wi",
     "contamination_report",
     "density_factor",
     "dispersion_scalars",

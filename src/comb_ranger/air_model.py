@@ -69,6 +69,15 @@ _NEAR_POLE_MESSAGE = (
 WAVELENGTH_MIN_M = 100e-9
 WAVELENGTH_MAX_M = 100e-6
 
+# Path lengths accepted at input: from a micrometre, about one carrier
+# wavelength, to 1000 km, beyond any path through the atmosphere.  Far
+# outside, the figures that scale with the length leave the double range: at
+# 1e300 m the report's 2 sqrt(N) K_X overflows and min_X reads 0, at 1e-300 m
+# K_L / K_Pw overflows to an infinite M[Pw][L], and at inf the multicolor
+# humidity bias reads NaN.
+LENGTH_MIN_M = 1e-6
+LENGTH_MAX_M = 1e6
+
 # Model validity window for temperature; inputs outside are rejected, never
 # extrapolated.
 TEMPERATURE_MIN_C = -40.0
@@ -171,6 +180,14 @@ def check_wavelength(wavelength_m: float) -> None:
         raise ValidationError(
             f"wavelength_m={wavelength_m} must be finite and in "
             f"[{WAVELENGTH_MIN_M:g}, {WAVELENGTH_MAX_M:g}] m"
+        )
+
+
+def check_length(length_m: float) -> None:
+    """Refuse a path length outside [LENGTH_MIN_M, LENGTH_MAX_M] (or NaN)."""
+    if not LENGTH_MIN_M <= length_m <= LENGTH_MAX_M:
+        raise ValidationError(
+            f"length_m={length_m} must be finite and in [{LENGTH_MIN_M:g}, {LENGTH_MAX_M:g}] m"
         )
 
 

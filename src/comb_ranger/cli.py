@@ -22,12 +22,13 @@ import contextlib
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import air_model, detection, mode_algebra, multicolor, simulator
 from .air_model import AirState, Wavenumber
-from .config import RunConfig, load_config
+from .config import SCHEMA, RunConfig, load_config
 from .errors import DomainError, ValidationError
 
 EXIT_OK = 0
@@ -329,17 +330,17 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
         photons = photons * expected
     if len(photons) != expected:
         raise ValidationError(f"--photons needs 1 or {expected} entries")
-    ws = multicolor.WavelengthSet(tuple(lam * 1e-9 for lam in lambdas_nm), tuple(photons))
-    moist = AirState(20.0, 101325.0, 0.04, args.humidity_pa)
+    moist = replace(AirState.standard(), water_vapor_pa=args.humidity_pa)
 
+    wavelengths_m = [lam * 1e-9 for lam in lambdas_nm]
     if args.scheme == "2wi":
-        comb = multicolor.two_color_combination(ws)
+        comb = multicolor.two_color_combination(*wavelengths_m)
         coeff_cols = {"alpha": -comb.weights[1], "beta": "", "gamma": ""}
     else:
-        comb = multicolor.synth_3wi(*ws.wavelengths_m)
+        comb = multicolor.synth_3wi(*wavelengths_m)
         coeff_cols = {"alpha": "", "beta": comb.weights[1], "gamma": comb.weights[2]}
-    noise = multicolor.shot_noise(ws, comb)
-    bias = multicolor.humidity_bias(ws, comb, moist, args.length)
+    noise = multicolor.shot_noise(comb, photons)
+    bias = multicolor.humidity_bias(comb, moist, args.length)
 
     # no field needs CSV quoting: names and formatted numbers
     header = (
@@ -390,10 +391,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_air = sub.add_parser("air-index", help="Refractive index of air for given conditions.")
     p_air.add_argument("--wavelength", type=float, default=633.0, help="vacuum wavelength [nm]")
-    p_air.add_argument("--temperature", type=float, default=20.0, help="temperature [C]")
-    p_air.add_argument("--pressure", type=float, default=101325.0, help="total pressure [Pa]")
-    p_air.add_argument("--co2", type=float, default=0.04, help="CO2 content [percent]")
-    p_air.add_argument("--humidity-pa", type=float, default=0.0, help="water vapor partial pressure [Pa]")
+    for flag, key, help_text in (
+        ("--temperature", "air.temperature_c", "temperature [C]"),
+        ("--pressure", "air.pressure_pa", "total pressure [Pa]"),
+        ("--co2", "air.co2_percent", "CO2 content [percent]"),
+        ("--humidity-pa", "air.water_vapor_pa", "water vapor partial pressure [Pa]"),
+    ):
+        p_air.add_argument(flag, type=float, default=SCHEMA[key][1], help=help_text)
     p_air.set_defaults(func=cmd_air_index)
 
     p_modes = sub.add_parser("modes", help="LO mode profiles (CSV) and coefficient table.")

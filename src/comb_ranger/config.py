@@ -28,7 +28,7 @@ rejected, with the offending key named.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .air_model import AirState
 from .errors import ValidationError
@@ -93,14 +93,8 @@ class RunConfig:
         return SimConfig(pulse=self.pulse, state=self.state, **scalars)
 
     def with_overrides(self, seed: int | None = None, samples: int | None = None) -> "RunConfig":
-        values = dict(self.values)
-        if seed is not None:
-            values["seed"] = seed
-        if samples is not None:
-            if samples < 1:
-                raise ValidationError(f"samples={samples} must be >= 1")
-            values["samples"] = samples
-        return replace(self, values=values)
+        overrides = {key: v for key, v in (("seed", seed), ("samples", samples)) if v is not None}
+        return build_config({**self.values, **overrides})
 
 
 def _parse_lines(text: str) -> dict[str, str]:

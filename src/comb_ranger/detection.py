@@ -41,8 +41,8 @@ again on every call.
     oracle's 24 node frequencies and K, g at them; `dispersion.gradient_from`
     turns them into the L, X or P_w gradient per call.
   * `_baseline_combinations`, one entry per process: the two- and
-    three-colour combination weights, which depend on the fixed wavelengths
-    alone; each report scales their shot noise by its own photon budget.
+    three-colour combinations, whose weights depend on the fixed wavelengths
+    alone; each report takes their shot noise at its own photon budget.
 `SpectralMode.norm` is computed once per mode instance as well.
 """
 
@@ -69,14 +69,6 @@ from .mode_algebra import GaussianPulse, SpectralMode, inner_product
 # budget of 2**-20 (~1e-6, six significant digits of K):
 # 1 - s = (2**-53 / 2**-20)**2 = 2**-66 ~ 1.4e-20.
 PURIFY_FLOOR = 2.0**-66
-
-# Path lengths the ranging modes accept: from a micrometre, about one
-# carrier wavelength, to 1000 km, beyond any path through the atmosphere.
-# Far outside, K_X and K_Pw (linear in the length) carry the report's
-# figures out of the double range: at 1e300 m 2 sqrt(N) K_X overflows and
-# min_X reads 0, at 1e-300 m K_L / K_Pw overflows to an infinite M[Pw][L].
-LENGTH_MIN_M = 1e-6
-LENGTH_MAX_M = 1e6
 
 # Pulses held by the per-carrier memos: `_ranging_shapes` and `_oracle_nodes`
 # keep MEMO_SIZE pulses, `_purify_core` the full and the X-only purification
@@ -115,14 +107,6 @@ def min_detectable(k_const: float, n_photons: float) -> float:
     if not k_const > 0.0:
         raise ValidationError(f"k_const={k_const} must be > 0")
     return 1.0 / (2.0 * math.sqrt(n_photons) * k_const)
-
-
-def check_length(length_m: float) -> None:
-    """Refuse a path length outside [LENGTH_MIN_M, LENGTH_MAX_M] (or NaN)."""
-    if not LENGTH_MIN_M <= length_m <= LENGTH_MAX_M:
-        raise ValidationError(
-            f"length_m={length_m} must be finite and in [{LENGTH_MIN_M:g}, {LENGTH_MAX_M:g}] m"
-        )
 
 
 def _ranging_vectors(pulse: GaussianPulse):
@@ -167,7 +151,7 @@ def ranging_modes(
     length.  The water-vapor mode carries an overall minus sign (n decreases
     with P_w), keeping K_Pw positive.
     """
-    check_length(length_m)
+    air_model.check_length(length_m)
     del state  # shapes are state-independent by construction
     modes, (n_l, n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
     k_l = n_l / SPEED_OF_LIGHT
@@ -330,8 +314,10 @@ class PurifiedSensitivity:
 def _baseline_combinations() -> tuple[multicolor.MulticolorCombination, multicolor.MulticolorCombination]:
     """The two- and three-colour combinations of _BASELINE_WAVELENGTHS_M: they
     depend on the wavelengths alone, not on the photon budget."""
-    two = multicolor.WavelengthSet(_BASELINE_WAVELENGTHS_M[:2], (1.0, 1.0))
-    return multicolor.two_color_combination(two), multicolor.synth_3wi(*_BASELINE_WAVELENGTHS_M)
+    return (
+        multicolor.two_color_combination(*_BASELINE_WAVELENGTHS_M[:2]),
+        multicolor.synth_3wi(*_BASELINE_WAVELENGTHS_M),
+    )
 
 
 @dataclass(frozen=True)
@@ -432,12 +418,10 @@ def contamination_report(
         order = max(w_l.mode.order, numeric_l.mode.order)
         deviation = float(np.max(np.abs(w_l.mode.padded(order) - numeric_l.mode.padded(order))))
 
-    two_comb, three_comb = _baseline_combinations()
-    two = multicolor.WavelengthSet(_BASELINE_WAVELENGTHS_M[:2], (n_photons / 2, n_photons / 2))
-    three = multicolor.WavelengthSet(_BASELINE_WAVELENGTHS_M, (n_photons / 3,) * 3)
+    two, three = _baseline_combinations()
     base = {
-        "two_color_shot_noise_m": multicolor.shot_noise(two, two_comb),
-        "three_color_shot_noise_m": multicolor.shot_noise(three, three_comb),
+        "two_color_shot_noise_m": multicolor.shot_noise(two, (n_photons / 2,) * 2),
+        "three_color_shot_noise_m": multicolor.shot_noise(three, (n_photons / 3,) * 3),
     }
 
     return SensitivityReport(

@@ -15,16 +15,20 @@ cancels both the X and the P_w dependence; (beta, gamma) solve the 2x2
 first-order cancellation system, and since n - 1 is exactly linear in X and
 P_w the cancellation is in fact exact, not merely first order.
 
-Shot-noise limits combine the single-color phase-length noises
-c / (2 sqrt(N_i) omega_i) in quadrature with the combination weights; the
-large alpha/beta/gamma amplify the noise, which is the known cost of
-multicolor dispersion compensation.
+A `MulticolorCombination` holds its wavelengths with its weights, and is
+built by `two_color_combination` or `synth_3wi`, which refuse wavelengths
+outside the air model's band or not distinct.  Shot-noise limits combine the
+single-color phase-length noises c / (2 sqrt(N_i) omega_i) in quadrature
+with the combination weights, for N_i photons at wavelength i; the large
+alpha/beta/gamma amplify the noise, which is the known cost of multicolor
+dispersion compensation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,41 +38,11 @@ from .errors import DomainError, ValidationError
 
 
 @dataclass(frozen=True)
-class WavelengthSet:
-    """Ordered distinct wavelengths (m) with per-channel photon numbers."""
+class MulticolorCombination:
+    """Wavelengths (m) and the weights on their phase-length observables;
+    the weights sum to 1 and reconstruct L from (L_phi_i)."""
 
     wavelengths_m: tuple[float, ...]
-    photons: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "wavelengths_m", tuple(float(w) for w in self.wavelengths_m))
-        object.__setattr__(self, "photons", tuple(float(n) for n in self.photons))
-        if len(self.wavelengths_m) not in (2, 3):
-            raise ValidationError("wavelength set needs 2 or 3 entries")
-        if len(self.photons) != len(self.wavelengths_m):
-            raise ValidationError("one photon number per wavelength")
-        if len(set(self.wavelengths_m)) != len(self.wavelengths_m):
-            raise ValidationError("wavelengths must be distinct")
-        for lam in self.wavelengths_m:
-            air_model.Wavenumber.from_wavelength(lam)  # validity band check
-        for n in self.photons:
-            if not n >= 1.0:
-                raise ValidationError(f"photon number {n} must be >= 1")
-
-    @property
-    def sigmas(self) -> tuple[float, ...]:
-        return tuple(1e-6 / lam for lam in self.wavelengths_m)
-
-    @property
-    def omegas(self) -> tuple[float, ...]:
-        return tuple(2.0 * math.pi * SPEED_OF_LIGHT / lam for lam in self.wavelengths_m)
-
-
-@dataclass(frozen=True)
-class MulticolorCombination:
-    """Weights on the phase-length observables; they sum to 1 and
-    reconstruct L from (L_phi_i)."""
-
     weights: tuple[float, ...]
 
     def reconstruct(self, phase_lengths_m) -> float:
@@ -78,54 +52,31 @@ class MulticolorCombination:
         return float(np.dot(self.weights, values))
 
 
-def phase_lengths(ws: WavelengthSet, state: AirState, length_m: float) -> list[float]:
+def _sigmas(wavelengths_m: Sequence[float]) -> list[float]:
+    """Wavenumbers (um^-1) of in-band, distinct wavelengths."""
+    sigmas = [air_model.Wavenumber.from_wavelength(lam).sigma for lam in wavelengths_m]
+    if len(set(sigmas)) != len(sigmas):
+        raise ValidationError("wavelengths must be distinct")
+    return sigmas
+
+
+def phase_lengths(wavelengths_m: Sequence[float], state: AirState, length_m: float) -> list[float]:
     """Observables n_phi(lambda_i, state) * L, one per wavelength."""
-    if not length_m > 0.0:
-        raise ValidationError(f"length_m={length_m} must be > 0")
-    return [float(air_model.phase_index(s, state)) * length_m for s in ws.sigmas]
+    air_model.check_length(length_m)
+    return [
+        float(air_model.phase_index(air_model.Wavenumber.from_wavelength(lam).sigma, state)) * length_m
+        for lam in wavelengths_m
+    ]
 
 
-def alpha_2wi(lambda1_m: float, lambda2_m: float) -> float:
-    """Two-color correction factor alpha = K(s1) / (K(s2) - K(s1))."""
-    s1 = air_model.Wavenumber.from_wavelength(lambda1_m).sigma
-    s2 = air_model.Wavenumber.from_wavelength(lambda2_m).sigma
-    k1 = air_model.k_dispersion(s1)
-    k2 = air_model.k_dispersion(s2)
+def two_color_combination(lambda1_m: float, lambda2_m: float) -> MulticolorCombination:
+    """Weights (1+alpha, -alpha) with alpha = K(s1) / (K(s2) - K(s1));
+    `humidity_bias` gives their uncompensated humidity error."""
+    k1, k2 = map(air_model.k_dispersion, _sigmas((lambda1_m, lambda2_m)))
     if k2 == k1:
         raise DomainError("degenerate wavelength pair: K(lambda2) = K(lambda1)")
-    return k1 / (k2 - k1)
-
-
-def two_color_combination(ws: WavelengthSet) -> MulticolorCombination:
-    """Weights (1+alpha, -alpha); `humidity_bias` gives their uncompensated
-    humidity error."""
-    if len(ws.wavelengths_m) != 2:
-        raise ValidationError("two-color combination needs exactly 2 wavelengths")
-    alpha = alpha_2wi(*ws.wavelengths_m)
-    return MulticolorCombination(weights=(1.0 + alpha, -alpha))
-
-
-def _channel_shot_noise(ws: WavelengthSet) -> np.ndarray:
-    return np.array(
-        [SPEED_OF_LIGHT / (2.0 * math.sqrt(n) * w) for n, w in zip(ws.photons, ws.omegas)]
-    )
-
-
-def shot_noise(ws: WavelengthSet, comb: MulticolorCombination) -> float:
-    """Shot-noise limit of the reconstructed distance: channel noises
-    weighted by the combination and added in quadrature."""
-    if len(comb.weights) != len(ws.wavelengths_m):
-        raise ValidationError("one combination weight per wavelength")
-    return float(np.linalg.norm(np.asarray(comb.weights) * _channel_shot_noise(ws)))
-
-
-def humidity_bias(
-    ws: WavelengthSet, comb: MulticolorCombination, state: AirState, length_m: float
-) -> float:
-    """Reconstruction error (m) of the combination in the given air: the
-    uncorrected humidity systematic of the two-color scheme, zero to
-    rounding for the three-color one."""
-    return comb.reconstruct(phase_lengths(ws, state, length_m)) - length_m
+    alpha = k1 / (k2 - k1)
+    return MulticolorCombination((lambda1_m, lambda2_m), (1.0 + alpha, -alpha))
 
 
 def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> MulticolorCombination:
@@ -135,9 +86,8 @@ def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> Multicolo
     water term; raises if the two dispersion curves are colinear across the
     chosen wavelengths.
     """
-    sigmas = [air_model.Wavenumber.from_wavelength(lam).sigma for lam in (lambda1_m, lambda2_m, lambda3_m)]
-    if len(set(sigmas)) != 3:
-        raise ValidationError("wavelengths must be distinct")
+    wavelengths_m = (lambda1_m, lambda2_m, lambda3_m)
+    sigmas = _sigmas(wavelengths_m)
     k1, k2, k3 = (air_model.k_dispersion(s) for s in sigmas)
     g1, g2, g3 = (air_model.water_term(s) for s in sigmas)
     system = np.array([[k2 - k1, k3 - k1], [g2 - g1, g3 - g1]])
@@ -145,4 +95,25 @@ def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> Multicolo
     if abs(np.linalg.det(system)) < 1e-12 * np.abs(system).max() ** 2:
         raise DomainError("colinear dispersion: three-color system is singular")
     beta, gamma = np.linalg.solve(system, rhs)
-    return MulticolorCombination(weights=(1.0 - beta - gamma, float(beta), float(gamma)))
+    return MulticolorCombination(wavelengths_m, (1.0 - beta - gamma, float(beta), float(gamma)))
+
+
+def shot_noise(comb: MulticolorCombination, photons: Sequence[float]) -> float:
+    """Shot-noise limit of the reconstructed distance for photons[i] photons
+    at wavelength i: channel noises weighted by the combination and added in
+    quadrature."""
+    if len(photons) != len(comb.wavelengths_m):
+        raise ValidationError("one photon number per wavelength")
+    for n in photons:
+        if not 1.0 <= n < math.inf:
+            raise ValidationError(f"photons={n} must be finite and >= 1")
+    omegas = [2.0 * math.pi * SPEED_OF_LIGHT / lam for lam in comb.wavelengths_m]
+    channel = np.array([SPEED_OF_LIGHT / (2.0 * math.sqrt(n) * w) for n, w in zip(photons, omegas)])
+    return float(np.linalg.norm(np.asarray(comb.weights) * channel))
+
+
+def humidity_bias(comb: MulticolorCombination, state: AirState, length_m: float) -> float:
+    """Reconstruction error (m) of the combination in the given air: the
+    uncorrected humidity systematic of the two-color scheme, zero to
+    rounding for the three-color one."""
+    return comb.reconstruct(phase_lengths(comb.wavelengths_m, state, length_m)) - length_m

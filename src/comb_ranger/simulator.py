@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detection
-from .air_model import AirState
+from .air_model import AirState, check_length
 from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity
 from .errors import ValidationError
 from .mode_algebra import GaussianPulse, inner_product
@@ -108,7 +108,7 @@ class SimConfig:
                 raise ValidationError(f"{name}={getattr(self, name)} must be finite")
         if not self.n_photons >= 1.0:
             raise ValidationError(f"n_photons={self.n_photons} must be >= 1")
-        detection.check_length(self.length_m)
+        check_length(self.length_m)
         for name in ("sigma_p_l_m", "sigma_p_x", "sigma_p_pw_pa"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be >= 0")

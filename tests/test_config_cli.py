@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 
+import contextlib
 import csv
 import errno
 import io
@@ -8,10 +9,13 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import comb_ranger
 from comb_ranger import GaussianPulse
@@ -369,6 +373,74 @@ class TestMulticolorCommand:
             ["multicolor", "--scheme", "3wi", "--wavelengths", "1064,1064.001,1064.002"]
         )
         assert code == EXIT_DOMAIN
+
+    @pytest.mark.parametrize("length", ["inf", "1e300", "1e-9"])
+    def test_length_outside_window(self, length, capsys):
+        code, text = run_cli(["multicolor", "--scheme", "2wi", "--length", length])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "length_m=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("photons", ["inf", "1,inf,1"])
+    def test_infinite_photons(self, photons, capsys):
+        code, text = run_cli(
+            ["multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355", "--photons", photons]
+        )
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "must be finite and >= 1" in capsys.readouterr().err
+
+
+# every float64 class: +-0, subnormals, +-inf, NaN, 1e+-300, and the rest
+ANY_FLOAT = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300]),
+)
+
+
+@st.composite
+def multicolor_argv(draw):
+    """A `multicolor` command line whose values lie where the command succeeds,
+    except those of one field, or of all, drawn from all of float64."""
+    wild = draw(st.sampled_from([None, None, None, "wavelengths", "photons", "humidity", "length", "all"]))
+
+    def number(field, low, high):
+        return repr(draw(ANY_FLOAT if wild in (field, "all") else st.floats(low, high)))
+
+    def numbers(field, low, high, count):
+        if wild in (field, "all"):
+            count = draw(st.integers(1, 4))
+        return ",".join(number(field, low, high) for _ in range(count))
+
+    scheme = draw(st.sampled_from(["2wi", "3wi"]))
+    count = 2 if scheme == "2wi" else 3
+    # --flag=value keeps argparse from reading "-1e300" or "-inf" as a flag
+    return [
+        "multicolor",
+        f"--scheme={scheme}",
+        f"--wavelengths={numbers('wavelengths', 200.0, 3000.0, count)}",
+        f"--photons={numbers('photons', 1.0, 1e20, draw(st.sampled_from([1, count])))}",
+        f"--humidity-pa={number('humidity', 0.0, 5000.0)}",
+        f"--length={number('length', 1e-6, 1e6)}",
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=multicolor_argv())
+@example(argv=["multicolor", "--scheme=2wi", "--length=inf"])
+@example(argv=["multicolor", "--scheme=3wi", "--wavelengths=1064,532,355", "--photons=1,inf,1"])
+def test_multicolor_ends_in_finite_row_or_refusal(argv):
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv, out=out)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DOMAIN)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        return
+    row = next(csv.DictReader(io.StringIO(out.getvalue())))
+    numbers = [float(v) for key, v in row.items() if key != "scheme" and v != ""]
+    assert all(math.isfinite(v) for v in numbers)
 
 
 class TestSimulateCommand:

@@ -26,7 +26,8 @@ from comb_ranger import (
     ranging_modes,
 )
 from comb_ranger import air_model, detection
-from comb_ranger.detection import LENGTH_MAX_M, LENGTH_MIN_M, PURIFY_FLOOR, PurifiedSensitivity
+from comb_ranger.air_model import LENGTH_MAX_M, LENGTH_MIN_M
+from comb_ranger.detection import PURIFY_FLOOR, PurifiedSensitivity
 from comb_ranger.mode_algebra import gaussian_envelope
 from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
