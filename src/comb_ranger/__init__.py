@@ -39,7 +39,6 @@ from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import (
     GaussianPulse,
     SpectralMode,
-    gaussian_mode,
     hermite_gauss,
     inner_product,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "contamination_report",
     "density_factor",
     "dispersion_scalars",
-    "gaussian_mode",
     "group_index",
     "hermite_gauss",
     "humidity_bias",

@@ -258,12 +258,14 @@ def cmd_air_index(args: argparse.Namespace, out) -> int:
 
 
 def _mode_table(config: RunConfig):
-    """(label, coefficients, k_const) rows in the real-envelope convention."""
+    """(label, mode, k_const) rows, each mode signed for plotting: a mode whose
+    largest-magnitude coefficient is negative is flipped."""
     pulse = config.pulse
     w_l, w_x, w_pw = detection.ranging_modes(pulse, config.state, config.length_m)
     w_lp = detection.purify(w_l, [w_x, w_pw])
-    return [
-        ("u", mode_algebra.gaussian_mode(pulse), None),
+    rows = [
+        # u = -i v0 has v0's real profile
+        ("u", mode_algebra.hermite_gauss(0, pulse), None),
         ("v0", mode_algebra.hermite_gauss(0, pulse), None),
         ("v1", mode_algebra.hermite_gauss(1, pulse), None),
         ("v2", mode_algebra.hermite_gauss(2, pulse), None),
@@ -272,6 +274,11 @@ def _mode_table(config: RunConfig):
         ("w_Pw", w_pw.mode, w_pw.k_const),
         ("w_L_p", w_lp.mode, w_lp.k_const),
     ]
+    for i, (label, mode, k_const) in enumerate(rows):
+        vec = mode.vector
+        if vec[np.argmax(np.abs(vec))] < 0.0:
+            rows[i] = (label, mode_algebra.SpectralMode(pulse, tuple(-vec)), k_const)
+    return rows
 
 
 def cmd_modes(args: argparse.Namespace, out) -> int:
@@ -294,8 +301,8 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
     # no field needs CSV quoting: labels and formatted numbers
     print("mode,c0,c1,c2,k_const", file=out)
     for label, mode, k_const in rows:
-        # + 0.0 turns the -0.0 of a rotated zero into 0.0
-        coeffs = [float(c) + 0.0 for c in mode_algebra.real_coefficients(mode, 2)]
+        # + 0.0 turns the -0.0 of a flipped zero into 0.0
+        coeffs = [float(c) + 0.0 for c in mode.padded(2)]
         fields = [label] + [f"{ic:.12e}" for ic in coeffs] + ["" if k_const is None else f"{k_const:.12e}"]
         print(",".join(fields), file=out)
     print(f"# profiles written to {args.out}", file=out)

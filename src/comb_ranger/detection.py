@@ -3,7 +3,10 @@
 For a parameter p the detection mode is w = (1/K) du/dp with K = ||du/dp||;
 projecting the perturbed field onto w and taking the real part estimates p
 at the coherent-state Cramer-Rao level, with minimum detectable value
-p_min = 1 / (2 sqrt(N) K) for N photons.
+p_min = 1 / (2 sqrt(N) K) for N photons.  Every parameter enters the phase,
+so du/dp = i (dphi/dp) u is a real combination of the basis modes
+v_n = i h_n: each detection mode is a real coefficient vector, and the real
+part of an overlap <w_i, w_j> is the dot product of two such vectors.
 
 The ranging parameters are the length L, the density factor X and the
 water-vapor pressure P_w.  Their coefficient vectors are built from the
@@ -30,7 +33,7 @@ Errors, such as a near-pole DomainError, are not cached: they are raised
 again on every call.
   * `_ranging_shapes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE
     pulses: the unit ranging modes, their vector norms, K(sigma0), g(sigma0)
-    and the overlaps Re<m_i, m_j>.  `ranging_modes` checks the length and
+    and the overlaps <m_i, m_j>.  `ranging_modes` checks the length and
     scales K_X and K_Pw per call; the report's matrix passes the overlaps
     to `contamination_coefficient`.
   * `_purify_core`, keyed by the `SpectralMode`s of the target and the
@@ -124,7 +127,7 @@ def _ranging_vectors(pulse: GaussianPulse):
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _ranging_shapes(pulse: GaussianPulse):
     """The pulse-only part of `ranging_modes`: unit modes, vector norms, K(sigma0),
-    g(sigma0), and the overlaps Re<m_i, m_j> (1 on the diagonal)."""
+    g(sigma0), and the overlaps <m_i, m_j> (1 on the diagonal)."""
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)
     norms = tuple(float(np.linalg.norm(a)) for a in (a_l, a_x, a_p))
@@ -132,7 +135,7 @@ def _ranging_shapes(pulse: GaussianPulse):
         SpectralMode(pulse, tuple(a / np.linalg.norm(a))) for a in (a_l, a_x, -a_p)
     )
     overlaps = tuple(
-        tuple(1.0 if i == j else inner_product(mi, mj).real for j, mj in enumerate(modes))
+        tuple(1.0 if i == j else inner_product(mi, mj) for j, mj in enumerate(modes))
         for i, mi in enumerate(modes)
     )
     return modes, norms, air_model.k_dispersion(sigma0), air_model.water_term(sigma0), overlaps
@@ -161,11 +164,8 @@ def ranging_modes(
 
 
 def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
-    """The real coefficients padded to `order`, as exact integers up to a common 2**-k."""
-    vec = mode.padded(order)
-    if np.any(vec.imag != 0.0):
-        raise ValidationError("purification expects real coefficient vectors")
-    ratios = [x.as_integer_ratio() for x in vec.real.tolist()]
+    """The coefficients padded to `order`, as exact integers up to a common 2**-k."""
+    ratios = [x.as_integer_ratio() for x in mode.padded(order).tolist()]
     den = max(d for _, d in ratios)
     return [n * (den // d) for n, d in ratios]
 
@@ -274,8 +274,8 @@ def numeric_detection_mode(
 
 
 def contamination_coefficient(k_lo: float, k_j: float, overlap: float) -> float:
-    """(K_j / K_lo) Re<w_lo, w_j>: coefficient of p_j in the signal S[w_lo],
-    given the overlap Re<w_lo, w_j>."""
+    """(K_j / K_lo) <w_lo, w_j>: coefficient of p_j in the signal S[w_lo],
+    given the overlap <w_lo, w_j>."""
     return float(k_j / k_lo * overlap)
 
 

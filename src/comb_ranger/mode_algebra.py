@@ -9,14 +9,15 @@ defines the orthonormal basis
     v_n(omega) = i (2^n n!)^{-1/2} H_n((omega-omega0) / (sqrt(2) Delta_omega)) u(omega)
 
 with H_n the physicists' Hermite polynomials.  The global phase factor i is
-kept inside the basis, so every local-oscillator mode built later has a real
-coefficient vector and homodyne signals are plain real parts.
+kept inside the basis, so every local-oscillator mode is a real coefficient
+vector on {v_n} and homodyne signals are plain real parts; u itself is
+-i v_0.
 
-Modes are represented by their (complex) coefficients on {v_n}; every mode
-of interest is a low-degree polynomial times u, so inner products are exact
+Modes are represented by their real coefficients on {v_n}; every mode of
+interest is a low-degree polynomial times u, so inner products are exact
 in coefficient space (purification, on the same coefficients, is
-`detection.purify`).  Real spectral profiles for plotting are derived from
-the coefficients on a frequency grid.
+`detection.purify`).  Since conj(i f) (i g) = f g, the real profile
+sum_n c_n h_n (with v_n = i h_n) is the one sampled form of a mode.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import numpy as np
 from numpy.polynomial.hermite import hermval
 
 from .air_model import SPEED_OF_LIGHT, WAVELENGTH_MAX_M, WAVELENGTH_MIN_M, check_wavelength
-from .errors import DomainError, ValidationError
+from .errors import ValidationError
 
 MAX_ORDER_DEFAULT = 8
 
@@ -80,25 +81,29 @@ class GaussianPulse:
 
 @dataclass(frozen=True)
 class SpectralMode:
-    """A spectral amplitude as coefficients c_0..c_n on the {v_n} basis.
+    """A spectral amplitude as real coefficients c_0..c_n on the {v_n} basis.
 
     Coefficients beyond the stored order are implicitly zero.  Instances are
     immutable; all algebra returns new modes.
     """
 
     pulse: GaussianPulse
-    coefficients: tuple[complex, ...]
+    coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coefficients", tuple(complex(c) for c in self.coefficients))
+        # the basis carries the phase factor i, so a mode needing an imaginary
+        # coefficient is outside the model; float() would drop it silently
+        if np.asarray(self.coefficients).dtype.kind == "c":
+            raise ValidationError("mode coefficients must be real")
+        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
         if len(self.coefficients) == 0:
             raise ValidationError("mode needs at least one coefficient")
-        if not np.all(np.isfinite(self.vector.view(float))):
+        if not np.all(np.isfinite(self.vector)):
             raise ValidationError("mode coefficients must be finite")
 
     @property
     def vector(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=complex)
+        return np.asarray(self.coefficients, dtype=float)
 
     @property
     def order(self) -> int:
@@ -113,21 +118,10 @@ class SpectralMode:
         return self._norm
 
     def padded(self, order: int) -> np.ndarray:
-        """Coefficient vector zero-padded out to the given order.
-
-        Shortening is only allowed when the dropped tail is exactly zero.
-        """
-        vec = self.vector
-        if order + 1 >= vec.size:
-            out = np.zeros(order + 1, dtype=complex)
-            out[: vec.size] = vec
-            return out
-        if np.any(vec[order + 1 :] != 0):
-            raise ValidationError(
-                f"cannot truncate order-{self.order} mode to order {order}: "
-                "nonzero coefficients would be dropped"
-            )
-        return vec[: order + 1].copy()
+        """Coefficient vector zero-padded out to the given order (>= the mode's)."""
+        out = np.zeros(order + 1)
+        out[: len(self.coefficients)] = self.coefficients
+        return out
 
 
 def _require_same_pulse(f: SpectralMode, g: SpectralMode) -> None:
@@ -138,28 +132,20 @@ def _require_same_pulse(f: SpectralMode, g: SpectralMode) -> None:
         )
 
 
-def gaussian_mode(pulse: GaussianPulse) -> SpectralMode:
-    """The mean-field mode u itself: u = -i v_0 (unit norm)."""
-    return SpectralMode(pulse, (-1j,))
-
-
 def hermite_gauss(n: int, pulse: GaussianPulse) -> SpectralMode:
     """Basis mode v_n as the coefficient unit vector e_n, n <= MAX_ORDER_DEFAULT."""
     if not 0 <= n <= MAX_ORDER_DEFAULT:
         raise ValidationError(f"order n={n} outside [0, {MAX_ORDER_DEFAULT}]")
-    coeffs = [0j] * (n + 1)
-    coeffs[n] = 1.0 + 0j
+    coeffs = [0.0] * (n + 1)
+    coeffs[n] = 1.0
     return SpectralMode(pulse, tuple(coeffs))
 
 
-def inner_product(f: SpectralMode, g: SpectralMode) -> complex:
-    """L2 inner product <f, g> = integral f* g, exact on coefficients.
-
-    Conjugate-linear in the first argument.
-    """
+def inner_product(f: SpectralMode, g: SpectralMode) -> float:
+    """L2 inner product <f, g> = integral f* g, exact on the real coefficients."""
     _require_same_pulse(f, g)
     order = max(f.order, g.order)
-    return complex(np.vdot(f.padded(order), g.padded(order)))
+    return float(np.dot(f.padded(order), g.padded(order)))
 
 
 def gaussian_envelope(pulse: GaussianPulse, omega: np.ndarray) -> np.ndarray:
@@ -180,29 +166,10 @@ def hermite_envelope(n: int, pulse: GaussianPulse, omega: np.ndarray) -> np.ndar
     return hermval(x, coeffs) / math.sqrt(2.0**n * math.factorial(n)) * gaussian_envelope(pulse, omega)
 
 
-def real_coefficients(mode: SpectralMode, order: int | None = None) -> np.ndarray:
-    """Real coefficient vector of a single-global-phase mode.
-
-    Rotates the coefficients (padded to `order` when given) by the phase of
-    their largest entry.  Raises if the mode has no common global phase.
-    """
-    vec = mode.vector if order is None else mode.padded(order)
-    k = int(np.argmax(np.abs(vec)))
-    phase = vec[k] / abs(vec[k])
-    rotated = vec / phase
-    if np.max(np.abs(rotated.imag)) > 1e-9 * np.linalg.norm(vec):
-        raise DomainError("mode coefficients do not share a global phase")
-    return rotated.real
-
-
 def real_profile(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
-    """Real spectral profile of a single-global-phase mode.
-
-    Strips the global phase (`real_coefficients`) and drops the basis
-    factor i; the result is the signed amplitude one would plot.
-    """
+    """Real spectral profile sum_n c_n h_n(omega) of the mode (v_n = i h_n)."""
     out = np.zeros(np.shape(omega), dtype=float)
-    for n, c in enumerate(real_coefficients(mode)):
+    for n, c in enumerate(mode.coefficients):
         if c != 0.0:
             out += c * hermite_envelope(n, mode.pulse, omega)
     return out

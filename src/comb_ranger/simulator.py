@@ -265,7 +265,7 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     # computed, not set to 1, because it is 1 only to rounding and the
     # samples carry its last bit
     coeff = np.array([
-        detection.contamination_coefficient(lo.k_const, m.k_const, inner_product(lo.mode, m.mode).real)
+        detection.contamination_coefficient(lo.k_const, m.k_const, inner_product(lo.mode, m.mode))
         for m in modes
     ])
     sigma_s = detection.min_detectable(lo.k_const, config.n_photons)

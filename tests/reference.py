@@ -2,8 +2,8 @@
 
 The time-delay family (phase, group and GVD delays phi, g, gvd) with its
 exact gradients, analytic modes and Gauss-Hermite oracle; the first-order
-perturbed field u + sum_i p_i K_i w_i of either family and its homodyne
-signal; exact propagation through air against the second-order phase
+deviation sum_i p_i K_i w_i of the perturbed field from u, for either
+family, and its homodyne signal; exact propagation through air against the second-order phase
 expansion omega0 t_phi + (omega - omega0) t_g + (omega - omega0)^2 / omega0
 t_gvd; trapezoid quadrature of sampled modes over omega0 +/- 8 delta_omega
 (Gaussian tails < 1e-14 there); and a float least-squares purification to
@@ -26,8 +26,6 @@ from comb_ranger.mode_algebra import (
     GRID_HALF_WIDTH,
     GaussianPulse,
     SpectralMode,
-    gaussian_mode,
-    hermite_envelope,
     inner_product,
 )
 
@@ -85,12 +83,13 @@ def numeric_time_mode(label: str, pulse: GaussianPulse) -> DetectionMode:
 
 @dataclass(frozen=True)
 class LinearizedField:
-    """First-order field u + sum_i p_i K_i w_i in coefficient space.
+    """First-order field u + deviation, deviation = sum_i p_i K_i w_i in
+    coefficient space.
 
     `amplitudes` maps each parameter label to its modal amplitude p_i K_i.
     """
 
-    mode: SpectralMode
+    deviation: SpectralMode
     amplitudes: dict[str, float]
 
 
@@ -99,7 +98,9 @@ def linearized_field(
 ) -> LinearizedField:
     """Linearized perturbed field for either parameter family.
 
-    The deviation from u along parameter i is p_i K_i w_i.  Ranging
+    The deviation from u along parameter i is p_i K_i w_i; all are real
+    combinations of the basis, while u = -i v0 is not, so only the deviation
+    is held.  Ranging
     perturbations need the state and length; both families raise the
     linearity guard instead of returning a stale expansion.
     """
@@ -117,7 +118,7 @@ def linearized_field(
         modes = ranging_modes(pulse, state, length_m)
 
     order = max(m.mode.order for m in modes)
-    vec = gaussian_mode(pulse).padded(order)
+    vec = np.zeros(order + 1)
     amplitudes: dict[str, float] = {}
     for dm, (label, value) in zip(modes, pert.items()):
         amp = value * dm.k_const
@@ -136,17 +137,12 @@ def lstsq_purify(target, against):
     return res @ res / (t @ t), res / np.linalg.norm(res)
 
 
-def homodyne_signal(field, lo: DetectionMode) -> float:
-    """Homodyne estimate S = (Re<u(p), w_lo> - Re<u, w_lo>) / K_lo.
+def homodyne_signal(field: LinearizedField, lo: DetectionMode) -> float:
+    """Homodyne estimate S = (Re<u(p), w_lo> - Re<u, w_lo>) / K_lo = <deviation, w_lo> / K_lo.
 
-    `field` is a SpectralMode or a LinearizedField; signal and LO
-    are taken phase-locked (zero relative quadrature phase).
+    Signal and LO are taken phase-locked (zero relative quadrature phase).
     """
-    mode = getattr(field, "mode", field)
-    if not isinstance(mode, SpectralMode):
-        raise ValidationError("field must be a SpectralMode or LinearizedField")
-    offset = inner_product(gaussian_mode(mode.pulse), lo.mode).real
-    return (inner_product(mode, lo.mode).real - offset) / lo.k_const
+    return inner_product(field.deviation, lo.mode) / lo.k_const
 
 
 @dataclass(frozen=True)
@@ -193,15 +189,6 @@ def expanded_phase(omega: np.ndarray, base: DelayTriple, omega0: float) -> np.nd
     return omega0 * base.t_phi + d * base.t_g + d * d / omega0 * base.t_gvd
 
 
-def sample(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:
-    """Complex spectral amplitude of the mode on a frequency grid."""
-    out = np.zeros(np.shape(omega), dtype=complex)
-    for n, c in enumerate(mode.coefficients):
-        if c != 0:
-            out += c * 1j * hermite_envelope(n, mode.pulse, omega)
-    return out
-
-
 def sampling_grid(pulse: GaussianPulse, points: int = GRID_POINTS, half_width: float = GRID_HALF_WIDTH):
     """Uniform frequency grid omega0 +/- half_width * delta_omega."""
     if points < 2048:
@@ -212,8 +199,8 @@ def sampling_grid(pulse: GaussianPulse, points: int = GRID_POINTS, half_width: f
     return np.linspace(pulse.omega0 - reach, pulse.omega0 + reach, points)
 
 
-def quadrature_inner_product(f_sampled, g_sampled, omega, pulse: GaussianPulse | None = None) -> complex:
-    """Trapezoid integral of f* g on a shared grid.
+def quadrature_inner_product(f_sampled, g_sampled, omega, pulse: GaussianPulse | None = None) -> float:
+    """Trapezoid integral of f g of two real profiles on a shared grid.
 
     When a pulse is given, the grid must cover at least
     omega0 +/- 8 delta_omega with >= 2048 points.
@@ -226,4 +213,4 @@ def quadrature_inner_product(f_sampled, g_sampled, omega, pulse: GaussianPulse |
         hi = pulse.omega0 + GRID_HALF_WIDTH * pulse.delta_omega
         if w.size < 2048 or w[0] > lo or w[-1] < hi:
             raise ValidationError("grid does not cover omega0 +/- 8 delta_omega with >= 2048 points")
-    return complex(np.trapezoid(np.conj(f) * g, w))
+    return float(np.trapezoid(f * g, w))

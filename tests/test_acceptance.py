@@ -284,8 +284,8 @@ def test_criterion_10_oracle_equivalence():
 def test_criterion_11_purification_orthogonality_and_cost():
     w_l, w_x, w_pw = ranging_modes(PULSE, AIR, 1.0)
     pure = purify(w_l, [w_x, w_pw])
-    o_x = abs(inner_product(pure.mode, w_x.mode).real)
-    o_pw = abs(inner_product(pure.mode, w_pw.mode).real)
+    o_x = abs(inner_product(pure.mode, w_x.mode))
+    o_pw = abs(inner_product(pure.mode, w_pw.mode))
     # K_L^p against a float least-squares projection of w_L off span(w_X,
     # w_Pw), independent of purify's exact Gram-Schmidt: K_L sqrt(1 - s) with
     # 1 - s = |residual|^2.  The residual (|r| = 1.2e-5) is formed in doubles

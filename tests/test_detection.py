@@ -28,7 +28,7 @@ from comb_ranger import (
 from comb_ranger import air_model, detection
 from comb_ranger.air_model import LENGTH_MAX_M, LENGTH_MIN_M
 from comb_ranger.detection import PURIFY_FLOOR, PurifiedSensitivity
-from comb_ranger.mode_algebra import gaussian_envelope
+from comb_ranger.mode_algebra import gaussian_envelope, real_profile
 from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
 from comb_ranger.simulator import select_lo
@@ -39,7 +39,6 @@ from reference import (
     linearized_field,
     lstsq_purify,
     numeric_time_mode,
-    sample,
     sampling_grid,
     time_detection_modes,
 )
@@ -83,7 +82,7 @@ class TestTimeModes:
     def test_overlaps(self):
         w_phi, w_g, w_gvd = time_detection_modes(PULSE)
         assert inner_product(w_phi.mode, w_g.mode) == 0.0
-        assert inner_product(w_phi.mode, w_gvd.mode).real == pytest.approx(
+        assert inner_product(w_phi.mode, w_gvd.mode) == pytest.approx(
             1 / math.sqrt(3), rel=1e-15
         )
 
@@ -146,8 +145,8 @@ class TestPurify:
         # the exact residual, rounded once, leaves overlaps of ~1e-18
         w_l, w_x, w_pw = ranging_modes(PULSE, AIR, 1.0)
         pure = purify(w_l, [w_x, w_pw])
-        assert abs(inner_product(pure.mode, w_x.mode).real) < 1e-16
-        assert abs(inner_product(pure.mode, w_pw.mode).real) < 1e-16
+        assert abs(inner_product(pure.mode, w_x.mode)) < 1e-16
+        assert abs(inner_product(pure.mode, w_pw.mode)) < 1e-16
 
     def test_textbook_case(self):
         v0 = DetectionMode("v0", hermite_gauss(0, PULSE), 1.0)
@@ -163,7 +162,7 @@ class TestPurify:
         assert pure.mode.norm() == pytest.approx(1.0, abs=1e-15)
         for other in (a, b):
             assert abs(inner_product(pure.mode, other.mode)) < 1e-16
-        assert_allclose(pure.mode.padded(3).real, residual, atol=1e-15)
+        assert_allclose(pure.mode.padded(3), residual, atol=1e-15)
         assert pure.k_const == pytest.approx(3.0 * math.sqrt(share), rel=1e-14)
 
     def test_three_interferers(self):
@@ -173,7 +172,7 @@ class TestPurify:
         share, residual = lstsq_purify(target, against)
         for other in against:
             assert abs(inner_product(pure.mode, other.mode)) < 1e-16
-        assert_allclose(pure.mode.padded(3).real, residual, atol=1e-15)
+        assert_allclose(pure.mode.padded(3), residual, atol=1e-15)
         assert pure.k_const == pytest.approx(5.0 * math.sqrt(share), rel=1e-14)
         assert pure.label == "t^p(a,b,c)"
 
@@ -189,7 +188,7 @@ class TestPurify:
         a = unit_mode("a", (1.0, 0.0, 0.0))
         b = unit_mode("b", (0.999, 0.04, 0.01), 7.0)
         pure = purify(b, [a])
-        ov = inner_product(a.mode, b.mode).real
+        ov = inner_product(a.mode, b.mode)
         expected = (b.mode.padded(2) - ov * a.mode.padded(2)) / math.sqrt(1.0 - ov**2)
         assert_allclose(pure.mode.padded(2), expected, atol=1e-15)
         assert pure.k_const == pytest.approx(7.0 * math.sqrt(1.0 - ov**2), rel=1e-12)
@@ -197,7 +196,7 @@ class TestPurify:
     def test_ranging_pair_projection_formula(self):
         # w_Pw purified against w_X is (w_Pw - <w_X,w_Pw> w_X) / sqrt(1 - <w_X,w_Pw>^2)
         _, w_x, w_pw = ranging_modes(PULSE, AIR, 1.0)
-        ov = inner_product(w_x.mode, w_pw.mode).real
+        ov = inner_product(w_x.mode, w_pw.mode)
         expected = (w_pw.mode.padded(2) - ov * w_x.mode.padded(2)) / math.sqrt(1.0 - ov**2)
         assert_allclose(purify(w_pw, [w_x]).mode.padded(2), expected, atol=1e-11)
 
@@ -243,12 +242,9 @@ class TestPurify:
             purify(w_l, [w_x])
 
     def test_complex_coefficients_rejected(self):
-        w_phi, w_g, _ = time_detection_modes(PULSE)
-        rotated = DetectionMode("rot", SpectralMode(PULSE, (0.6, 0.8j)), 1.0)
-        with pytest.raises(ValidationError, match="real coefficient"):
-            purify(w_phi, [rotated])
-        with pytest.raises(ValidationError, match="real coefficient"):
-            purify(rotated, [w_g])
+        # purify never sees a complex mode: none can be built
+        with pytest.raises(ValidationError, match="must be real"):
+            DetectionMode("rot", SpectralMode(PULSE, (0.6, 0.8j)), 1.0)
 
 
 class TestRangingModes:
@@ -284,7 +280,7 @@ class TestRangingModes:
             [w0 + dw**2 / w0 * e12, dw * (1 + s.eta1), math.sqrt(2) * dw**2 / w0 * e12]
         )
         _, _, w_pw = ranging_modes(PULSE, AIR, 1.0)
-        assert_allclose(w_pw.mode.padded(2).real, -raw / np.linalg.norm(raw), rtol=1e-13)
+        assert_allclose(w_pw.mode.padded(2), -raw / np.linalg.norm(raw), rtol=1e-13)
         g0 = air_model.water_term(air_model.sigma_from_omega(w0))
         assert w_pw.k_const == pytest.approx(
             g0 / SPEED_OF_LIGHT * np.linalg.norm(raw), rel=1e-13
@@ -597,7 +593,7 @@ class TestPerCarrierMemos:
                 k = float(np.linalg.norm(coeffs))
                 for _ in range(2):
                     num = numeric_detection_mode(label, pulse, state, length_m)
-                    assert num.mode.coefficients == tuple(complex(c) for c in coeffs / k)
+                    assert num.mode.coefficients == tuple((coeffs / k).tolist())
                     assert num.k_const == k
 
     # the report's matrix and simulate's LO row are one coefficient, to the bit
@@ -609,7 +605,7 @@ class TestPerCarrierMemos:
             for i, wi in enumerate(modes):
                 for j, wj in enumerate(modes):
                     if i != j:
-                        overlap = inner_product(wi.mode, wj.mode).real
+                        overlap = inner_product(wi.mode, wj.mode)
                         coeff = detection.contamination_coefficient(wi.k_const, wj.k_const, overlap)
                         assert matrix[i][j] == coeff
 
@@ -693,10 +689,6 @@ class TestPerCarrierMemos:
         for _ in range(2):
             with pytest.raises(DomainError, match="resonance pole"):
                 ranging_modes(near_pole, AIR, 1.0)
-        rotated = DetectionMode("rot", SpectralMode(PULSE, (0.6, 0.8j)), 1.0)
-        for _ in range(2):
-            with pytest.raises(ValidationError, match="real coefficient"):
-                purify(rotated, [time_detection_modes(PULSE)[1]])
         assert detection._ranging_shapes.cache_info().currsize == 0
         assert detection._purify_core.cache_info().currsize == 0
 
@@ -765,7 +757,7 @@ class TestEndToEndContamination:
         omega = sampling_grid(PULSE, points=8192)
         u = gaussian_envelope(PULSE, omega).astype(complex)
         w_l = ranging_modes(PULSE, AIR, length)[0]
-        lo = sample(w_l.mode, omega)
+        lo = 1j * real_profile(w_l.mode, omega)  # the LO field: v_n = i h_n
 
         def signal(state, total_length):
             moved = apply_spectral_phase(u, omega, state, total_length)
