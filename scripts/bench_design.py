@@ -3,8 +3,8 @@
 
 Each figure is the time of one warm call, best of REPEATS (5) loops, taken
 in a fresh interpreter with one BLAS thread, on this tree and on PARENT
-(the commit before the multicolor combinations took their wavelengths and
-the report stopped building a wavelength set per call):
+(the commit before spectral modes became real coefficient vectors and
+lost their global-phase stripping):
 
   * `air_model._check_sigma_domain` on a float;
   * `detection.ranging_modes`;
@@ -37,7 +37,7 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PARENT = "4fb43c0"
+PARENT = "5f24df2"
 SEED = 7
 REPEATS = 5
 ROUNDS = 2

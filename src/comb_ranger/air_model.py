@@ -258,9 +258,8 @@ def water_term(sigma):
 
 def g_derivatives(sigma):
     """(g, dg/dsigma, d2g/dsigma2); the polynomial form makes these exact."""
-    _check_sigma_domain(sigma)
+    g = water_term(sigma)
     s = np.asarray(sigma, dtype=float)
-    g = 1e-10 * (COEFF_I - COEFF_J * s * s)
     g1 = -2e-10 * COEFF_J * s
     g2 = np.full_like(s, -2e-10 * COEFF_J)
     if np.ndim(sigma) == 0:

@@ -88,7 +88,9 @@ def check_linearity(
         if value == 0.0:
             continue
         grad = phase_gradient(label, edges, state, length_m)
-        worst = float(np.max(np.abs(value * grad)))
+        # |value| * max|grad| is max|value * grad| to the bit; as a float
+        # product it overflows to inf, which the guard refuses, without a warning
+        worst = abs(value) * float(np.max(np.abs(grad)))
         if worst >= LINEARITY_GUARD_RAD:
             raise DomainError(
                 f"perturbation {label}={value} drives the spectral phase to "

@@ -49,7 +49,7 @@ import numpy as np
 from . import detection
 from .air_model import AirState, check_length
 from .dispersion import RANGING_LABELS, PerturbationVector, check_linearity
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 from .mode_algebra import GaussianPulse, inner_product
 
 LO_CHOICES = ("raw", "purified", "purified_x_only")
@@ -382,15 +382,38 @@ def _leakage_slopes(
     squares is r22**2 and the coefficient covariance is
     RSS/(n - k) * R11^-1 R11^-T.  `shift` is added to the slopes: the
     coefficients the response had subtracted.
+
+    A regression that cannot be trusted raises DomainError, naming the
+    regressor, instead of returning a verdict: a column of R11 whose
+    diagonal is at most n eps times the column's norm (the fluctuation is
+    lost to rounding against the columns before it, such as a sigma far
+    below ulp of its offset), a slope or std error that is not finite, or a
+    zero std error (the shot noise lost to rounding against the signal,
+    which would make t infinite).
     """
     k = len(labels) + 1
     r11 = r[:k, :k]
-    beta = np.linalg.solve(r11, r[:k, k])
-    beta[1:] += shift
-    sigma2 = float(r[k, k]) ** 2 / (n - k)
-    r11_inv = np.linalg.inv(r11)
-    variances = sigma2 * np.sum(r11_inv * r11_inv, axis=1)
+    tolerance = n * np.finfo(float).eps
+    for j, lab in enumerate(labels, start=1):
+        if not abs(r11[j, j]) > tolerance * np.linalg.norm(r11[: j + 1, j]):
+            raise DomainError(
+                f"regressor {lab!r} is rank-deficient at working precision: its "
+                "fluctuation does not change its column beyond rounding"
+            )
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.linalg.solve(r11, r[:k, k])
+        beta[1:] += shift
+        sigma2 = r[k, k] ** 2 / (n - k)
+        r11_inv = np.linalg.inv(r11)
+        std_errors = np.sqrt(sigma2 * np.sum(r11_inv * r11_inv, axis=1))
+    for j, lab in enumerate(labels, start=1):
+        if not (np.isfinite(beta[j]) and 0.0 < std_errors[j] < math.inf):
+            raise DomainError(
+                f"regression on {lab!r} is degenerate at working precision "
+                f"(slope {beta[j]:.3e}, std error {std_errors[j]:.3e}): its fluctuation or "
+                "the shot noise is lost to rounding"
+            )
     return {
-        lab: RegressionSlope(float(beta[j]), math.sqrt(float(variances[j])))
+        lab: RegressionSlope(float(beta[j]), float(std_errors[j]))
         for j, lab in enumerate(labels, start=1)
     }

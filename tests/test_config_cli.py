@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -443,6 +444,59 @@ def test_multicolor_ends_in_finite_row_or_refusal(argv):
     assert all(math.isfinite(v) for v in numbers)
 
 
+# (config document, regressor named by the refusal): a fluctuation, or the
+# shot noise, too small for the regression, which once printed a vacuous or
+# non-finite verdict, or overflowed
+DEGENERATE_REGRESSIONS = [
+    ("perturb.density_factor = 1e-6\nfluct.density_factor = 1e-300\n", "X"),
+    ("fluct.density_factor = 1e-300\n", "X"),
+    ("fluct.density_factor = 5e-324\nfluct.water_vapor_pa = 0\n", "X"),
+    ("fluct.length_m = 4.6e-208\n", "L"),
+    ("photons = 2.5530551641815646e+73\n", "X"),
+]
+
+FLOAT_KEYS = sorted(key for key, (kind, _, _) in SCHEMA.items() if kind is float)
+CONFIG_COMMANDS = (("simulate", "--samples", "200"), ("sensitivity",), ("modes",))
+
+
+@st.composite
+def config_documents(draw):
+    """1-4 float SCHEMA keys, each with a value from all of float64."""
+    keys = draw(st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=4, unique=True))
+    return "".join(f"{key} = {draw(ANY_FLOAT)!r}\n" for key in keys)
+
+
+def assert_finite_text(text):
+    assert not re.search(r"\b(nan|inf)\b", text, re.IGNORECASE), text
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(CONFIG_COMMANDS), doc=config_documents())
+@example(command=CONFIG_COMMANDS[0], doc=DEGENERATE_REGRESSIONS[0][0])
+@example(command=CONFIG_COMMANDS[0], doc=DEGENERATE_REGRESSIONS[1][0])
+@example(command=CONFIG_COMMANDS[0], doc=DEGENERATE_REGRESSIONS[2][0])
+@example(command=CONFIG_COMMANDS[0], doc=DEGENERATE_REGRESSIONS[3][0])
+@example(command=CONFIG_COMMANDS[0], doc=DEGENERATE_REGRESSIONS[4][0])
+@example(command=CONFIG_COMMANDS[0], doc="perturb.length_m = 1.716203292635907e+301\n")
+def test_config_ends_in_finite_output_or_refusal(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, csv_path = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "profiles.csv")
+        with open(cfg, "w") as f:
+            f.write(doc)
+        argv = [*command, "--config", cfg] + (["--out", csv_path] if command[0] == "modes" else [])
+        out = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("error")
+            code = main(argv, out=out)
+        assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DOMAIN)
+        if code != EXIT_OK:
+            assert out.getvalue() == ""
+            return
+        assert_finite_text(out.getvalue())
+        if command[0] == "modes":
+            assert_finite_text(Path(csv_path).read_text())
+
+
 class TestSimulateCommand:
     def test_deterministic_reports(self):
         argv = ["simulate", "--seed", "5", "--samples", "5000"]
@@ -552,6 +606,18 @@ class TestSimulateCommand:
         assert "samples = 1500" in text
         assert "seed = 9" in text
         assert "immune = n/a" in text
+
+    @pytest.mark.parametrize("doc, label", DEGENERATE_REGRESSIONS)
+    def test_degenerate_regression_refused(self, doc, label, tmp_path, capsys):
+        cfg, csv_path = tmp_path / "run.cfg", tmp_path / "samples.csv"
+        cfg.write_text(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run_cli(["simulate", "--config", str(cfg), "--samples", "200", "--out", str(csv_path)])
+        assert code == EXIT_DOMAIN
+        assert text == ""
+        assert not csv_path.exists()
+        assert f"{label!r}" in capsys.readouterr().err
 
 
 def run_child(argv):
