@@ -88,8 +88,7 @@ def check_linearity(
         if value == 0.0:
             continue
         grad = phase_gradient(label, edges, state, length_m)
-        # |value| * max|grad| is max|value * grad| to the bit; as a float
-        # product it overflows to inf, which the guard refuses, without a warning
+        # max|value * grad| to the bit; a float product overflows to inf without a warning
         worst = abs(value) * float(np.max(np.abs(grad)))
         if worst >= LINEARITY_GUARD_RAD:
             raise DomainError(

@@ -91,8 +91,7 @@ class SpectralMode:
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        # the basis carries the phase factor i, so a mode needing an imaginary
-        # coefficient is outside the model; float() would drop it silently
+        # float() would drop an imaginary part silently; v_n = i h_n already carry i
         if np.asarray(self.coefficients).dtype.kind == "c":
             raise ValidationError("mode coefficients must be real")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))

@@ -129,14 +129,15 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class RegressionSlope:
-    """OLS slope of the signal against one injected fluctuation."""
+    """OLS slope of the signal against one injected fluctuation; both are
+    finite and the std error is > 0 (`_leakage_slopes` refuses otherwise)."""
 
     value: float
     std_error: float
 
     @property
     def t_stat(self) -> float:
-        return self.value / self.std_error if self.std_error > 0.0 else math.inf
+        return self.value / self.std_error
 
 
 @dataclass(frozen=True)
@@ -383,22 +384,18 @@ def _leakage_slopes(
     RSS/(n - k) * R11^-1 R11^-T.  `shift` is added to the slopes: the
     coefficients the response had subtracted.
 
-    A regression that cannot be trusted raises DomainError, naming the
-    regressor, instead of returning a verdict: a column of R11 whose
-    diagonal is at most n eps times the column's norm (the fluctuation is
-    lost to rounding against the columns before it, such as a sigma far
-    below ulp of its offset), a slope or std error that is not finite, or a
-    zero std error (the shot noise lost to rounding against the signal,
-    which would make t infinite).
+    Raises DomainError, naming the regressor, where the regression is
+    degenerate at working precision: an R11 diagonal at most n eps times its
+    column's norm (a fluctuation lost to rounding against the columns
+    before it), a slope or std error that is not finite, or a zero std
+    error (the shot noise lost to rounding against the signal).
     """
     k = len(labels) + 1
     r11 = r[:k, :k]
-    tolerance = n * np.finfo(float).eps
     for j, lab in enumerate(labels, start=1):
-        if not abs(r11[j, j]) > tolerance * np.linalg.norm(r11[: j + 1, j]):
+        if not abs(r11[j, j]) > n * np.finfo(float).eps * np.linalg.norm(r11[: j + 1, j]):
             raise DomainError(
-                f"regressor {lab!r} is rank-deficient at working precision: its "
-                "fluctuation does not change its column beyond rounding"
+                f"regressor {lab!r} is rank-deficient at working precision: its fluctuation is lost to rounding"
             )
     with np.errstate(over="ignore", invalid="ignore"):
         beta = np.linalg.solve(r11, r[:k, k])
@@ -409,9 +406,8 @@ def _leakage_slopes(
     for j, lab in enumerate(labels, start=1):
         if not (np.isfinite(beta[j]) and 0.0 < std_errors[j] < math.inf):
             raise DomainError(
-                f"regression on {lab!r} is degenerate at working precision "
-                f"(slope {beta[j]:.3e}, std error {std_errors[j]:.3e}): its fluctuation or "
-                "the shot noise is lost to rounding"
+                f"regression on {lab!r} is degenerate at working precision (slope {beta[j]:.3e}, "
+                f"std error {std_errors[j]:.3e}): its fluctuation or the shot noise is lost to rounding"
             )
     return {
         lab: RegressionSlope(float(beta[j]), float(std_errors[j]))
