@@ -3,11 +3,11 @@
 The time-delay family (phase, group and GVD delays phi, g, gvd) with its
 exact gradients, analytic modes and Gauss-Hermite oracle; the first-order
 deviation sum_i p_i K_i w_i of the perturbed field from u, for either
-family, and its homodyne signal; exact propagation through air against the second-order phase
-expansion omega0 t_phi + (omega - omega0) t_g + (omega - omega0)^2 / omega0
-t_gvd; trapezoid quadrature of sampled modes over omega0 +/- 8 delta_omega
-(Gaussian tails < 1e-14 there); and a float least-squares purification to
-check the exact `purify` against.
+family, and its homodyne signal; exact propagation through air against the
+second-order phase expansion omega0 t_phi + (omega - omega0) t_g +
+(omega - omega0)^2 / omega0 t_gvd; trapezoid quadrature of real mode
+profiles over omega0 +/- 8 delta_omega (Gaussian tails < 1e-14 there); and
+a float least-squares purification to check the exact `purify` against.
 """
 
 from __future__ import annotations
@@ -98,11 +98,11 @@ def linearized_field(
 ) -> LinearizedField:
     """Linearized perturbed field for either parameter family.
 
-    The deviation from u along parameter i is p_i K_i w_i; all are real
-    combinations of the basis, while u = -i v0 is not, so only the deviation
-    is held.  Ranging
-    perturbations need the state and length; both families raise the
-    linearity guard instead of returning a stale expansion.
+    The deviation from u along parameter i is p_i K_i w_i, a real
+    combination of the basis; u = -i v0 is not one, so only the deviation
+    is held.  Ranging perturbations need the state and length; both
+    families raise the linearity guard instead of returning a stale
+    expansion.
     """
     if isinstance(pert, TimeDelays):
         # the guard of `dispersion.check_linearity`, on the delay gradients
