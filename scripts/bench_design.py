@@ -1,35 +1,46 @@
 #!/usr/bin/env python3
-"""Time the designer's path and write the figures to BENCH_design.json.
+"""Time the designer's path against HEAD and write BENCH_design.json.
 
-Each figure is the time of one warm call, best of REPEATS (5) loops, taken
-in a fresh interpreter with one BLAS thread, on this tree and on PARENT
-(the commit before spectral modes became real coefficient vectors and
-lost their global-phase stripping):
+The working tree's package is the change and HEAD's, read with `git
+archive`, is the parent, so the script is run on an uncommitted change.  One
+process with one BLAS thread imports three trees side by side: the parent
+under the package name `comb_ranger_parent` (the package imports itself only
+relatively), the change as `comb_ranger`, and a copy of the change as
+`comb_ranger_aa`.  Each sample times one warm call on every tree, back to
+back, in the next of the six orders, so a drift in the host's speed cancels
+out of the sample's ratio change / parent.  The copy's ratio to the change
+is the harness's own floor (A/A): identical code placed elsewhere in memory
+can run a sub-microsecond call 20 % faster, so a ratio is resolved only
+where it stands clear of that floor.
 
-  * `air_model._check_sigma_domain` on a float;
+Timed calls, on inputs drawn as the benchmark's design scan draws them:
+  * `air_model._check_sigma_domain` on a float (CALLS_PER_SAMPLE calls);
   * `detection.ranging_modes`;
   * `detection.purify`, full (against w_X and w_Pw) and X-only;
   * `detection.numeric_detection_mode` for L, the exact oracle;
   * `detection.contamination_report`;
-  * one whole `design_scan` design (`perfbench.workloads.DesignScan.op`),
-    after a first epoch has visited every shared pulse.
+  * one whole design, as `perfbench.workloads.DesignScan.op` makes it.
+Every memo is warm: a first epoch of designs visits every shared pulse
+before any timing.
 
-The two trees run ROUNDS times each, alternating, each tree first in every
-other round, and each figure keeps the best round.  Every run also hashes
-`contamination_report(...).to_text()` over the designs it timed; the script
-writes nothing unless all runs of both trees give the same bytes.  PARENT
-is read from git with `git archive`, so the script runs from a git checkout.
-A call of the script with a `src` directory as its one argument times that
-tree and prints the figures as JSON.
+For each call the JSON holds the median time of each side, the median
+paired ratio with a bootstrap 95 % interval, and the A/A ratio with its
+interval.  Every tree also hashes `contamination_report(...).to_text()`
+over the timed designs; the script writes nothing unless all three give the
+same bytes.
 
 Usage: python scripts/bench_design.py
 """
 
 import hashlib
+import importlib
 import io
+import itertools
 import json
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -37,106 +48,153 @@ import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-PARENT = "5f24df2"
 SEED = 7
-REPEATS = 5
-ROUNDS = 2
-# calls per timed loop
-LOOPS = {
-    "check_sigma_domain": 20_000,
-    "ranging_modes": 2_000,
-    "purify_full": 2_000,
-    "purify_x_only": 2_000,
-    "oracle_l": 2_000,
-    "contamination_report": 200,
-    "design": 512,
-}
+SAMPLES = 9000
+BOOTSTRAP = 1000
+# calls per sample of the calls too short to time one at a time
+CALLS_PER_SAMPLE = {"check_sigma_domain": 20}
 BLAS_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+TREES = ("parent", "change", "aa")
+PACKAGES = {"parent": "comb_ranger_parent", "change": "comb_ranger", "aa": "comb_ranger_aa"}
 
 
-def best_per_call(fn, calls: int) -> float:
-    fn()
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(calls):
-            fn()
-        best = min(best, (time.perf_counter() - start) / calls)
-    return best
+def stage_packages(staging: str) -> None:
+    """HEAD's package, the working tree's, and a copy of it, in `staging`
+    under the names in PACKAGES."""
+    archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", "HEAD", "src/comb_ranger"],
+                             check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(staging, filter="data")
+    os.rename(os.path.join(staging, "src", "comb_ranger"), os.path.join(staging, PACKAGES["parent"]))
+    for side in ("change", "aa"):
+        shutil.copytree(os.path.join(ROOT, "src", "comb_ranger"), os.path.join(staging, PACKAGES[side]),
+                        ignore=shutil.ignore_patterns("__pycache__"))
 
 
-def time_tree(src: str) -> dict:
-    """Per-call seconds of each timed call on the package in `src`, and the
-    SHA-256 of the report text over the timed designs."""
-    sys.path[:0] = [src, ROOT]
-    from comb_ranger import air_model, detection, mode_algebra
-    from perfbench.workloads import EPOCH, DesignScan
+def tree_calls(package: str, pulse_shapes) -> dict:
+    """The timed calls of one tree; "design" returns the design's report."""
+    air_model = importlib.import_module(f"{package}.air_model")
+    detection = importlib.import_module(f"{package}.detection")
+    errors = importlib.import_module(f"{package}.errors")
+    mode_algebra = importlib.import_module(f"{package}.mode_algebra")
 
+    pulses = [mode_algebra.GaussianPulse.from_wavelength(lam, rel) for lam, rel in pulse_shapes]
     pulse = mode_algebra.GaussianPulse.from_wavelength(800e-9, 1.0 / 6.0)
     state = air_model.AirState.standard()
     w_l, w_x, w_pw = detection.ranging_modes(pulse, state, 1.0)
-    scan = DesignScan(SEED, "full")
-    for i in range(EPOCH):
-        scan.op(scan.inputs(i))
-    designs = iter(range(EPOCH, 10**9))
+
+    def design(d):
+        # perfbench.workloads.DesignScan.op
+        p = pulses[d.pulse]
+        s = air_model.AirState(d.temperature_c, d.pressure_pa, d.co2_percent, d.water_vapor_pa)
+        report = detection.contamination_report(p, s, d.length_m, d.photons)
+        wl, wx, wpw = detection.ranging_modes(p, s, d.length_m)
+        try:
+            detection.purify(wl, [wx, wpw])
+        except errors.SeparabilityError:
+            pass
+        detection.purify(wl, [wx])
+        return report
+
+    def check_sigma_domain(_):
+        for _ in range(CALLS_PER_SAMPLE["check_sigma_domain"]):
+            air_model._check_sigma_domain(1.25)
+
     calls = {
-        "check_sigma_domain": lambda: air_model._check_sigma_domain(1.25),
-        "ranging_modes": lambda: detection.ranging_modes(pulse, state, 1.0),
-        "purify_full": lambda: detection.purify(w_l, [w_x, w_pw]),
-        "purify_x_only": lambda: detection.purify(w_l, [w_x]),
-        "oracle_l": lambda: detection.numeric_detection_mode("L", pulse, state, 1.0),
-        "contamination_report": lambda: detection.contamination_report(pulse, state, 1.0, 8e16),
-        "design": lambda: scan.op(scan.inputs(next(designs))),
+        "check_sigma_domain": check_sigma_domain,
+        "ranging_modes": lambda _: detection.ranging_modes(pulse, state, 1.0),
+        "purify_full": lambda _: detection.purify(w_l, [w_x, w_pw]),
+        "purify_x_only": lambda _: detection.purify(w_l, [w_x]),
+        "oracle_l": lambda _: detection.numeric_detection_mode("L", pulse, state, 1.0),
+        "contamination_report": lambda _: detection.contamination_report(pulse, state, 1.0, 8e16),
+        "design": design,
     }
-    per_call = {name: best_per_call(fn, LOOPS[name]) for name, fn in calls.items()}
-    digest = hashlib.sha256()
-    for i in range(EPOCH, next(designs)):
-        report = scan.op(scan.inputs(i))[0]
-        digest.update(report.to_text().encode())
-    return {"per_call_s": per_call, "report_sha256": digest.hexdigest()}
+    return calls
 
 
-def run_tree(src: str) -> dict:
-    env = dict(os.environ, **BLAS_ENV)
-    env.pop("PYTHONPATH", None)
-    out = subprocess.run([sys.executable, os.path.abspath(__file__), src], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
+def time_trees(staging: str) -> tuple[dict, set]:
+    """Per call, the seconds of every tree in each sample; and the digests of
+    the trees' report text."""
+    sys.path[:0] = [staging, ROOT]
+    from perfbench.workloads import EPOCH, design_epoch, design_pulses
+
+    trees = {side: tree_calls(PACKAGES[side], design_pulses(SEED)) for side in TREES}
+    designs = design_epoch(SEED, 1)
+    for d in design_epoch(SEED, 0):
+        for calls in trees.values():
+            calls["design"](d)
+
+    clock = time.perf_counter
+    orders = list(itertools.permutations(TREES))
+    times = {name: [] for name in trees["change"]}
+    for name, samples in times.items():
+        fns = {side: trees[side][name] for side in TREES}
+        for fn in fns.values():
+            fn(designs[0])
+        for i in range(SAMPLES):
+            d = designs[i % EPOCH]
+            t = {}
+            for side in orders[i % len(orders)]:
+                t0 = clock()
+                fns[side](d)
+                t[side] = clock() - t0
+            samples.append(t)
+
+    digests = set()
+    for calls in trees.values():
+        digest = hashlib.sha256()
+        for d in designs:
+            digest.update(calls["design"](d).to_text().encode())
+        digests.add(digest.hexdigest())
+    return times, digests
+
+
+def bootstrap_ci(ratios, rng) -> list[float]:
+    """95 % bootstrap interval of the median of `ratios`."""
+    import numpy as np
+
+    values = np.asarray(ratios)
+    medians = [np.median(rng.choice(values, values.size)) for _ in range(BOOTSTRAP)]
+    return [float(x) for x in np.percentile(medians, [2.5, 97.5])]
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as scratch:
-        archive = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", PARENT, "src"],
-                                 check=True, capture_output=True).stdout
-        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(scratch, filter="data")
-        trees = {"change": os.path.join(ROOT, "src"), "parent": os.path.join(scratch, "src")}
-        rounds = {side: [] for side in trees}
-        for i in range(ROUNDS):
-            # each tree runs first in every other round
-            for side, src in list(trees.items())[:: 1 if i % 2 == 0 else -1]:
-                rounds[side].append(run_tree(src))
-
-    digests = {r["report_sha256"] for runs in rounds.values() for r in runs}
-    if len(digests) != 1:
-        sys.exit(f"report text differs between the trees ({len(digests)} digests); nothing written")
-    per_call = {
-        name: {side: min(r["per_call_s"][name] for r in rounds[side]) for side in trees}
-        for name in LOOPS
-    }
-    for figures in per_call.values():
-        figures["speedup"] = figures["parent"] / figures["change"]
+    os.environ.update(BLAS_ENV)
     import numpy as np
 
+    with tempfile.TemporaryDirectory() as staging:
+        stage_packages(staging)
+        times, digests = time_trees(staging)
+    if len(digests) != 1:
+        sys.exit(f"report text differs between the trees ({len(digests)} digests); nothing written")
+
+    rng = np.random.default_rng(SEED)
+    per_call = {}
+    for name, samples in times.items():
+        scale = CALLS_PER_SAMPLE.get(name, 1)
+        ratio = [t["change"] / t["parent"] for t in samples]
+        aa = [t["aa"] / t["change"] for t in samples]
+        per_call[name] = {
+            "parent_s": statistics.median(t["parent"] for t in samples) / scale,
+            "change_s": statistics.median(t["change"] for t in samples) / scale,
+            "ratio": statistics.median(ratio),
+            "ratio_ci95": bootstrap_ci(ratio, rng),
+            "aa_ratio": statistics.median(aa),
+            "aa_ci95": bootstrap_ci(aa, rng),
+        }
+    parent = subprocess.run(["git", "-C", ROOT, "rev-parse", "--short", "HEAD"],
+                            check=True, capture_output=True, text=True).stdout.strip()
     report = {
-        "what": "designer path, seconds per warm call, best of repeats and rounds, on this tree "
-                f"(change) and on commit {PARENT} (parent)",
-        "repeats": REPEATS,
-        "rounds": ROUNDS,
-        "calls_per_loop": LOOPS,
+        "what": "designer path, seconds per warm call (median) on the working tree (change) and "
+                f"on commit {parent} (parent), timed side by side in every order of the trees; "
+                "ratio is the median of change/parent per sample, aa_ratio that of a copy of the "
+                "change against the change",
+        "parent": parent,
+        "samples": SAMPLES,
+        "calls_per_sample": {name: CALLS_PER_SAMPLE.get(name, 1) for name in per_call},
         "inputs": "800 nm, bandwidth 1/6, standard air, 1 m, 8e16 photons; design_scan seed "
-                  f"{SEED}, designs after the first epoch",
-        "per_call_s": per_call,
+                  f"{SEED}, designs of its second epoch",
+        "per_call": per_call,
         "report_text_sha256": digests.pop(),
         "host": {
             "python": platform.python_version(),
@@ -153,7 +211,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) == 2:
-        print(json.dumps(time_tree(sys.argv[1])))
-    else:
-        main()
+    main()

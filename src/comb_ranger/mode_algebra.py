@@ -22,7 +22,6 @@ sum_n c_n h_n (with v_n = i h_n) is the one sampled form of a mode.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -52,7 +51,9 @@ class GaussianPulse:
     """Mean frequency and spectral standard deviation of |u|^2, both rad/s.
 
     delta_omega must stay narrowband (<= omega0/2) for the second-order
-    spectral-phase expansion downstream to make sense.
+    spectral-phase expansion downstream to make sense.  The hash is computed
+    once, when the pulse is built: every memo keyed by a pulse or a mode
+    hashes it.
     """
 
     omega0: float
@@ -71,6 +72,10 @@ class GaussianPulse:
                 f"delta_omega={self.delta_omega} exceeds omega0/2; "
                 "too broadband for the narrowband expansion"
             )
+        object.__setattr__(self, "_hash", hash((self.omega0, self.delta_omega)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_wavelength(cls, wavelength_m: float, relative_bandwidth: float = 1.0 / 6.0) -> "GaussianPulse":
@@ -79,26 +84,40 @@ class GaussianPulse:
         return cls(omega0, relative_bandwidth * omega0)
 
 
+# Coefficient types that are real by type alone: float and its subclass
+# np.float64.  Any other type is probed for a complex dtype.
+_REAL_TYPES = frozenset((float, np.float64))
+
+
 @dataclass(frozen=True)
 class SpectralMode:
     """A spectral amplitude as real coefficients c_0..c_n on the {v_n} basis.
 
     Coefficients beyond the stored order are implicitly zero.  Instances are
-    immutable; all algebra returns new modes.
+    immutable; all algebra returns new modes.  The hash is computed once, when
+    the mode is built, and the norm on first use; both are kept outside the
+    fields, so equality and the repr see the pulse and coefficients only.
     """
 
     pulse: GaussianPulse
     coefficients: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        coeffs = tuple(self.coefficients)
         # float() would drop an imaginary part silently; v_n = i h_n already carry i
-        if np.asarray(self.coefficients).dtype.kind == "c":
+        if not set(map(type, coeffs)) <= _REAL_TYPES and np.asarray(coeffs).dtype.kind == "c":
             raise ValidationError("mode coefficients must be real")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        if len(self.coefficients) == 0:
+        coeffs = tuple(map(float, coeffs))
+        if not coeffs:
             raise ValidationError("mode needs at least one coefficient")
-        if not np.all(np.isfinite(self.vector)):
+        if not all(map(math.isfinite, coeffs)):
             raise ValidationError("mode coefficients must be finite")
+        object.__setattr__(self, "coefficients", coeffs)
+        object.__setattr__(self, "_hash", hash((self.pulse, coeffs)))
+        object.__setattr__(self, "_norm", None)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def vector(self) -> np.ndarray:
@@ -108,19 +127,18 @@ class SpectralMode:
     def order(self) -> int:
         return len(self.coefficients) - 1
 
-    @functools.cached_property
-    def _norm(self) -> float:
-        # kept in the instance __dict__, outside the fields, eq and hash
-        return float(np.linalg.norm(self.vector))
-
     def norm(self) -> float:
+        # sqrt(v.v) is what np.linalg.norm computes for a real vector
+        if self._norm is None:
+            v = self.vector
+            object.__setattr__(self, "_norm", math.sqrt(v.dot(v)))
         return self._norm
 
     def padded(self, order: int) -> np.ndarray:
         """Coefficient vector zero-padded out to the given order (>= the mode's)."""
-        out = np.zeros(order + 1)
-        out[: len(self.coefficients)] = self.coefficients
-        return out
+        if order < self.order:
+            raise ValidationError(f"cannot pad a mode of order {self.order} to order {order}")
+        return np.array(self.coefficients + (0.0,) * (order - self.order))
 
 
 def _require_same_pulse(f: SpectralMode, g: SpectralMode) -> None:

@@ -109,7 +109,9 @@ def shot_noise(comb: MulticolorCombination, photons: Sequence[float]) -> float:
             raise ValidationError(f"photons={n} must be finite and >= 1")
     omegas = [2.0 * math.pi * SPEED_OF_LIGHT / lam for lam in comb.wavelengths_m]
     channel = np.array([SPEED_OF_LIGHT / (2.0 * math.sqrt(n) * w) for n, w in zip(photons, omegas)])
-    return float(np.linalg.norm(np.asarray(comb.weights) * channel))
+    weighted = np.asarray(comb.weights) * channel
+    # sqrt(v.v) is what np.linalg.norm computes for a real vector
+    return math.sqrt(weighted.dot(weighted))
 
 
 def humidity_bias(comb: MulticolorCombination, state: AirState, length_m: float) -> float:

@@ -444,6 +444,44 @@ def test_multicolor_ends_in_finite_row_or_refusal(argv):
     assert all(math.isfinite(v) for v in numbers)
 
 
+AIR_INDEX_RANGES = {
+    # flag: (low, high) where `air-index` succeeds
+    "wavelength": (200.0, 3000.0),
+    "temperature": (0.0, 40.0),
+    "pressure": (5e4, 1.1e5),
+    "co2": (0.0, 0.1),
+    "humidity-pa": (0.0, 4000.0),
+}
+
+
+@st.composite
+def air_index_argv(draw):
+    """An `air-index` command line whose five float flags lie where the command
+    succeeds, except one of them, or all, drawn from all of float64."""
+    wild = draw(st.sampled_from([None, *AIR_INDEX_RANGES, "all", "all"]))
+    return ["air-index"] + [
+        f"--{flag}={draw(ANY_FLOAT if wild in (flag, 'all') else st.floats(low, high))!r}"
+        for flag, (low, high) in AIR_INDEX_RANGES.items()
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=air_index_argv())
+@example(argv=["air-index", "--wavelength=1e-300"])
+@example(argv=["air-index", "--pressure=1e300"])
+@example(argv=["air-index", "--wavelength=nan", "--co2=inf"])
+def test_air_index_ends_in_finite_output_or_refusal(argv):
+    out = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv, out=out)
+    assert code in (EXIT_OK, EXIT_VALIDATION, EXIT_DOMAIN)
+    if code != EXIT_OK:
+        assert out.getvalue() == ""
+        return
+    assert_finite_text(out.getvalue())
+
+
 # (config document, regressor named by the refusal): a fluctuation, or the
 # shot noise, too small for the regression, which once printed a vacuous or
 # non-finite verdict, or overflowed

@@ -1,6 +1,8 @@
 """Mode algebra: orthonormality, Parseval, Gaussian moments."""
 
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -24,12 +26,67 @@ def quad(f_mode, g_mode):
 
 class TestSpectralMode:
     def test_complex_coefficients_rejected(self):
-        for coeffs in ((1.0, 1j), (0.6, np.complex128(0.8)), np.array([0.6, 0.8], dtype=complex)):
+        # np.complex64 and a 0-d complex array are no Python complex: only a
+        # dtype probe sees them, and float() would drop their imaginary part
+        for coeffs in (
+            (1.0, 1j),
+            (0.6, np.complex128(0.8)),
+            np.array([0.6, 0.8], dtype=complex),
+            (0.6, np.complex64(0.8)),
+            (0.6, np.array(0.8 + 0j)),
+            (np.array(0.6 + 0.8j),),
+        ):
             with pytest.raises(ValidationError, match="must be real"):
                 SpectralMode(PULSE, coeffs)
         mode = SpectralMode(PULSE, (1, np.float32(0.5)))
         assert mode.coefficients == (1.0, 0.5)
         assert all(type(c) is float for c in mode.coefficients)
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1.0, math.nan), (math.inf,), (0.6, -math.inf), (np.float64("nan"), 1.0), np.array([0.6, np.inf])],
+    )
+    def test_non_finite_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValidationError, match="must be finite"):
+            SpectralMode(PULSE, coeffs)
+
+    @pytest.mark.parametrize("coeffs", [(), [], np.array([])])
+    def test_empty_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValidationError, match="at least one coefficient"):
+            SpectralMode(PULSE, coeffs)
+
+    def test_equal_modes_compare_and_hash_equal(self):
+        a = SpectralMode(PULSE, (0.6, 0.8))
+        b = SpectralMode(GaussianPulse(PULSE.omega0, PULSE.delta_omega), (np.float64(0.6), 0.8))
+        assert a is not b and a == b and hash(a) == hash(b)
+        # the hash kept per instance is the dataclass hash of the fields
+        assert hash(a) == hash((a.pulse, a.coefficients))
+        assert hash(a.pulse) == hash((PULSE.omega0, PULSE.delta_omega))
+        assert {a: "a"}[b] == "a"
+        for other in (dataclasses.replace(a), dataclasses.replace(b, coefficients=[0.6, 0.8])):
+            assert other == a and hash(other) == hash(a)
+        moved = dataclasses.replace(a, coefficients=(0.8, 0.6))
+        assert moved != a and hash(moved) == hash((PULSE, (0.8, 0.6)))
+        a.norm()
+        for mode in (a, b):
+            loaded = pickle.loads(pickle.dumps(mode))
+            assert loaded == a and hash(loaded) == hash(a)
+            assert loaded.norm() == a.norm()
+
+    def test_norm_is_numpy_norm(self):
+        # sqrt(v.v) is the norm numpy takes of a real vector, bit for bit
+        rng = np.random.default_rng(5)
+        for size in range(1, 10):
+            for _ in range(50):
+                vec = rng.normal(size=size) * 10.0 ** rng.uniform(-150, 150)
+                assert SpectralMode(PULSE, tuple(vec)).norm() == float(np.linalg.norm(vec))
+
+    def test_padded(self):
+        mode = SpectralMode(PULSE, (0.3, -0.2, 0.5))
+        assert mode.padded(2).tolist() == [0.3, -0.2, 0.5]
+        assert mode.padded(4).tolist() == [0.3, -0.2, 0.5, 0.0, 0.0]
+        with pytest.raises(ValidationError, match="order 2 to order 1"):
+            mode.padded(1)
 
 
 class TestGaussianMode:
