@@ -177,6 +177,6 @@ def load_config(path: str | None) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
     return parse_config(text)

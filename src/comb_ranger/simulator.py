@@ -251,7 +251,7 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     into the aggregates CHUNK_ROWS at a time, the next block being drawn in
     a helper thread meanwhile; the (n, 5) sample table (index, p_L, p_X,
     p_Pw, signal) is the only O(n) array, and it is built only with
-    `keep_samples`.
+    `keep_samples`; a table that cannot be allocated is a ValidationError.
     """
     n = config.sample_count
     labels = config.fluctuating_labels
@@ -275,7 +275,12 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     columns = [RANGING_LABELS.index(lab) for lab in labels]
 
     gen = draw_generator(config.rng_seed)
-    samples = np.empty((n, 5)) if keep_samples else None
+    samples = None
+    if keep_samples:
+        try:
+            samples = np.empty((n, 5))
+        except (MemoryError, ValueError) as exc:
+            raise ValidationError(f"{n} samples: cannot allocate their {n * 40} B table") from exc
     mean, m2 = 0.0, 0.0
     # R factor of [1, fluctuating perts..., signal - projection] over the
     # rows seen so far; its zero start rows do not change the factor.

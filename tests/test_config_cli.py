@@ -27,6 +27,7 @@ from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import real_profile
 from comb_ranger import detection
 from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M
+from comb_ranger.simulator import LO_CHOICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -105,6 +106,14 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ValidationError, match="no_such_file"):
             load_config("no_such_file.cfg")
+
+    def test_non_utf8_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"length_m = 1\xff\n")
+        code, text = run_cli(["sensitivity", "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"cannot read config {str(cfg)!r}" in capsys.readouterr().err
 
     def test_sim_config_mapping(self):
         cfg = parse_config("fluct.water_vapor_pa = 5\nperturb.length_m = 1e-13")
@@ -517,9 +526,36 @@ def assert_finite_text(text):
 @example(command=CONFIG_COMMANDS[0], doc=DEGENERATE_REGRESSIONS[4][0])
 @example(command=CONFIG_COMMANDS[0], doc="perturb.length_m = 1.716203292635907e+301\n")
 def test_config_ends_in_finite_output_or_refusal(command, doc):
+    assert_config_run_holds_contract(command, doc.encode())
+
+
+@st.composite
+def config_bytes(draw):
+    """1-5 SCHEMA keys of every type, each with its default, arbitrary text or
+    the text of a number, encoded as UTF-8; up to 4 arbitrary bytes may be
+    spliced in, so the document need not be valid UTF-8."""
+    keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1, max_size=5, unique=True))
+    other = st.one_of(st.text(), ANY_FLOAT.map(repr), st.integers().map(str), st.sampled_from(LO_CHOICES))
+    doc = "".join(f"{key} = {draw(st.just(str(SCHEMA[key][1])) | other)}\n" for key in keys).encode()
+    cut = draw(st.integers(0, len(doc)))
+    return doc[:cut] + draw(st.one_of(st.just(b""), st.binary(max_size=4))) + doc[cut:]
+
+
+# `simulate --samples 200` wins over the document's `samples`, so no run is huge
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(CONFIG_COMMANDS), doc=config_bytes())
+@example(command=CONFIG_COMMANDS[1], doc=b"length_m = 1\xff\n")
+@example(command=CONFIG_COMMANDS[0], doc=b"samples = 1e300\nseed = -1\nlo = \xc3\xa9\n")
+def test_any_config_bytes_end_in_finite_output_or_refusal(command, doc):
+    assert_config_run_holds_contract(command, doc)
+
+
+def assert_config_run_holds_contract(command, doc: bytes):
+    """Run `command` on the config document `doc`: exit 0, 2 or 3, no warning
+    under "error", and finite output (a refusal prints nothing)."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg, csv_path = os.path.join(tmp, "run.cfg"), os.path.join(tmp, "profiles.csv")
-        with open(cfg, "w") as f:
+        with open(cfg, "wb") as f:
             f.write(doc)
         argv = [*command, "--config", cfg] + (["--out", csv_path] if command[0] == "modes" else [])
         out = io.StringIO()
@@ -582,6 +618,17 @@ class TestSimulateCommand:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 100
         assert set(rows[0]) == {"index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"}
+
+    # 10**15 rows of 40 B exceed a 64-bit user address space, so numpy refuses
+    # at once under any overcommit policy; 2**63 rows exceed its dimension limit
+    @pytest.mark.parametrize("samples", [10**15, 2**63])
+    def test_unallocatable_sample_table(self, samples, tmp_path, capsys):
+        path = tmp_path / "samples.csv"
+        code, text = run_cli(["simulate", "--samples", str(samples), "--out", str(path)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"{samples} samples: cannot allocate" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_out(self, tmp_path, capsys):
         path = tmp_path / "missing" / "samples.csv"

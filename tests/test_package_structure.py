@@ -54,6 +54,23 @@ def test_no_import_below_module_level():
     assert nested == []
 
 
+def test_package_imports_itself_only_relatively():
+    # scripts/bench_harness.py imports HEAD's package as comb_ranger_parent
+    # beside the working tree's comb_ranger: an absolute self-import would load
+    # the working tree's code into the parent, and every A/B ratio would read 1
+    absolute = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            absolute += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "comb_ranger"]
+    assert absolute == []
+
+
 def test_no_import_cycle():
     graph = {p.stem: package_imports(parse(p)) for p in MODULES if p.stem != "__init__"}
     assert "detection" not in graph["dispersion"]
