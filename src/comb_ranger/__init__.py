@@ -16,12 +16,12 @@ from .air_model import (
     AirState,
     DispersionScalars,
     SPEED_OF_LIGHT,
-    Wavenumber,
     density_factor,
     dispersion_scalars,
     group_index,
     k_dispersion,
     phase_index,
+    sigma_from_wavelength,
     water_term,
 )
 from .detection import (
@@ -34,7 +34,6 @@ from .detection import (
     purify,
     ranging_modes,
 )
-from .dispersion import PerturbationVector
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import (
     GaussianPulse,
@@ -59,7 +58,6 @@ __all__ = [
     "DomainError",
     "GaussianPulse",
     "MulticolorCombination",
-    "PerturbationVector",
     "PurifiedSensitivity",
     "SensitivityReport",
     "SeparabilityError",
@@ -68,7 +66,6 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "SpectralMode",
     "ValidationError",
-    "Wavenumber",
     "contamination_report",
     "density_factor",
     "dispersion_scalars",
@@ -85,6 +82,7 @@ __all__ = [
     "ranging_modes",
     "run",
     "shot_noise",
+    "sigma_from_wavelength",
     "synth_3wi",
     "two_color_combination",
     "water_term",

@@ -134,31 +134,6 @@ class AirState:
 
 
 @dataclass(frozen=True)
-class Wavenumber:
-    """Vacuum wavenumber sigma = 1/lambda in um^-1.
-
-    Owns the conversions from wavelength and to angular frequency.  Strictly
-    positive and below the nearer resonance pole of the dispersion function.
-    """
-
-    sigma: float  # um^-1
-
-    def __post_init__(self) -> None:
-        if not self.sigma > 0.0:
-            raise ValidationError(f"sigma={self.sigma} must be > 0")
-        _check_sigma_domain(self.sigma)
-
-    @classmethod
-    def from_wavelength(cls, wavelength_m: float) -> "Wavenumber":
-        check_wavelength(wavelength_m)
-        return cls(1e-6 / wavelength_m)
-
-    @property
-    def angular_frequency(self) -> float:
-        return omega_from_sigma(self.sigma)
-
-
-@dataclass(frozen=True)
 class DispersionScalars:
     """Dimensionless log-derivative ratios of K and g at the carrier.
 
@@ -191,21 +166,30 @@ def check_length(length_m: float) -> None:
         )
 
 
+def sigma_from_wavelength(wavelength_m: float) -> float:
+    """Vacuum wavelength m -> wavenumber sigma = 1/lambda in um^-1, refusing a
+    carrier outside the wavelength window or at the near resonance pole."""
+    check_wavelength(wavelength_m)
+    sigma = 1e-6 / wavelength_m
+    _check_sigma_domain(sigma)
+    return sigma
+
+
 def sigma_from_omega(omega):
     """Angular frequency rad/s -> wavenumber um^-1."""
     return omega * _DSIGMA_DOMEGA
 
 
 def omega_from_sigma(sigma):
-    """Wavenumber um^-1 -> angular frequency rad/s."""
+    """Vacuum wavenumber um^-1 -> angular frequency rad/s."""
     return sigma / _DSIGMA_DOMEGA
 
 
 def _check_sigma_domain(sigma) -> None:
     # K and g are even in sigma, so the dispersion functions accept the even
     # continuation to sigma < 0 (needed by quadrature grids whose Gaussian
-    # tail formally crosses omega = 0); the Wavenumber type stays strictly
-    # positive.
+    # tail formally crosses omega = 0); a carrier's wavenumber from
+    # sigma_from_wavelength is positive.
     if isinstance(sigma, float):
         # A scalar (np.float64 included) takes plain float arithmetic: the
         # same correctly rounded square and comparisons as the array path,

@@ -10,9 +10,8 @@ Subcommands:
 
 Every subcommand is deterministic in (config, seed): outputs carry no
 timestamps and no machine state.  Exit codes: 0 success, 2 validation
-error, 3 numerical/domain error.  The environment variable
-COMB_RANGER_SEED overrides the default seed; an explicit --seed flag wins
-over both.
+error, 3 numerical/domain error.  The simulate seed comes from the
+config's `seed` key; an explicit --seed flag wins over it.
 """
 
 from __future__ import annotations
@@ -27,15 +26,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import air_model, detection, mode_algebra, multicolor, simulator
-from .air_model import AirState, Wavenumber
+from .air_model import AirState
 from .config import SCHEMA, RunConfig, load_config
 from .errors import DomainError, ValidationError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_DOMAIN = 3
-
-SEED_ENV_VAR = "COMB_RANGER_SEED"
 
 # rows formatted per write by the CSV exports
 EXPORT_BLOCK_ROWS = 8192
@@ -218,18 +215,6 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None], tabl
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _resolve_seed(flag_seed: int | None, config: RunConfig) -> int:
-    if flag_seed is not None:
-        return flag_seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ValidationError(f"{SEED_ENV_VAR}={env!r} is not an integer") from exc
-    return config.seed
-
-
 def cmd_air_index(args: argparse.Namespace, out) -> int:
     state = AirState(
         temperature_c=args.temperature,
@@ -237,15 +222,15 @@ def cmd_air_index(args: argparse.Namespace, out) -> int:
         co2_percent=args.co2,
         water_vapor_pa=args.humidity_pa,
     )
-    wn = Wavenumber.from_wavelength(args.wavelength * 1e-9)
-    scalars = air_model.dispersion_scalars(wn.angular_frequency)
+    sigma = air_model.sigma_from_wavelength(args.wavelength * 1e-9)
+    scalars = air_model.dispersion_scalars(air_model.omega_from_sigma(sigma))
     rows = [
         ("wavelength_nm", args.wavelength),
-        ("sigma_per_um", wn.sigma),
-        ("n_phi", air_model.phase_index(wn.sigma, state)),
-        ("n_g", air_model.group_index(wn.sigma, state)),
-        ("k_dispersion", air_model.k_dispersion(wn.sigma)),
-        ("water_term_per_pa", air_model.water_term(wn.sigma)),
+        ("sigma_per_um", sigma),
+        ("n_phi", air_model.phase_index(sigma, state)),
+        ("n_g", air_model.group_index(sigma, state)),
+        ("k_dispersion", air_model.k_dispersion(sigma)),
+        ("water_term_per_pa", air_model.water_term(sigma)),
         ("density_factor", air_model.density_factor(state)),
         ("delta1", scalars.delta1),
         ("delta2", scalars.delta2),
@@ -369,10 +354,7 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, out) -> int:
-    config = load_config(args.config)
-    config = config.with_overrides(
-        seed=_resolve_seed(args.seed, config), samples=args.samples
-    )
+    config = load_config(args.config).with_overrides(seed=args.seed, samples=args.samples)
     sim_config = config.to_sim_config()
     keep = args.out is not None
     result = simulator.run(sim_config, keep_samples=keep)
@@ -430,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo homodyne simulation.")
     p_sim.add_argument("--config", default=None, help="configuration file path")
-    p_sim.add_argument("--seed", type=int, default=None, help="RNG seed (wins over env and file)")
+    p_sim.add_argument("--seed", type=int, default=None, help="RNG seed (wins over the config file)")
     p_sim.add_argument("--samples", type=int, default=None, help="sample count override")
     p_sim.add_argument("--out", default=None, help="write raw samples to this CSV path")
     p_sim.set_defaults(func=cmd_simulate)

@@ -80,10 +80,6 @@ class RunConfig:
     def photons(self) -> float:
         return self.values["photons"]
 
-    @property
-    def seed(self) -> int:
-        return self.values["seed"]
-
     def to_sim_config(self) -> SimConfig:
         scalars = {
             field: self.values[key]

@@ -296,7 +296,6 @@ class PurifiedSensitivity:
     reference value; p_Pw is in pascal.  k-constants are in 1/m.
     """
 
-    n_photons: float
     k_raw: float
     k_full: float
     k_x_only: float
@@ -309,7 +308,6 @@ class PurifiedSensitivity:
         k_full = purify(w_l, [w_x, w_pw]).k_const
         k_x = purify(w_l, [w_x]).k_const
         return cls(
-            n_photons=n_photons,
             k_raw=w_l.k_const,
             k_full=k_full,
             k_x_only=k_x,
@@ -343,9 +341,7 @@ class SensitivityReport:
 
     n_photons: float
     length_m: float
-    center_wavelength_m: float
-    relative_bandwidth: float
-    labels: tuple[str, str, str]
+    pulse: GaussianPulse
     k_consts: dict[str, float]
     min_detectable: dict[str, float]
     matrix: tuple[tuple[float, float, float], ...]
@@ -364,12 +360,12 @@ class SensitivityReport:
             "# units: p_L in m; p_X dimensionless (density-factor deviation); p_Pw in Pa",
             f"photons = {self.n_photons:.6e}",
             f"length_m = {self.length_m:.6e}",
-            f"center_wavelength_nm = {self.center_wavelength_m * 1e9:.6f}",
-            f"relative_bandwidth = {self.relative_bandwidth:.12f}",
+            f"center_wavelength_nm = {2.0 * math.pi * SPEED_OF_LIGHT / self.pulse.omega0 * 1e9:.6f}",
+            f"relative_bandwidth = {self.pulse.delta_omega / self.pulse.omega0:.12f}",
         ]
-        for lab in self.labels:
+        for lab in RANGING_LABELS:
             lines.append(f"k_{lab} = {self.k_consts[lab]:.12e}")
-        for lab in self.labels:
+        for lab in RANGING_LABELS:
             lines.append(f"min_{lab} = {self.min_detectable[lab]:.12e}")
         lines += [
             f"x_contamination_per_m = {self.x_contamination_per_m:.12e}",
@@ -383,8 +379,8 @@ class SensitivityReport:
         ]
         for key in sorted(self.baselines):
             lines.append(f"{key} = {self.baselines[key]:.12e}")
-        lines.append("# contamination matrix M[i][j]: rows/cols " + ",".join(self.labels))
-        for lab, row in zip(self.labels, self.matrix):
+        lines.append("# contamination matrix M[i][j]: rows/cols " + ",".join(RANGING_LABELS))
+        for lab, row in zip(RANGING_LABELS, self.matrix):
             lines.append("M[" + lab + "] = " + ", ".join(f"{v:.12e}" for v in row))
         return "\n".join(lines) + "\n"
 
@@ -437,9 +433,7 @@ def contamination_report(
     return SensitivityReport(
         n_photons=n_photons,
         length_m=length_m,
-        center_wavelength_m=2.0 * math.pi * SPEED_OF_LIGHT / pulse.omega0,
-        relative_bandwidth=pulse.delta_omega / pulse.omega0,
-        labels=RANGING_LABELS,
+        pulse=pulse,
         k_consts=dict(zip(RANGING_LABELS, k_consts)),
         min_detectable=dict(zip(RANGING_LABELS, [min_detectable(k, n_photons) for k in k_consts])),
         matrix=matrix,

@@ -18,8 +18,6 @@ oscillator are taken phase-locked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import air_model
@@ -30,25 +28,6 @@ from .mode_algebra import GaussianPulse
 LINEARITY_GUARD_RAD = 0.1
 
 RANGING_LABELS = ("L", "X", "Pw")
-
-
-@dataclass(frozen=True)
-class PerturbationVector:
-    """Small offsets (p_L [m], p_X [dimensionless], p_Pw [Pa]) of the ranging parameters."""
-
-    values: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if len(self.values) != 3:
-            raise ValidationError("perturbation vector needs exactly 3 entries")
-
-    @classmethod
-    def ranging(cls, p_l_m: float = 0.0, p_x: float = 0.0, p_pw_pa: float = 0.0) -> "PerturbationVector":
-        return cls((p_l_m, p_x, p_pw_pa))
-
-    def items(self):
-        return zip(RANGING_LABELS, self.values)
 
 
 def phase_gradient(
@@ -77,14 +56,15 @@ def gradient_from(label: str, w, k, g, state: AirState, length_m: float):
 
 
 def check_linearity(
-    pert: PerturbationVector,
+    values: tuple[float, float, float],
     pulse: GaussianPulse,
     state: AirState,
     length_m: float,
 ) -> None:
-    """Enforce the < 0.1 rad guard at omega0 +/- 2 delta_omega."""
+    """Enforce the < 0.1 rad guard at omega0 +/- 2 delta_omega on the offsets
+    (p_L [m], p_X [dimensionless], p_Pw [Pa]), in RANGING_LABELS order."""
     edges = np.array([pulse.omega0 - 2 * pulse.delta_omega, pulse.omega0 + 2 * pulse.delta_omega])
-    for label, value in pert.items():
+    for label, value in zip(RANGING_LABELS, values, strict=True):
         if value == 0.0:
             continue
         grad = phase_gradient(label, edges, state, length_m)

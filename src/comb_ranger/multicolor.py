@@ -53,8 +53,8 @@ class MulticolorCombination:
 
 
 def _sigmas(wavelengths_m: Sequence[float]) -> list[float]:
-    """Wavenumbers (um^-1) of in-band, distinct wavelengths."""
-    sigmas = [air_model.Wavenumber.from_wavelength(lam).sigma for lam in wavelengths_m]
+    """The wavenumbers (um^-1) of in-band, distinct wavelengths."""
+    sigmas = [air_model.sigma_from_wavelength(lam) for lam in wavelengths_m]
     if len(set(sigmas)) != len(sigmas):
         raise ValidationError("wavelengths must be distinct")
     return sigmas
@@ -64,7 +64,7 @@ def phase_lengths(wavelengths_m: Sequence[float], state: AirState, length_m: flo
     """Observables n_phi(lambda_i, state) * L, one per wavelength."""
     air_model.check_length(length_m)
     return [
-        float(air_model.phase_index(air_model.Wavenumber.from_wavelength(lam).sigma, state)) * length_m
+        float(air_model.phase_index(air_model.sigma_from_wavelength(lam), state)) * length_m
         for lam in wavelengths_m
     ]
 

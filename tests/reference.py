@@ -20,7 +20,7 @@ import numpy as np
 from comb_ranger import air_model
 from comb_ranger.air_model import SPEED_OF_LIGHT, AirState
 from comb_ranger.detection import DetectionMode, _oracle_table, ranging_modes
-from comb_ranger.dispersion import LINEARITY_GUARD_RAD, PerturbationVector, check_linearity
+from comb_ranger.dispersion import LINEARITY_GUARD_RAD, RANGING_LABELS, check_linearity
 from comb_ranger.errors import DomainError, ValidationError
 from comb_ranger.mode_algebra import (
     GRID_HALF_WIDTH,
@@ -94,9 +94,13 @@ class LinearizedField:
 
 
 def linearized_field(
-    pulse: GaussianPulse, pert: TimeDelays | PerturbationVector, state: AirState | None = None, length_m=None
+    pulse: GaussianPulse,
+    pert: TimeDelays | tuple[float, float, float],
+    state: AirState | None = None,
+    length_m=None,
 ) -> LinearizedField:
-    """Linearized perturbed field for either parameter family.
+    """Linearized perturbed field for either parameter family: a TimeDelays,
+    or the ranging offsets (p_L, p_X, p_Pw) in RANGING_LABELS order.
 
     The deviation from u along parameter i is p_i K_i w_i, a real
     combination of the basis; u = -i v0 is not one, so only the deviation
@@ -111,16 +115,18 @@ def linearized_field(
             if np.max(np.abs(value * time_phase_gradient(label, edges, pulse))) >= LINEARITY_GUARD_RAD:
                 raise DomainError(f"perturbation {label}={value} breaks the {LINEARITY_GUARD_RAD} rad guard")
         modes = time_detection_modes(pulse)
+        items = pert.items()
     else:
         if state is None or length_m is None:
             raise ValidationError("ranging perturbations need state and length_m")
         check_linearity(pert, pulse, state, length_m)
         modes = ranging_modes(pulse, state, length_m)
+        items = zip(RANGING_LABELS, pert)
 
     order = max(m.mode.order for m in modes)
     vec = np.zeros(order + 1)
     amplitudes: dict[str, float] = {}
-    for dm, (label, value) in zip(modes, pert.items()):
+    for dm, (label, value) in zip(modes, items):
         amp = value * dm.k_const
         amplitudes[label] = amp
         if amp != 0.0:

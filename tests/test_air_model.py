@@ -17,7 +17,6 @@ from comb_ranger.air_model import (
     WAVELENGTH_MAX_M,
     WAVELENGTH_MIN_M,
     AirState,
-    Wavenumber,
     density_factor,
     dispersion_scalars,
     group_index,
@@ -27,6 +26,7 @@ from comb_ranger.air_model import (
     omega_from_sigma,
     phase_index,
     sigma_from_omega,
+    sigma_from_wavelength,
     water_term,
 )
 from comb_ranger.errors import DomainError, ValidationError
@@ -270,18 +270,11 @@ class TestValidation:
         with pytest.raises(ValidationError):
             AirState(20.0, 1000.0, 0.04, 1001.0)
 
-    def test_wavenumber_positive(self):
-        with pytest.raises(ValidationError):
-            Wavenumber(0.0)
-        with pytest.raises(ValidationError):
-            Wavenumber(-1.0)
-
     def test_wavenumber_conversions_roundtrip(self):
-        wn = Wavenumber.from_wavelength(633e-9)
-        assert wn.sigma == pytest.approx(1.0 / 0.633, rel=1e-14)
-        back = Wavenumber(sigma_from_omega(wn.angular_frequency))
-        assert back.sigma == pytest.approx(wn.sigma, rel=1e-14)
-        assert 1e-6 / wn.sigma == pytest.approx(633e-9, rel=1e-14)
+        sigma = sigma_from_wavelength(633e-9)
+        assert sigma == pytest.approx(1.0 / 0.633, rel=1e-14)
+        assert sigma_from_omega(omega_from_sigma(sigma)) == pytest.approx(sigma, rel=1e-14)
+        assert 1e-6 / sigma == pytest.approx(633e-9, rel=1e-14)
 
 
 def _sigma_edge(s2_limit):
@@ -340,14 +333,21 @@ class TestCarrierWindow:
     )
     def test_outside_refused_before_arithmetic(self, wavelength_m):
         with pytest.raises(ValidationError, match="wavelength_m"):
-            Wavenumber.from_wavelength(wavelength_m)
+            sigma_from_wavelength(wavelength_m)
         with pytest.raises(ValidationError, match="wavelength_m"):
             GaussianPulse.from_wavelength(wavelength_m)
 
     def test_edges_accepted(self):
         # the lower edge lies past the near pole, which still refuses it
         with pytest.raises(DomainError, match="resonance pole"):
-            Wavenumber.from_wavelength(WAVELENGTH_MIN_M)
-        assert Wavenumber.from_wavelength(WAVELENGTH_MAX_M).sigma == pytest.approx(1e-2, rel=1e-15)
+            sigma_from_wavelength(WAVELENGTH_MIN_M)
+        assert sigma_from_wavelength(WAVELENGTH_MAX_M) == pytest.approx(1e-2, rel=1e-15)
         for wavelength_m in (WAVELENGTH_MIN_M, WAVELENGTH_MAX_M):
             assert GaussianPulse.from_wavelength(wavelength_m).omega0 > 0.0
+
+    @pytest.mark.parametrize("wavelength_m", [150e-9, 160.3e-9])
+    def test_carrier_inside_window_refused_at_the_pole(self, wavelength_m):
+        # sigma^2 = 38.92 um^-2 at 160.3 nm; 38.87 at 160.4 nm, which passes
+        with pytest.raises(DomainError, match="resonance pole"):
+            sigma_from_wavelength(wavelength_m)
+        assert sigma_from_wavelength(160.4e-9) == 1e-6 / 160.4e-9

@@ -3,8 +3,8 @@
 Each pin is the SHA-256 of the bytes a command writes, so any change to
 the bytes on disk or on stdout fails here.  The output paths are relative
 (run from a temporary directory) because stdout names them.  All runs use
-the default configuration with COMB_RANGER_SEED unset, except the
-`--config` pins, which change one key of it.
+the default configuration, except the `--config` pins, which change one
+key of it.
 """
 
 import hashlib
@@ -51,7 +51,6 @@ def sha256(data: bytes) -> str:
 @pytest.fixture
 def in_tmp(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("COMB_RANGER_SEED", raising=False)
     return tmp_path
 
 

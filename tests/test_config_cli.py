@@ -27,6 +27,7 @@ from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import real_profile
 from comb_ranger import detection
 from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M
+from comb_ranger import simulator
 from comb_ranger.simulator import LO_CHOICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -58,7 +59,7 @@ class TestConfigParsing:
             """
         )
         assert cfg.length_m == 12.0
-        assert cfg.seed == 7
+        assert cfg.values["seed"] == 7
         assert cfg.values["lo"] == "raw"
         assert cfg.pulse.omega0 == pytest.approx(
             GaussianPulse.from_wavelength(1064e-9).omega0, rel=1e-15
@@ -97,7 +98,7 @@ class TestConfigParsing:
     def test_integer_key_forms(self):
         cfg = parse_config(f"samples = 1e3\nseed = {2**128 - 1}")
         assert cfg.values["samples"] == 1000
-        assert cfg.seed == 2**128 - 1
+        assert cfg.values["seed"] == 2**128 - 1
 
     def test_unknown_override_key_named(self):
         with pytest.raises(ValidationError, match="unknown configuration key 'sample'"):
@@ -378,6 +379,14 @@ class TestMulticolorCommand:
         code, _ = run_cli(["multicolor", "--scheme", "3wi", "--wavelengths", "1064,532"])
         assert code == EXIT_VALIDATION
 
+    def test_pole_refused_before_distinctness(self, capsys):
+        # each carrier meets the pole check as it is converted, before the
+        # pair is compared
+        code, text = run_cli(["multicolor", "--scheme", "2wi", "--wavelengths", "150,150"])
+        assert code == EXIT_DOMAIN
+        assert text == ""
+        assert "resonance pole" in capsys.readouterr().err
+
     def test_near_colinear_triple(self, capsys):
         code, _ = run_cli(
             ["multicolor", "--scheme", "3wi", "--wavelengths", "1064,1064.001,1064.002"]
@@ -620,15 +629,26 @@ class TestSimulateCommand:
         assert set(rows[0]) == {"index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"}
 
     # 10**15 rows of 40 B exceed a 64-bit user address space, so numpy refuses
-    # at once under any overcommit policy; 2**63 rows exceed its dimension limit
+    # at once under any overcommit policy; 2**63 rows exceed its dimension
+    # limit.  Both lie above MAX_SAMPLES, which is lifted here to reach the
+    # allocation.
     @pytest.mark.parametrize("samples", [10**15, 2**63])
-    def test_unallocatable_sample_table(self, samples, tmp_path, capsys):
+    def test_unallocatable_sample_table(self, samples, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(simulator, "MAX_SAMPLES", 2**64)
         path = tmp_path / "samples.csv"
         code, text = run_cli(["simulate", "--samples", str(samples), "--out", str(path)])
         assert code == EXIT_VALIDATION
         assert text == ""
         assert f"{samples} samples: cannot allocate" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
+
+    def test_sample_count_bounded(self, monkeypatch, capsys):
+        # refused before the run starts, which would otherwise stream for years
+        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the run started"))
+        code, text = run_cli(["simulate", "--samples", str(10**15)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"must be an integer in [1, {simulator.MAX_SAMPLES:.0e}]" in capsys.readouterr().err
 
     def test_unwritable_out(self, tmp_path, capsys):
         path = tmp_path / "missing" / "samples.csv"
@@ -665,12 +685,16 @@ class TestSimulateCommand:
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_env_seed_and_flag_priority(self, monkeypatch):
+    def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
+        # the config's seed holds unless --seed is given; the environment
+        # is not a seed source
         monkeypatch.setenv("COMB_RANGER_SEED", "41")
-        _, via_env = run_cli(["simulate", "--samples", "2000"])
-        assert "seed = 41" in via_env
-        _, via_flag = run_cli(["simulate", "--samples", "2000", "--seed", "42"])
-        assert "seed = 42" in via_flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 9\nsamples = 2000\n")
+        _, via_file = run_cli(["simulate", "--config", str(cfg)])
+        assert "seed = 9" in via_file.splitlines()
+        _, via_flag = run_cli(["simulate", "--config", str(cfg), "--seed", "42"])
+        assert "seed = 42" in via_flag.splitlines()
 
     def test_purified_sigma_matches_sensitivity_at_1550(self, tmp_path):
         # 1 - s is ~7e-13 there; both subcommands take it from one purify

@@ -466,7 +466,7 @@ class TestContaminationReport:
 
     def test_min_detectable_recomputable(self):
         report = contamination_report(PULSE, AIR, 1.0, 8e16)
-        for lab in report.labels:
+        for lab in RANGING_LABELS:
             assert report.min_detectable[lab] == pytest.approx(
                 min_detectable(report.k_consts[lab], report.n_photons), rel=1e-15
             )

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from comb_ranger import AirState, GaussianPulse, PerturbationVector, SPEED_OF_LIGHT, air_model
+from comb_ranger import AirState, GaussianPulse, SPEED_OF_LIGHT, air_model, ranging_modes
 from comb_ranger.errors import DomainError, ValidationError
 from comb_ranger.mode_algebra import gaussian_envelope, hermite_envelope
 from reference import (
@@ -120,7 +120,7 @@ class TestExpansionResidual:
 class TestLinearizedField:
     def test_zero_perturbation_returns_u(self, standard_air):
         pulse = GaussianPulse.from_wavelength(800e-9)
-        out = linearized_field(pulse, PerturbationVector.ranging(), standard_air, 1.0)
+        out = linearized_field(pulse, (0.0, 0.0, 0.0), standard_air, 1.0)
         assert_allclose(out.deviation.padded(2), np.zeros(3), atol=0.0)
         assert all(v == 0.0 for v in out.amplitudes.values())
 
@@ -155,7 +155,7 @@ class TestLinearizedField:
         u_samp = gaussian_envelope(pulse, omega).astype(complex)
         exact = apply_spectral_phase(u_samp, omega, vacuum, p_l)
         deviation_exact = self._projected_deviation(pulse, omega, exact)
-        lin = linearized_field(pulse, PerturbationVector.ranging(p_l_m=p_l), vacuum, 1.0)
+        lin = linearized_field(pulse, (p_l, 0.0, 0.0), vacuum, 1.0)
         deviation_lin = lin.deviation.padded(2)
         scale = abs(deviation_exact[0])
         assert_allclose(deviation_lin, deviation_exact, rtol=1e-4, atol=1e-6 * scale)
@@ -170,7 +170,7 @@ class TestLinearizedField:
         u_samp = gaussian_envelope(pulse, omega).astype(complex)
         exact = apply_spectral_phase(u_samp, omega, standard_air, p_l)
         deviation_exact = self._projected_deviation(pulse, omega, exact)
-        lin = linearized_field(pulse, PerturbationVector.ranging(p_l_m=p_l), standard_air, 1.0)
+        lin = linearized_field(pulse, (p_l, 0.0, 0.0), standard_air, 1.0)
         deviation_lin = lin.deviation.padded(2)
         rel = abs(deviation_lin[0] - deviation_exact[0]) / abs(deviation_exact[0])
         assert 1e-4 < rel < 5e-4
@@ -211,16 +211,20 @@ class TestLinearizedField:
         pulse = GaussianPulse.from_wavelength(800e-9)
         with pytest.raises(DomainError):
             linearized_field(
-                pulse, PerturbationVector.ranging(p_l_m=1e-7), standard_air, 1.0
+                pulse, (1e-7, 0.0, 0.0), standard_air, 1.0
             )
 
     def test_ranging_requires_state(self):
         pulse = GaussianPulse.from_wavelength(800e-9)
         with pytest.raises(ValidationError):
-            linearized_field(pulse, PerturbationVector.ranging(p_l_m=1e-13))
+            linearized_field(pulse, (1e-13, 0.0, 0.0))
 
 
 class TestPerturbationVector:
-    def test_labels(self):
+    def test_labels(self, standard_air):
         assert [label for label, _ in TimeDelays().items()] == ["phi", "g", "gvd"]
-        assert [label for label, _ in PerturbationVector.ranging().items()] == ["L", "X", "Pw"]
+        # a ranging perturbation is the tuple (p_L, p_X, p_Pw), read in RANGING_LABELS order
+        pulse = GaussianPulse.from_wavelength(800e-9)
+        _, w_x, w_pw = ranging_modes(pulse, standard_air, 1.0)
+        out = linearized_field(pulse, (0.0, 1e-9, 0.5), standard_air, 1.0)
+        assert out.amplitudes == {"L": 0.0, "X": 1e-9 * w_x.k_const, "Pw": 0.5 * w_pw.k_const}
