@@ -175,8 +175,10 @@ def _format_block(precisions: list[int | None], block: np.ndarray) -> bytes:
     return lines[lines != 0].tobytes()
 
 
-def _export_csv(path: str, header: list[str], precisions: list[int | None], table: np.ndarray) -> None:
-    """Write `header` and one CSV line per row of `table`.
+@contextlib.contextmanager
+def _export_csv(path: str, header: list[str], precisions: list[int | None]):
+    """Write `header`, then yield `write(*columns)`, which appends one CSV line
+    per row of its columns (1-D arrays or 2-D arrays of several columns).
 
     Column c is written as `'%d' % v` where precisions[c] is None and as
     `'%.{p}e' % v` for precisions[c] = p, byte for byte, but by whole numpy
@@ -189,12 +191,13 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None], tabl
     outside [1e-280, 1e280] and integer-column values outside [0, 2**32)
     are formatted with `%`.
 
-    Rows are formatted and written EXPORT_BLOCK_ROWS at a time into a
-    temporary file beside `path`, named from the process id and created
-    exclusively, which replaces `path` once every row is written.  A path
-    that cannot be opened or written is a ValidationError and leaves neither
-    a partial CSV nor the temporary file; callers export before printing
-    anything, so a failed export also leaves stdout empty.
+    Rows are stacked, formatted and written EXPORT_BLOCK_ROWS at a time into
+    a temporary file beside `path`, named from the process id and created
+    exclusively before anything is yielded; it replaces `path` when the
+    block exits normally.  A path that cannot be opened or written is a
+    ValidationError, and any exception leaves neither a partial CSV nor the
+    temporary file; callers print after the block, so a failed export also
+    leaves stdout empty.
     """
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
@@ -203,9 +206,11 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None], tabl
         try:
             with open(fd, "wb") as fh:
                 fh.write((",".join(header) + "\n").encode("utf-8"))
-                for start in range(0, len(table), EXPORT_BLOCK_ROWS):
-                    block = table[start : start + EXPORT_BLOCK_ROWS]
-                    fh.write(_format_block(precisions, block))
+                def write(*columns: np.ndarray) -> None:
+                    for start in range(0, len(columns[0]), EXPORT_BLOCK_ROWS):
+                        block = np.column_stack([c[start : start + EXPORT_BLOCK_ROWS] for c in columns])
+                        fh.write(_format_block(precisions, block))
+                yield write
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -276,12 +281,9 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
     scale = math.sqrt(pulse.delta_omega)
     profile_rows = [r for r in rows if r[0] in ("u", "v0", "v1", "v2", "w_L", "w_L_p")]
     profiles = [mode_algebra.real_profile(m, omega) * scale for _, m, _ in profile_rows]
-    _export_csv(
-        args.out,
-        ["x"] + [label for label, _, _ in profile_rows],
-        [9] + [12] * len(profiles),
-        np.column_stack([x] + profiles),
-    )
+    header = ["x"] + [label for label, _, _ in profile_rows]
+    with _export_csv(args.out, header, [9] + [12] * len(profiles)) as write:
+        write(x, *profiles)
 
     # no field needs CSV quoting: labels and formatted numbers
     print("mode,c0,c1,c2,k_const", file=out)
@@ -356,17 +358,14 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
 def cmd_simulate(args: argparse.Namespace, out) -> int:
     config = load_config(args.config).with_overrides(seed=args.seed, samples=args.samples)
     sim_config = config.to_sim_config()
-    keep = args.out is not None
-    result = simulator.run(sim_config, keep_samples=keep)
-    if keep:
-        _export_csv(
-            args.out,
-            ["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"],
-            [None, 12, 12, 12, 12],
-            result.samples,
-        )
+    export = contextlib.nullcontext()
+    if args.out is not None:
+        export = _export_csv(args.out, ["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"], [None] + [12] * 4)
+    # each block of samples goes to the CSV as soon as the run has folded it
+    with export as write:
+        result = simulator.run(sim_config, on_rows=write)
     out.write(result.to_text())
-    if keep:
+    if args.out is not None:
         print(f"# samples written to {args.out}", file=out)
     return EXIT_OK
 

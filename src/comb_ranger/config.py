@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from .air_model import AirState
 from .errors import ValidationError
 from .mode_algebra import GaussianPulse
-from .simulator import LO_CHOICES, SimConfig
+from .simulator import LO_CHOICES, SimConfig, check_sample_count
 
 DEFAULT_SEED = 20260808
 
@@ -152,8 +152,7 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
     values = {key: _typed(key, value) for key, value in values.items()}
     if values["lo"] not in LO_CHOICES:
         raise ValidationError(f"key 'lo': {values['lo']!r} not in {LO_CHOICES}")
-    if values["samples"] < 1:
-        raise ValidationError(f"key 'samples': {values['samples']} must be >= 1")
+    check_sample_count(values["samples"])
     pulse = GaussianPulse.from_wavelength(
         values["pulse.wavelength_nm"] * 1e-9, values["pulse.relative_bandwidth"]
     )

@@ -16,15 +16,15 @@ how the run is cut into blocks, and reruns are bit-identical.
 
 A run streams its samples in blocks of CHUNK_ROWS rows: each block is
 drawn, projected and folded into running moments and a running regression,
-then dropped, so memory is O(CHUNK_ROWS), not O(samples), unless the
-sample table is kept.  One block is drawn ahead: while block i is projected
-and folded, a helper thread fills block i+1 from the same generator (numpy
-releases the interpreter lock while it draws), so the draw time hides the
-rest of the work.  The draws live in two preallocated CHUNK_ROWS x 4
-buffers that the two threads take in turn.  The generator is used by one
-thread at a time and the blocks are drawn in order, so the rows, and every
-aggregate, are those of a sequential run: the reproducibility contract is
-unchanged.
+then dropped, so memory is O(CHUNK_ROWS), not O(samples); a caller that
+wants the samples takes each block as it is folded.  One block is drawn
+ahead: while block i is projected and folded, a helper thread fills block
+i+1 from the same generator (numpy releases the interpreter lock while it
+draws), so the draw time hides the rest of the work.  The draws live in
+two preallocated CHUNK_ROWS x 4 buffers that the two threads take in turn.
+The generator is used by one thread at a time and the blocks are drawn in
+order, so the rows, and every aggregate, are those of a sequential run:
+the reproducibility contract is unchanged.
 
 Leakage of the environmental parameters into the distance estimate is
 characterized by ordinary least squares of the signal against the injected
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ CHUNK_ROWS = 65536
 QR_ROWS = 8192
 # largest sample count a run accepts: about two minutes of streaming at
 # 0.12 s per 1e6 samples, and 250x the largest benchmarked run; a count far
-# beyond streams without output for years when no table is kept
+# beyond streams without output for years
 MAX_SAMPLES = 10**9
 
 _FINITE_FIELDS = (
@@ -74,6 +74,14 @@ _FINITE_FIELDS = (
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check_sample_count(count) -> None:
+    """The one sample-count rule, of the config key and of SimConfig alike."""
+    if not (_is_integer(count) and 1 <= count <= MAX_SAMPLES):
+        raise ValidationError(
+            f"sample_count (config key 'samples') = {count!r} must be an integer in [1, {MAX_SAMPLES:.0e}]"
+        )
 
 
 @dataclass(frozen=True)
@@ -102,10 +110,7 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.lo_choice not in LO_CHOICES:
             raise ValidationError(f"lo_choice must be one of {LO_CHOICES}")
-        if not (_is_integer(self.sample_count) and 1 <= self.sample_count <= MAX_SAMPLES):
-            raise ValidationError(
-                f"sample_count={self.sample_count!r} must be an integer in [1, {MAX_SAMPLES:.0e}]"
-            )
+        check_sample_count(self.sample_count)
         # the seed is the key of a 128-bit Philox generator
         if not (_is_integer(self.rng_seed) and 0 <= self.rng_seed < 2**128):
             raise ValidationError(f"rng_seed={self.rng_seed!r} must be an integer in [0, 2**128)")
@@ -148,7 +153,7 @@ class RegressionSlope:
 
 @dataclass(frozen=True)
 class SimResult:
-    """Aggregated statistics of one run; raw samples kept on request."""
+    """Aggregated statistics of one run."""
 
     lo_label: str
     k_lo: float
@@ -161,7 +166,6 @@ class SimResult:
     slopes: dict[str, RegressionSlope]
     immune: bool | None
     rng_seed: int
-    samples: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def to_text(self) -> str:
         lines = [
@@ -247,7 +251,7 @@ class _DrawAhead(threading.Thread):
             raise self._error
 
 
-def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
+def run(config: SimConfig, on_rows=None) -> SimResult:
     """Run the simulation and aggregate estimator statistics.
 
     The per-sample signal is the homodyne projection of the linearized
@@ -255,9 +259,11 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     contamination-matrix row of the chosen LO, which is how it is
     evaluated (vectorized) here.  Samples are drawn, projected and folded
     into the aggregates CHUNK_ROWS at a time, the next block being drawn in
-    a helper thread meanwhile; the (n, 5) sample table (index, p_L, p_X,
-    p_Pw, signal) is the only O(n) array, and it is built only with
-    `keep_samples`; a table that cannot be allocated is a ValidationError.
+    a helper thread meanwhile; no array grows with the sample count.  After
+    the block of m rows from `start` is folded, `on_rows`, if given, is
+    called with its indices np.arange(start, start + m), its (m, 3)
+    perturbations (p_L, p_X, p_Pw) and its m signals, new arrays that the
+    run does not touch again.
     """
     n = config.sample_count
     labels = config.fluctuating_labels
@@ -281,12 +287,6 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
     columns = [RANGING_LABELS.index(lab) for lab in labels]
 
     gen = draw_generator(config.rng_seed)
-    samples = None
-    if keep_samples:
-        try:
-            samples = np.empty((n, 5))
-        except (MemoryError, ValueError) as exc:
-            raise ValidationError(f"{n} samples: cannot allocate their {n * 40} B table") from exc
     mean, m2 = 0.0, 0.0
     # R factor of [1, fluctuating perts..., signal - projection] over the
     # rows seen so far; its zero start rows do not change the factor.
@@ -320,6 +320,7 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
             dev = signal - block_mean
             np.multiply(dev, dev, out=dev)
             block_m2 = float(np.sum(dev))
+            del dev  # alive during on_rows, it raised a 1e5-sample `--out` peak by 0.5 MB
             if start == 0:
                 mean, m2 = block_mean, block_m2
             else:
@@ -332,10 +333,9 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
                 response = np.subtract(signal, projection, out=projection)
                 r = _fold_qr(r, perts[:, columns], response)
 
-            if samples is not None:
-                samples[start : start + m, 0] = np.arange(start, start + m)
-                samples[start : start + m, 1:4] = perts
-                samples[start : start + m, 4] = signal
+            if on_rows is not None:
+                on_rows(np.arange(start, start + m), perts, signal)
+
         finally:
             if ahead is not None:
                 ahead.join()
@@ -362,7 +362,6 @@ def run(config: SimConfig, keep_samples: bool = False) -> SimResult:
         slopes=slopes,
         immune=immune,
         rng_seed=config.rng_seed,
-        samples=samples,
     )
 
 

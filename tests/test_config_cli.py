@@ -23,7 +23,7 @@ from comb_ranger import GaussianPulse
 from comb_ranger.cli import EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
 from comb_ranger import cli, config
 from comb_ranger.config import SCHEMA, build_config, load_config, parse_config
-from comb_ranger.errors import ValidationError
+from comb_ranger.errors import DomainError, ValidationError
 from comb_ranger.mode_algebra import real_profile
 from comb_ranger import detection
 from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M
@@ -264,6 +264,18 @@ class TestSensitivityCommand:
         assert code == EXIT_VALIDATION
         assert text == ""
         assert f"{key}=inf must be finite" in capsys.readouterr().err
+
+    # one sample-count rule and message for every command that reads the
+    # config: `sensitivity` ignored the bound that `simulate` refused
+    @pytest.mark.parametrize("command", ["sensitivity", "simulate"])
+    def test_samples_beyond_bound_in_config(self, tmp_path, capsys, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("samples = 2e9\n")
+        code, text = run_cli([command, "--config", str(cfg)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        bound = f"[1, {simulator.MAX_SAMPLES:.0e}]"
+        assert f"(config key 'samples') = 2000000000 must be an integer in {bound}" in capsys.readouterr().err
 
     # refused before K_X or K_L / K_Pw leaves the double range: 1e300 printed
     # min_X = 0 and 1e-300 an infinite M[Pw], each after an overflow warning
@@ -628,20 +640,6 @@ class TestSimulateCommand:
         assert len(rows) == 100
         assert set(rows[0]) == {"index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"}
 
-    # 10**15 rows of 40 B exceed a 64-bit user address space, so numpy refuses
-    # at once under any overcommit policy; 2**63 rows exceed its dimension
-    # limit.  Both lie above MAX_SAMPLES, which is lifted here to reach the
-    # allocation.
-    @pytest.mark.parametrize("samples", [10**15, 2**63])
-    def test_unallocatable_sample_table(self, samples, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(simulator, "MAX_SAMPLES", 2**64)
-        path = tmp_path / "samples.csv"
-        code, text = run_cli(["simulate", "--samples", str(samples), "--out", str(path)])
-        assert code == EXIT_VALIDATION
-        assert text == ""
-        assert f"{samples} samples: cannot allocate" in capsys.readouterr().err
-        assert list(tmp_path.iterdir()) == []
-
     def test_sample_count_bounded(self, monkeypatch, capsys):
         # refused before the run starts, which would otherwise stream for years
         monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the run started"))
@@ -650,12 +648,27 @@ class TestSimulateCommand:
         assert text == ""
         assert f"must be an integer in [1, {simulator.MAX_SAMPLES:.0e}]" in capsys.readouterr().err
 
-    def test_unwritable_out(self, tmp_path, capsys):
+    def test_unwritable_out(self, tmp_path, monkeypatch, capsys):
+        # refused before the run starts, as the CSV is opened first
+        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the run started"))
         path = tmp_path / "missing" / "samples.csv"
         code, text = run_cli(["simulate", "--samples", "100", "--out", str(path)])
         assert code == EXIT_VALIDATION
         assert text == ""
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
+    def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
+        # the run fails after its samples reached the open CSV
+        def degenerate(*args):
+            raise DomainError("degenerate regression")
+
+        monkeypatch.setattr(simulator, "_leakage_slopes", degenerate)
+        path = tmp_path / "samples.csv"
+        code, text = run_cli(["simulate", "--samples", "1000", "--out", str(path)])
+        assert code == EXIT_DOMAIN
+        assert text == ""
+        assert "degenerate regression" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
         class FullDisk:

@@ -1,6 +1,7 @@
 """Monte Carlo runs: calibration, reproducibility, leakage regression."""
 
 import hashlib
+import io
 import math
 import sys
 import threading
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comb_ranger import AirState, GaussianPulse, SimConfig, contamination_report, ranging_modes, simulator
+from comb_ranger import AirState, GaussianPulse, SimConfig, cli, contamination_report, ranging_modes, simulator
 from comb_ranger.dispersion import RANGING_LABELS
 from comb_ranger.errors import ValidationError
 from comb_ranger.simulator import (
@@ -22,6 +23,14 @@ from comb_ranger.simulator import (
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
 AIR = AirState.standard()
+
+
+def run_with_table(cfg: SimConfig):
+    """run(cfg) and its (n, 5) sample table (index, p_L, p_X, p_Pw, signal),
+    gathered from the blocks the run hands to `on_rows`."""
+    blocks = []
+    result = run(cfg, on_rows=lambda *columns: blocks.append(np.column_stack(columns)))
+    return result, np.concatenate(blocks)
 
 
 def make_config(**kwargs) -> SimConfig:
@@ -41,10 +50,9 @@ def make_config(**kwargs) -> SimConfig:
 class TestReproducibility:
     def test_bit_identical_reruns(self):
         cfg = make_config(lo_choice="purified", sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
-        a = run(cfg, keep_samples=True)
-        b = run(cfg, keep_samples=True)
+        (a, table_a), (b, table_b) = run_with_table(cfg), run_with_table(cfg)
         assert a == b
-        assert np.array_equal(a.samples, b.samples)
+        assert np.array_equal(table_a, table_b)
 
     def test_draws_prefix_stable(self):
         # extending the sample count must not disturb earlier samples, and
@@ -66,7 +74,7 @@ class TestReproducibility:
             lo_choice="purified_x_only", sample_count=150_000, p_l_m=3e-13,
             sigma_p_l_m=1e-13, sigma_p_x=1e-6, sigma_p_pw_pa=10.0,
         )
-        table = run(cfg, keep_samples=True).samples
+        _, table = run_with_table(cfg)
         assert hashlib.sha256(table.tobytes()).hexdigest() == self.SAMPLE_TABLE_SHA256
 
     def test_draws_into_out_buffer(self):
@@ -82,10 +90,10 @@ class TestReproducibility:
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
     def test_block_size_invariance(self, monkeypatch, lo, chunk_rows):
         cfg = make_config(lo_choice=lo, sample_count=2000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
-        whole = run(cfg, keep_samples=True)
+        whole, whole_table = run_with_table(cfg)
         monkeypatch.setattr(simulator, "CHUNK_ROWS", chunk_rows)
-        blocks = run(cfg, keep_samples=True)
-        assert np.array_equal(blocks.samples, whole.samples)
+        blocks, blocks_table = run_with_table(cfg)
+        assert np.array_equal(blocks_table, whole_table)
         assert blocks.mean_estimate_m == pytest.approx(
             whole.mean_estimate_m, rel=0, abs=1e-12 * whole.std_estimate_m
         )
@@ -96,17 +104,24 @@ class TestReproducibility:
             assert other.std_error == pytest.approx(slope.std_error, rel=1e-12)
         assert blocks.immune == whole.immune
 
-    def test_memory_bounded_by_block(self):
+    def test_memory_bounded_by_block(self, tmp_path):
+        def peak_of(work):
+            tracemalloc.start()
+            try:
+                return work(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
         cfg = make_config(sample_count=1_000_000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
         run(make_config(sample_count=1000, sigma_p_x=1e-6, sigma_p_pw_pa=10.0))
-        tracemalloc.start()
-        try:
-            run(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, run_peak = peak_of(lambda: run(cfg))
+        # `simulate --out` writes each of its 1e6 samples to the CSV
+        argv = ["simulate", "--samples", "1000000", "--out", str(tmp_path / "samples.csv")]
+        code, export_peak = peak_of(lambda: cli.main(argv, out=io.StringIO()))
+        assert code == cli.EXIT_OK
         # the samples alone would take 8 MB per float64 column
-        assert peak < 16e6
+        assert run_peak < 16e6
+        assert export_peak < 16e6
 
     def test_different_seeds_differ(self):
         a = run(make_config(rng_seed=1))
@@ -190,11 +205,11 @@ class TestDrawAhead:
             make_config(**{**self.CONFIG, "sample_count": 700, "rng_seed": seed, "lo_choice": lo})
             for seed, lo in zip(range(4), LO_CHOICES * 2)
         ]
-        alone = [run(cfg, keep_samples=True) for cfg in configs]
+        alone = [run_with_table(cfg) for cfg in configs]
         together = [None] * len(configs)
 
         def worker(i):
-            together[i] = run(configs[i], keep_samples=True)
+            together[i] = run_with_table(configs[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -207,9 +222,9 @@ class TestDrawAhead:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        for a, b in zip(alone, together):
+        for (a, table_a), (b, table_b) in zip(alone, together):
             assert a == b
-            assert np.array_equal(a.samples, b.samples)
+            assert np.array_equal(table_a, table_b)
 
     @pytest.mark.parametrize("chunk_rows", [1000, 2500, 65536])
     def test_no_thread_left_after_run(self, monkeypatch, chunk_rows):
@@ -352,8 +367,8 @@ def test_regression_matches_extended_precision_reference(lo, samples):
     # P_w slope is ~5e9 std errors, where one ulp of the slope is ~7e-7
     # of a std error, so the slope bound is about 1.4 ulp
     cfg = make_config(lo_choice=lo, sample_count=samples, sigma_p_x=1e-6, sigma_p_pw_pa=10.0)
-    res = run(cfg, keep_samples=True)
-    beta, se = reference_regression(res.samples, cfg.fluctuating_labels)
+    res, table = run_with_table(cfg)
+    beta, se = reference_regression(table, cfg.fluctuating_labels)
     for j, lab in enumerate(cfg.fluctuating_labels):
         slope = res.slopes[lab]
         assert abs(slope.std_error / se[j] - 1) < 1e-9
