@@ -13,8 +13,8 @@ Usage: python scripts/immunity_demo.py [--samples 100000] [--seed 20260808]
 
 import argparse
 
-from comb_ranger import run
 from comb_ranger.config import SCHEMA, build_config
+from comb_ranger.simulator import run
 
 
 def main() -> None:

@@ -14,8 +14,8 @@ Usage: python scripts/reproduce_sensitivities.py [--wavelength-nm 800]
 
 import argparse
 
-from comb_ranger import contamination_report
 from comb_ranger.config import SCHEMA, build_config
+from comb_ranger.detection import contamination_report
 
 # command-line option -> configuration key, whose SCHEMA default it takes
 OPTIONS = {

@@ -194,11 +194,14 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
     Rows are stacked, formatted and written EXPORT_BLOCK_ROWS at a time into
     a temporary file beside `path`, named from the process id and created
     exclusively before anything is yielded; it replaces `path` when the
-    block exits normally.  A path that cannot be opened or written is a
-    ValidationError, and any exception leaves neither a partial CSV nor the
-    temporary file; callers print after the block, so a failed export also
-    leaves stdout empty.
+    block exits normally.  A path that cannot be opened or written, or that
+    names a directory (which the final rename would refuse only after the
+    whole export), is a ValidationError, and any exception leaves neither a
+    partial CSV nor the temporary file; callers print after the block, so a
+    failed export also leaves stdout empty.
     """
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
     head, name = os.path.split(path)
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:

@@ -268,9 +268,10 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     n = config.sample_count
     labels = config.fluctuating_labels
     k = 1 + len(labels)
-    if labels and n <= k:
+    if n <= k:
         raise ValidationError(
-            f"{n} samples cannot support a regression with {k} coefficients"
+            f"{n} samples cannot fit {k} coefficients (the mean and {k - 1}"
+            f" leakage slopes); at least {k + 1} are needed"
         )
     modes = detection.ranging_modes(config.pulse, config.state, config.length_m)
     lo = select_lo(config, modes)
@@ -342,8 +343,8 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
         if ahead is not None:
             ahead.check()
 
-    std = math.sqrt(m2 / (n - 1)) if n > 1 else 0.0
-    sem = std / math.sqrt(n) if n > 1 else math.inf
+    std = math.sqrt(m2 / (n - 1))
+    sem = std / math.sqrt(n)
 
     slopes = _leakage_slopes(labels, r, n, coeff[columns]) if labels else {}
     immune = None

@@ -1,6 +1,6 @@
 import pytest
 
-from comb_ranger import AirState
+from comb_ranger.air_model import AirState
 
 
 @pytest.fixture

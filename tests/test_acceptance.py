@@ -20,26 +20,18 @@ import math
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from comb_ranger import (
-    AirState,
-    GaussianPulse,
+from comb_ranger.air_model import SPEED_OF_LIGHT, AirState, k_dispersion, phase_index, sigma_from_omega
+from comb_ranger.detection import (
     PurifiedSensitivity,
-    SPEED_OF_LIGHT,
-    SimConfig,
     contamination_report,
-    inner_product,
     min_detectable,
     numeric_detection_mode,
-    phase_index,
     purify,
     ranging_modes,
-    shot_noise,
-    synth_3wi,
-    two_color_combination,
 )
-from comb_ranger.air_model import k_dispersion, sigma_from_omega
-from comb_ranger.multicolor import phase_lengths
-from comb_ranger.simulator import run
+from comb_ranger.mode_algebra import GaussianPulse, inner_product
+from comb_ranger.multicolor import phase_lengths, shot_noise, synth_3wi, two_color_combination
+from comb_ranger.simulator import SimConfig, run
 from reference import TimeDelays, homodyne_signal, linearized_field, lstsq_purify, time_detection_modes
 
 PULSE = GaussianPulse.from_wavelength(800e-9)
@@ -346,7 +338,7 @@ def test_criterion_13_three_color_immunity():
     # relative length shift per relative density-factor shift (via pressure)
     hi = AirState(20.0, 101325.0 + 2000.0, 0.04, 0.0)
     lo = AirState(20.0, 101325.0 - 2000.0, 0.04, 0.0)
-    from comb_ranger import density_factor
+    from comb_ranger.air_model import density_factor
 
     sens_x = abs(
         (rebuilt(hi) - rebuilt(lo))

@@ -19,14 +19,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import comb_ranger
-from comb_ranger import GaussianPulse
 from comb_ranger.cli import EXIT_DOMAIN, EXIT_OK, EXIT_VALIDATION, main
 from comb_ranger import cli, config
 from comb_ranger.config import SCHEMA, build_config, load_config, parse_config
 from comb_ranger.errors import DomainError, ValidationError
-from comb_ranger.mode_algebra import real_profile
+from comb_ranger.mode_algebra import GaussianPulse, real_profile
 from comb_ranger import detection
-from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M
+from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M, AirState
 from comb_ranger import simulator
 from comb_ranger.simulator import LO_CHOICES
 
@@ -347,7 +346,7 @@ def test_gaussian_pulse_refuses_non_finite(omega0, delta_omega):
 def test_gaussian_pulse_refuses_carrier_outside_window(omega0):
     with pytest.raises(ValidationError, match="omega0="):
         detection.contamination_report(
-            GaussianPulse(omega0, omega0 / 10), comb_ranger.AirState.standard(), 1.0, 8e16
+            GaussianPulse(omega0, omega0 / 10), AirState.standard(), 1.0, 8e16
         )
 
 
@@ -616,6 +615,16 @@ class TestSimulateCommand:
         assert text == ""
         assert "rng_seed" in capsys.readouterr().err
 
+    def test_too_few_samples_for_the_mean(self, tmp_path, capsys):
+        # with no fluctuating parameter only the mean is fitted, and one
+        # sample leaves no spread for its standard error
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("fluct.density_factor = 0\nfluct.water_vapor_pa = 0\n")
+        code, text = run_cli(["simulate", "--config", str(cfg), "--samples", "1"])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert "1 samples cannot fit 1 coefficients" in capsys.readouterr().err
+
     def test_infinite_samples_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("samples = inf\n")
@@ -656,6 +665,16 @@ class TestSimulateCommand:
         assert code == EXIT_VALIDATION
         assert text == ""
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
+
+    def test_directory_out_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
+        # the final rename would refuse it only after the whole export
+        monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the run started"))
+        code, text = run_cli(["simulate", "--samples", "100", "--out", str(tmp_path)])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: it is a directory")
+        assert list(tmp_path.iterdir()) == []
+        assert list(tmp_path.parent.glob(f".{tmp_path.name}.*.tmp")) == []
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
         # the run fails after its samples reached the open CSV

@@ -13,9 +13,10 @@ import hashlib
 
 import numpy as np
 
-from comb_ranger import AirState, GaussianPulse
+from comb_ranger.air_model import AirState
 from comb_ranger.detection import contamination_report, purify, ranging_modes
 from comb_ranger.errors import SeparabilityError
+from comb_ranger.mode_algebra import GaussianPulse
 
 SEED = 1604
 PULSES = 16

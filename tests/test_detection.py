@@ -9,29 +9,29 @@ import pytest
 from numpy.polynomial.hermite import hermgauss, hermval
 from numpy.testing import assert_allclose
 
-from comb_ranger import (
-    AirState,
+from comb_ranger import air_model, detection
+from comb_ranger.air_model import LENGTH_MAX_M, LENGTH_MIN_M, SPEED_OF_LIGHT, AirState, dispersion_scalars
+from comb_ranger.detection import (
+    PURIFY_FLOOR,
     DetectionMode,
-    GaussianPulse,
-    SPEED_OF_LIGHT,
-    SimConfig,
-    SpectralMode,
+    PurifiedSensitivity,
     contamination_report,
-    dispersion_scalars,
-    hermite_gauss,
-    inner_product,
     min_detectable,
     numeric_detection_mode,
     purify,
     ranging_modes,
 )
-from comb_ranger import air_model, detection
-from comb_ranger.air_model import LENGTH_MAX_M, LENGTH_MIN_M
-from comb_ranger.detection import PURIFY_FLOOR, PurifiedSensitivity
-from comb_ranger.mode_algebra import gaussian_envelope, real_profile
+from comb_ranger.mode_algebra import (
+    GaussianPulse,
+    SpectralMode,
+    gaussian_envelope,
+    hermite_gauss,
+    inner_product,
+    real_profile,
+)
 from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
-from comb_ranger.simulator import select_lo
+from comb_ranger.simulator import SimConfig, select_lo
 from reference import (
     TimeDelays,
     apply_spectral_phase,

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from comb_ranger import AirState, GaussianPulse, SPEED_OF_LIGHT, air_model, ranging_modes
+from comb_ranger import air_model
+from comb_ranger.air_model import SPEED_OF_LIGHT, AirState
+from comb_ranger.detection import ranging_modes
 from comb_ranger.errors import DomainError, ValidationError
-from comb_ranger.mode_algebra import gaussian_envelope, hermite_envelope
+from comb_ranger.mode_algebra import GaussianPulse, gaussian_envelope, hermite_envelope
 from reference import (
     TimeDelays,
     apply_spectral_phase,

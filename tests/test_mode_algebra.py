@@ -10,9 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from comb_ranger import GaussianPulse, SpectralMode, hermite_gauss, inner_product
 from comb_ranger.errors import ValidationError
-from comb_ranger.mode_algebra import gaussian_envelope, hermite_envelope, real_profile
+from comb_ranger.mode_algebra import (
+    GaussianPulse,
+    SpectralMode,
+    gaussian_envelope,
+    hermite_envelope,
+    hermite_gauss,
+    inner_product,
+    real_profile,
+)
 from reference import quadrature_inner_product, sampling_grid
 
 PULSE = GaussianPulse.from_wavelength(800e-9)

@@ -7,16 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comb_ranger import (
-    AirState,
-    humidity_bias,
-    phase_lengths,
-    shot_noise,
-    synth_3wi,
-    two_color_combination,
-)
 from comb_ranger import air_model
+from comb_ranger.air_model import AirState
 from comb_ranger.errors import DomainError, ValidationError
+from comb_ranger.multicolor import humidity_bias, phase_lengths, shot_noise, synth_3wi, two_color_combination
 
 # Frozen by direct evaluation with an independent script.
 ALPHA_1064_532 = 64.92173071777036
@@ -196,7 +190,8 @@ class TestConsistencyWithCombScheme:
         # the fully purified comb measurement is less precise than the
         # two-color displacement scheme at equal photon budget, but it has
         # no humidity systematic, while the two-color scheme does
-        from comb_ranger import GaussianPulse, contamination_report
+        from comb_ranger.detection import contamination_report
+        from comb_ranger.mode_algebra import GaussianPulse
 
         pulse = GaussianPulse.from_wavelength(800e-9)
         sens = contamination_report(pulse, standard_air, 1.0, 8e16).purified

@@ -122,6 +122,24 @@ def test_cli_import_loads_no_executor_or_queue():
     assert out.stdout.strip() == "[]"
 
 
+def test_package_import_loads_no_submodule_or_numpy():
+    # each public name has one spelling, comb_ranger.<module>.<name>, so the
+    # package itself imports nothing
+    code = (
+        "import sys, comb_ranger; "
+        "print(sorted(m for m in sys.modules if m.startswith(('comb_ranger.', 'numpy'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_package_init_holds_only_its_docstring():
+    tree = parse(PACKAGE_DIR / "__init__.py")
+    assert ast.get_docstring(tree) and len(tree.body) == 1
+
+
 def identifiers(node: ast.AST) -> Counter:
     """Identifiers used in `node`: names, attribute names and import aliases."""
     out: Counter = Counter()
@@ -142,12 +160,16 @@ def readme_api_example() -> ast.Module:
     return ast.parse(re.search(r"```python\n(.*?)```", section, re.S).group(1))
 
 
+def test_readme_api_example_runs(capsys):
+    exec(compile(readme_api_example(), "README.md", "exec"), {})
+    assert "shot_noise_purified_m" in capsys.readouterr().out
+
+
 def test_every_public_definition_has_a_caller():
     # a public function or class must be used outside its own body by the
-    # package (its re-exports in __init__ do not count), by a script, by the
-    # benchmark, or by README's library example; what only the tests use
-    # belongs in tests/reference.py
-    modules = {p.stem: parse(p) for p in MODULES if p.stem != "__init__"}
+    # package, by a script, by the benchmark, or by README's library example;
+    # what only the tests use belongs in tests/reference.py
+    modules = {p.stem: parse(p) for p in MODULES}
     users = [parse(p) for d in ("scripts", "perfbench") for p in sorted((REPO / d).glob("*.py"))]
     used = sum(map(identifiers, [*modules.values(), *users, readme_api_example()]), Counter())
     unused = [
@@ -197,10 +219,12 @@ def test_every_dataclass_field_is_read():
 
 
 def test_package_holds_only_the_ranging_family():
+    from comb_ranger.air_model import AirState
     from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
+    from comb_ranger.errors import ValidationError
 
     assert RANGING_LABELS == ("L", "X", "Pw")
-    with pytest.raises(comb_ranger.ValidationError, match="unknown parameter label 'phi'"):
-        phase_gradient("phi", [2e15], comb_ranger.AirState.standard(), 1.0)
+    with pytest.raises(ValidationError, match="unknown parameter label 'phi'"):
+        phase_gradient("phi", [2e15], AirState.standard(), 1.0)
     source = "".join(p.read_text(encoding="utf-8") for p in MODULES)
     assert [n for n in ("TIME_LABELS", "time_delays", "DelayTriple") if n in source] == []

@@ -10,11 +10,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comb_ranger import AirState, GaussianPulse, SimConfig, cli, contamination_report, ranging_modes, simulator
+from comb_ranger import cli, simulator
+from comb_ranger.air_model import AirState
+from comb_ranger.detection import contamination_report, ranging_modes
 from comb_ranger.dispersion import RANGING_LABELS
 from comb_ranger.errors import ValidationError
+from comb_ranger.mode_algebra import GaussianPulse
 from comb_ranger.simulator import (
     LO_CHOICES,
+    SimConfig,
     draw_generator,
     perturbation_draws,
     run,
