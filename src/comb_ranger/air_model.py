@@ -270,12 +270,7 @@ def density_factor(state: AirState) -> float:
 
 def phase_index(sigma, state: AirState):
     """Phase refractive index n_phi(sigma, state); exactly 1 in vacuum."""
-    return phase_index_from(k_dispersion(sigma), water_term(sigma), state)
-
-
-def phase_index_from(k, g, state: AirState):
-    """n_phi = 1 + K X - g P_w from K and g already evaluated at the wavenumbers."""
-    return 1.0 + k * density_factor(state) - g * state.water_vapor_pa
+    return 1.0 + k_dispersion(sigma) * density_factor(state) - water_term(sigma) * state.water_vapor_pa
 
 
 def group_index(sigma, state: AirState):

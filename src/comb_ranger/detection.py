@@ -16,6 +16,8 @@ dropping the ~(n-1)-sized dispersive corrections.  An exact oracle
 (`numeric_detection_mode`) quantifies that drop: it projects the exact
 gradient i (dphi/dp) u of the propagated field onto the basis with a
 24-node Gauss-Hermite rule, whose nodes span omega0 +/- 8.51 delta_omega.
+By `dispersion`'s identity dphi/dL = omega / c + X dphi/dX + P_w dphi/dP_w,
+the drop lies in the span of the exact X and P_w modes.
 
 Purifying a mode against interferers orthogonalizes it to their span,
 trading sensitivity (K^p = K sqrt(1 - s) < K) for immunity.  `purify` is the
@@ -40,9 +42,9 @@ again on every call.
     interferers (so two pulses never share an entry), bounded at 2 MEMO_SIZE:
     the unit residual, 1 - s and the position of a refused input; `purify`
     raises the refusal itself, naming the caller's labels.
-  * `_oracle_nodes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE: the
-    oracle's 24 node frequencies and K, g at them; `dispersion.gradient_from`
-    turns them into the L, X or P_w gradient per call.
+  * `_oracle_rows`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE: the
+    oracle's projections of omega / c and of the X and P_w gradients over
+    1 m, free of state and length; each mode weights them per call.
   * `_baseline_combinations`, one entry per process: the two- and
     three-colour combinations, whose weights depend on the fixed wavelengths
     alone; each report takes their shot noise at its own photon budget.
@@ -67,7 +69,7 @@ from numpy.polynomial.hermite import hermgauss, hermvander
 
 from . import air_model, mode_algebra, multicolor
 from .air_model import SPEED_OF_LIGHT, AirState
-from .dispersion import RANGING_LABELS, gradient_from
+from .dispersion import RANGING_LABELS, phase_gradient
 from .errors import DomainError, SeparabilityError, ValidationError
 from .mode_algebra import GaussianPulse, SpectralMode, inner_product
 
@@ -79,7 +81,7 @@ from .mode_algebra import GaussianPulse, SpectralMode, inner_product
 # 1 - s = (2**-53 / 2**-20)**2 = 2**-66 ~ 1.4e-20.
 PURIFY_FLOOR = 2.0**-66
 
-# Pulses held by the per-carrier memos: `_ranging_shapes` and `_oracle_nodes`
+# Pulses held by the per-carrier memos: `_ranging_shapes` and `_oracle_rows`
 # keep MEMO_SIZE pulses, `_purify_core` the full and the X-only purification
 # of each.  A design scan cycles over a few dozen pulses; an entry is at
 # most about a kilobyte.
@@ -251,15 +253,15 @@ def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _oracle_nodes(pulse: GaussianPulse) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The oracle's node frequencies omega_k and K(sigma_k), g(sigma_k) there."""
-    offsets, _ = _oracle_table()
+def _oracle_rows(pulse: GaussianPulse) -> np.ndarray:
+    """The projections of the vacuum L gradient omega / c and of the X and P_w
+    gradients over 1 m: `phase_gradient` at X = P_w = 0, where n_phi is 1.0."""
+    offsets, table = _oracle_table()
     w = pulse.omega0 + pulse.delta_omega * offsets
-    sigma = air_model.sigma_from_omega(w)
-    nodes = w, air_model.k_dispersion(sigma), air_model.water_term(sigma)
-    for a in nodes:
-        a.flags.writeable = False
-    return nodes
+    vacuum = AirState(0.0, 0.0, 0.0, 0.0)
+    rows = np.array([table @ phase_gradient(label, w, vacuum, 1.0) for label in RANGING_LABELS])
+    rows.flags.writeable = False
+    return rows
 
 
 def numeric_detection_mode(
@@ -270,12 +272,15 @@ def numeric_detection_mode(
     Every parameter enters the phase linearly, so du/dp = i (dphi/dp) u
     exactly; its coefficients are a 24-node Gauss-Hermite projection (nodes at
     omega0 +/- 8.51 delta_omega, exact for polynomial dphi/dp of degree
-    <= 39).  Nodes past the resonance pole raise DomainError.  The gradient
-    is `phase_gradient`'s, formed from the pulse's memoised K and g at the
-    nodes.
+    <= 39).  Nodes past the resonance pole raise DomainError.  The pulse's
+    `_oracle_rows` combine with weights (1, X, P_w) for L, (0, L, 0) for X
+    and (0, 0, L) for P_w.
     """
-    _, table = _oracle_table()
-    coeffs = table @ gradient_from(label, *_oracle_nodes(pulse), state, length_m)
+    weights = {"L": (1.0, air_model.density_factor(state), state.water_vapor_pa),
+               "X": (0.0, length_m, 0.0), "Pw": (0.0, 0.0, length_m)}
+    if label not in weights:
+        raise ValidationError(f"unknown parameter label {label!r}")
+    coeffs = np.array(weights[label]) @ _oracle_rows(pulse)
     k_est = math.sqrt(coeffs.dot(coeffs))
     if k_est == 0.0:
         raise DomainError(f"parameter {label!r} has no effect on the field")

@@ -8,6 +8,9 @@ phase:
 
     dphi/dL = n_phi omega / c,  dphi/dX = K omega L / c,  dphi/dP_w = -g omega L / c.
 
+As n_phi is linear in X and P_w, dphi/dL = omega / c + X dphi/dX + P_w dphi/dP_w
+with both taken over 1 m; omega / c is dphi/dL at X = P_w = 0, where n_phi = 1.
+
 A 0.1 rad linearity guard at omega0 +/- 2 delta_omega protects the
 first-order signal model built on these gradients.
 
@@ -36,22 +39,16 @@ def phase_gradient(
     state: AirState,
     length_m: float,
 ) -> np.ndarray:
-    """d(spectral phase)/d(parameter) on a grid; exact in each parameter."""
+    """d(spectral phase)/d(parameter) on a grid; exact in each parameter.
+    The one place each label's gradient is written."""
     w = np.asarray(omega, dtype=float)
     sigma = air_model.sigma_from_omega(w)
-    k, g = air_model.k_dispersion(sigma), air_model.water_term(sigma)
-    return gradient_from(label, w, k, g, state, length_m)
-
-
-def gradient_from(label: str, w, k, g, state: AirState, length_m: float):
-    """d(spectral phase)/d(parameter) at angular frequencies w, from K and g
-    already evaluated there: the one place each label's gradient is written."""
     if label == "L":
-        return air_model.phase_index_from(k, g, state) * w / SPEED_OF_LIGHT
+        return air_model.phase_index(sigma, state) * w / SPEED_OF_LIGHT
     if label == "X":
-        return k * w * length_m / SPEED_OF_LIGHT
+        return air_model.k_dispersion(sigma) * w * length_m / SPEED_OF_LIGHT
     if label == "Pw":
-        return -g * w * length_m / SPEED_OF_LIGHT
+        return -air_model.water_term(sigma) * w * length_m / SPEED_OF_LIGHT
     raise ValidationError(f"unknown parameter label {label!r}")
 
 

@@ -667,14 +667,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(f"error: cannot write {path}")
 
     def test_directory_out_refused_before_the_run(self, tmp_path, monkeypatch, capsys):
-        # the final rename would refuse it only after the whole export
+        # the final rename would refuse either path only after the whole
+        # export: a directory, or the empty path, which names no file
         monkeypatch.setattr(simulator, "run", lambda *args, **kwargs: pytest.fail("the run started"))
-        code, text = run_cli(["simulate", "--samples", "100", "--out", str(tmp_path)])
-        assert code == EXIT_VALIDATION
-        assert text == ""
-        assert capsys.readouterr().err.startswith(f"error: cannot write {tmp_path}: it is a directory")
-        assert list(tmp_path.iterdir()) == []
-        assert list(tmp_path.parent.glob(f".{tmp_path.name}.*.tmp")) == []
+        monkeypatch.chdir(tmp_path)
+        for out, reason in ((str(tmp_path), f"{tmp_path}: it is a directory"), ("", "'': it names no file")):
+            code, text = run_cli(["simulate", "--samples", "100", "--out", out])
+            assert code == EXIT_VALIDATION
+            assert text == ""
+            assert capsys.readouterr().err.startswith(f"error: cannot write {reason}")
+            assert list(tmp_path.iterdir()) == []
+            assert list(tmp_path.parent.glob(f".{tmp_path.name}.*.tmp")) == []
 
     def test_failed_run_leaves_no_partial_csv(self, tmp_path, monkeypatch, capsys):
         # the run fails after its samples reached the open CSV

@@ -46,6 +46,10 @@ from reference import (
 PULSE = GaussianPulse.from_wavelength(800e-9)
 AIR = AirState.standard()
 
+# the exact modes' pulses, and states with and without water vapour
+EXACT_PULSES = [GaussianPulse.from_wavelength(nm * 1e-9, 1.0 / 6.0) for nm in (800.0, 1550.0)]
+EXACT_STATES = [AIR, AirState(-10.0, 80000.0, 0.2, 0.0), AirState(35.0, 104000.0, 0.04, 1500.0)]
+
 # Frozen by direct evaluation with an independent script (800 nm carrier,
 # relative bandwidth 1/6, L = 1 m, N = 8e16 photons).
 RAW_SHOT_NOISE_M = 2.2201663594607716e-16
@@ -355,6 +359,42 @@ class TestNumericOracle:
             numeric_detection_mode("L", pulse, AIR, 1.0)
 
 
+class TestExactPurification:
+    """Purifying against the exact X and P_w modes leaves the vacuum term alone.
+
+    By the identity dphi/dL = omega / c + X dphi/dX + P_w dphi/dP_w (over 1 m),
+    the exact L mode differs from the analytic one, whose gradient is omega / c,
+    only inside the span of the exact X and P_w modes.
+    """
+
+    # K of the L mode purified against the exact X and P_w modes, bandwidth 1/6
+    @pytest.mark.parametrize("pulse, k_exact", zip(EXACT_PULSES, (113.84812617, 3.9914807336)))
+    def test_k_same_by_both_routes(self, pulse, k_exact):
+        for state, length_m in itertools.product(EXACT_STATES, (1.0, 7.0, 300.0)):
+            exact = [numeric_detection_mode(label, pulse, state, length_m) for label in RANGING_LABELS]
+            analytic_l = ranging_modes(pulse, state, length_m)[0]
+            k_a = purify(analytic_l, exact[1:]).k_const
+            k_b = purify(exact[0], exact[1:]).k_const
+            # measured: at most 1.4e-11 relative apart
+            assert k_a == pytest.approx(k_b, rel=5e-11)
+            assert k_b == pytest.approx(k_exact, rel=1e-10)
+
+    # measured: |gain - 1| <= 5.5e-13 at 800 nm and <= 9.6e-12 at 1550 nm
+    @pytest.mark.parametrize(
+        "pulse, gain_tol",
+        [(EXACT_PULSES[0], 1.5e-12), (GaussianPulse.from_wavelength(1550e-9, 0.1), 2.9e-11)],
+    )
+    def test_exact_lo_reads_length_with_unit_gain(self, pulse, gain_tol):
+        for state, length_m in itertools.product(EXACT_STATES, (1.0, 7.0, 300.0)):
+            w_l, w_x, w_pw = [numeric_detection_mode(label, pulse, state, length_m) for label in RANGING_LABELS]
+            lo = purify(w_l, [w_x, w_pw])
+            ov_l, ov_x, ov_pw = (inner_product(lo.mode, w.mode) for w in (w_l, w_x, w_pw))
+            assert abs(detection.contamination_coefficient(lo.k_const, w_l.k_const, ov_l) - 1.0) <= gain_tol
+            # the leaks are overlaps at rounding, below one ulp of a unit overlap
+            assert max(abs(ov_x), abs(ov_pw)) <= 2.0**-52
+            assert abs(detection.contamination_coefficient(lo.k_const, w_x.k_const, ov_x)) <= 1e-12
+
+
 class TestHomodyneSignal:
     def test_cross_terms_phase_lo(self):
         w_phi, w_g, w_gvd = time_detection_modes(PULSE)
@@ -531,7 +571,7 @@ class TestPurifiedSensitivity:
 def _clear_memos():
     detection._ranging_shapes.cache_clear()
     detection._purify_core.cache_clear()
-    detection._oracle_nodes.cache_clear()
+    detection._oracle_rows.cache_clear()
     detection._baseline_combinations.cache_clear()
 
 
@@ -571,7 +611,7 @@ class TestPerCarrierMemos:
         for pulse in MEMO_PULSES:
             contamination_report(pulse, state, 2.5, 3e9)
         memos = (detection._ranging_shapes, detection._purify_core,
-                 detection._oracle_nodes, detection._baseline_combinations)
+                 detection._oracle_rows, detection._baseline_combinations)
         misses = [memo.cache_info().misses for memo in memos]
         for report, pulse in zip(cold, MEMO_PULSES):
             warm = contamination_report(pulse, state, 2.5, 3e9)
@@ -579,22 +619,35 @@ class TestPerCarrierMemos:
             assert warm.to_text() == report.to_text()
         assert [memo.cache_info().misses for memo in memos] == misses
 
-    # the per-call gradient from memoised nodes is phase_gradient's, bit for
-    # bit: for L, the test's first subject, and for X and Pw alike
-    @pytest.mark.parametrize(
-        "state", [AIR, AirState(-10.0, 80000.0, 0.2, 0.0), AirState(35.0, 104000.0, 0.04, 4000.0)]
-    )
-    def test_oracle_l_equals_phase_gradient_projection(self, state):
+    # n_phi - 1 = K X - g P_w, so dphi/dL = omega / c + X dphi/dX + P_w dphi/dP_w
+    # with the last two over 1 m; the oracle builds every mode from it
+    @pytest.mark.parametrize("state", EXACT_STATES)
+    def test_l_gradient_identity_and_oracle_projection(self, state):
         offsets, table = detection._oracle_table()
-        for label, pulse in itertools.product(RANGING_LABELS, MEMO_PULSES):
-            for length_m in (1.0, 37.5):
-                grad = phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, state, length_m)
-                coeffs = table @ grad
+        x, pw = air_model.density_factor(state), state.water_vapor_pa
+        for pulse, length_m in itertools.product(EXACT_PULSES, (1.0, 7.0, 300.0)):
+            w = pulse.omega0 + pulse.delta_omega * offsets
+            per_m = [phase_gradient(label, w, state, 1.0) for label in ("X", "Pw")]
+            identity = w / SPEED_OF_LIGHT + x * per_m[0] + pw * per_m[1]
+            assert_allclose(phase_gradient("L", w, state, length_m), identity, rtol=4 * 2.0**-52, atol=0)
+            for label in RANGING_LABELS:
+                coeffs = table @ phase_gradient(label, w, state, length_m)
                 k = float(np.linalg.norm(coeffs))
-                for _ in range(2):
-                    num = numeric_detection_mode(label, pulse, state, length_m)
-                    assert num.mode.coefficients == tuple((coeffs / k).tolist())
-                    assert num.k_const == k
+                num = numeric_detection_mode(label, pulse, state, length_m)
+                assert_allclose(num.mode.vector, coeffs / k, rtol=0, atol=1e-15)
+                assert num.k_const == pytest.approx(k, rel=1e-15)
+
+    # the memo holds the pulse's vacuum, X and P_w rows only: one miss per pulse
+    def test_oracle_memo_free_of_state_and_length(self):
+        _clear_memos()
+        for pulse in MEMO_PULSES:
+            numeric_detection_mode("L", pulse, AIR, 1.0)
+        for pulse, state, length_m, label in itertools.product(
+            MEMO_PULSES, EXACT_STATES, (0.37, 7.0, 999.1), RANGING_LABELS
+        ):
+            numeric_detection_mode(label, pulse, state, length_m)
+        info = detection._oracle_rows.cache_info()
+        assert (info.misses, info.currsize) == (len(MEMO_PULSES), len(MEMO_PULSES))
 
     # the report's matrix and simulate's LO row are one coefficient, to the bit
     @pytest.mark.parametrize("length_m", [0.37, 2.5, 999.1])
@@ -618,7 +671,7 @@ class TestPerCarrierMemos:
                 numeric_detection_mode("L", pulse, AIR, 1.0)
             messages.add(str(exc.value))
         assert len(messages) == 1
-        assert detection._oracle_nodes.cache_info().currsize == 0
+        assert detection._oracle_rows.cache_info().currsize == 0
 
     def test_cached_norm_keeps_unit_check(self):
         long = SpectralMode(PULSE, (0.6, 0.8, 0.1))
@@ -700,7 +753,7 @@ class TestPerCarrierMemos:
             numeric_detection_mode("L", pulse, AIR, 1.0)
         assert detection._ranging_shapes.cache_info().currsize == detection.MEMO_SIZE
         assert detection._purify_core.cache_info().currsize == 2 * detection.MEMO_SIZE
-        assert detection._oracle_nodes.cache_info().currsize == detection.MEMO_SIZE
+        assert detection._oracle_rows.cache_info().currsize == detection.MEMO_SIZE
 
 
 class TestSensitivitySimulateAgreement:
