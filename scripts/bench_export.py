@@ -1,15 +1,16 @@
 """Time the CSV exports against HEAD and write BENCH_export.json.
 
 Rows paired by bench_harness.py: `cli.main` in process for each tree's
-`simulate --seed 3 --samples 100000 --out` and `modes --out`, and the wall
-time and peak RSS of that `simulate` in a child, at 1e5 and 4e6 samples.
-Gate: CSVs and stdout.
+`simulate --seed 3 --samples 100000 --out` and `modes --out`; the CSV engine,
+`cli._format_block`, per row of the first block each of those exports
+formats; and the wall time and peak RSS of that `simulate` in a child, at
+1e5 and 4e6 samples.  Gate: CSVs and stdout, which hold the engine's bytes.
 
 Usage: python scripts/bench_export.py
 """
 
+import contextlib
 import io
-import os
 import sys
 
 import bench_harness as harness
@@ -32,14 +33,34 @@ def export(cli, argv: list[str], path: str) -> bytes:
         return out.getvalue().encode() + fh.read()
 
 
+def first_block(cli, argv: list[str], path: str) -> tuple:
+    """(precisions, block) of the first `_format_block` call that
+    `cli.main([*argv, "--out", path])` makes."""
+    blocks = []
+    format_block = cli._format_block
+
+    def record(precisions, block):
+        blocks.append((precisions, block.copy()))
+        return format_block(precisions, block)
+
+    cli._format_block = record
+    try:
+        export(cli, argv, path)
+    finally:
+        cli._format_block = format_block
+    return blocks[0]
+
+
 def main() -> None:
-    with harness.staged_trees() as (staging, parent, digest):
+    # in-process exports write to a path relative to the staging directory,
+    # so that their stdout, and the digest, name no temporary directory
+    with harness.staged_trees() as (staging, parent, digest), contextlib.chdir(staging):
         children = {}
         for n in CHILD_SAMPLES:
             argv = ["simulate", "--seed", str(SEED), "--samples", str(n), "--out", "samples.csv"]
             children[str(n)] = harness.time_cli(staging, argv, CLI_SAMPLES, digest)
         cli = harness.modules("cli")
-        path = os.path.join(staging, "export.csv")
+        path = "export.csv"
         per_call = {}
         for cmd, argv in COMMANDS.items():
             for side in harness.TREES:
@@ -49,12 +70,19 @@ def main() -> None:
             calls = {side: lambda _, s=side: cli[s].main([*argv, "--out", path], out=io.StringIO())
                      for side in cli}
             per_call[cmd] = {"rows": rows, **harness.time_calls(calls, SAMPLES)}
+        per_row = {}
+        for cmd, argv in COMMANDS.items():
+            precisions, block = first_block(cli["change"], argv, path)
+            calls = {side: lambda _, s=side: cli[s]._format_block(precisions, block) for side in cli}
+            per_row[cmd] = {"rows": len(block), **harness.time_calls(calls, SAMPLES, scale=len(block))}
 
     harness.write_report("BENCH_export.json", parent, "whole `simulate --out` and `modes --out` runs "
-                         "of cli.main in process, seconds per call; the whole `simulate --out` CLI "
-                         "process, by sample count", {
+                         "of cli.main in process, seconds per call; cli._format_block on the first "
+                         "block of each, seconds per row; the whole `simulate --out` CLI process, by "
+                         "sample count", {
         "samples": SAMPLES,
         "per_call": per_call,
+        "per_row": per_row,
         "cli_samples": CLI_SAMPLES,
         "cli_simulate_out": children,
     }, digest, "output_sha256")

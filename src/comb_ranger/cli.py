@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import itertools
 import math
 import os
 import sys
@@ -38,141 +40,229 @@ EXIT_DOMAIN = 3
 EXPORT_BLOCK_ROWS = 8192
 
 
-def _byte_columns(texts: list[str]) -> np.ndarray:
-    """A uint8 array whose column i holds the ASCII bytes of texts[i]; the
-    texts share one length."""
-    return np.frombuffer("".join(texts).encode("ascii"), np.uint8).reshape(len(texts), -1).T.copy()
-
-
-# column k: the two digits of k in 0..99
-_PAIRS = _byte_columns([f"{k:02d}" for k in range(100)])
-# column 10 * s + d: the sign ('-' if s else NUL), the digit d and '.'
-_LEAD = _byte_columns([f"{sign}{d}." for sign in "\0-" for d in range(10)])
-# exponents handled without `%`, and 10**k for k in [-_EXP_BIAS, _EXP_BIAS]
-# at index k + _EXP_BIAS; float() of a decimal literal is correctly rounded,
-# which 10.0**k need not be
+# exponents handled without `%` are within +-_EXP_BIAS; beyond +-_EXP_FAST a
+# decimal exponent takes the `%` path, so that 10**(p - e) and e, moved by
+# one at most, stay in _tables()
 _EXP_BIAS = 300
-_POW10 = np.array([float(f"1e{k}") for k in range(-_EXP_BIAS, _EXP_BIAS + 1)])
-# column k + _EXP_BIAS: "e", the sign and two or three digits of k,
-# NUL-padded in front to 5 bytes
-_EXP_SUFFIX = _byte_columns([f"e{k:+03d}".rjust(5, "\0") for k in range(-_EXP_BIAS, _EXP_BIAS + 1)])
-# magnitudes outside this range take the `%` path: 10**(p - e) for a
-# 13-digit mantissa would leave _POW10
-_FAST_MIN, _FAST_MAX = 1e-280, 1e280
-# The mantissa m = |x| * 10**(p - e) comes from two correctly rounded steps
-# (the _POW10 entry and the product), so its relative error is at most
-# (1 + 2**-53)**2 - 1 < 2**-52 + 2**-105 and, as m < 10**(p + 1) <= 10**13,
-# its absolute error below 10**13 * 2**-52 = 2.2e-3.  A computed m more
-# than 1e-2 from a half-integer is therefore on the same side of the tie as
-# the exact product, and rint(m) is the correctly rounded mantissa; values
-# inside the window take the `%` path.
-_TIE_WINDOW = 1e-2
-# integer-column values formatted without `%`: 0 <= v < 2**32
-_INT_FAST_MAX = float(2**32)
+_EXP_FAST = 280
+# a mantissa m within m * _TIE_WINDOW of a half-integer takes the `%` path;
+# the proof is in _export_csv's docstring
+_TIE_WINDOW = 2.0**-52 * (1 + 2.0**-49)
 
 
 def _fmt(value: float) -> str:
     return f"{value:.12e}"
 
 
-def _put_digits(buf: np.ndarray, row: int, count: int, v: np.ndarray) -> None:
-    """Write the `count` low decimal digits of the uint32 `v`, zero-padded,
-    as ASCII into buf[row : row + count], most significant first."""
-    for end in range(row + count, row, -2):
-        q = v // 100
-        pair = (v - q * 100).astype(np.intp)
-        if end - 2 >= row:
-            np.take(_PAIRS, pair, axis=1, out=buf[end - 2 : end], mode="clip")
-        else:
-            np.take(_PAIRS[1], pair, out=buf[end - 1], mode="clip")
-        v = q
+@functools.cache
+def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The engine's read-only tables, built by the first export rather than
+    at import: digits[k], the four ASCII digits of k in 0..9999, zero-padded,
+    as a little-endian word (the first digit in the low byte), and high[k],
+    the same in the high half; then, at k + _EXP_BIAS for |k| <= _EXP_BIAS,
+    pow10, 10**k from the decimal literal (float() rounds it correctly,
+    10.0**k need not), and exp, "e", the sign and the two or three digits
+    of k."""
+    pairs = (np.arange(100) // 10 + ord("0")) | ((np.arange(100) % 10 + ord("0")) << 8)
+    digits = (pairs[:, None] | (pairs << 16)).ravel()
+    k = np.arange(-_EXP_BIAS, _EXP_BIAS + 1)
+    pow10 = np.array([float(f"1e{j}") for j in k.tolist()])
+    exp = ord("e") + (np.where(k < 0, ord("-"), ord("+")) << 8)
+    exp += (digits[abs(k)] >> np.where(abs(k) < 100, 16, 8)) << 16
+    tables = digits, digits << 32, pow10, exp
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
-def _put_fallback(buf: np.ndarray, rows: slice, idx: np.ndarray, texts: list[str]) -> None:
-    """Write texts[i] right-aligned and NUL-padded into buf[rows, idx[i]]."""
-    width = rows.stop - rows.start
-    buf[rows, idx] = _byte_columns([t.rjust(width, "\0") for t in texts])
+def _padded(texts: list[str], width: int) -> np.ndarray:
+    """The ASCII texts as rows of a (len(texts), width) uint8 array, NUL-padded at the end."""
+    return np.frombuffer("".join(t.ljust(width, "\0") for t in texts).encode("ascii"), np.uint8).reshape(-1, width)
 
 
-def _put_float_field(buf: np.ndarray, off: int, x: np.ndarray, p: int) -> None:
-    """Write `'%.{p}e' % x[i]` into buf[off : off + p + 8, i], for 8 <= p <= 12.
-
-    Field layout: sign (NUL if none), leading digit, '.', p digits, then
-    "e", the exponent sign and two or three digits, NUL-padded in front.
-    """
+def _float_fields(x: np.ndarray, p: int, seps: list[str]):
+    """`'%.{p}e' % x[j, i]` for 8 <= p <= 12 and a C-contiguous (k, n) array,
+    as (buf, length, sign): from byte 14 - p, the 24 bytes of buf[j, i] hold
+    the text after its sign, seps[j] and a '-'; length counts the text and
+    the separator, per field or as one int for all; sign[j, i] says whether
+    a '-' comes before the text."""
+    # zeros are scaled as 1.0, and their leading 1 becomes 0; values that are
+    # not finite or whose exponent is beyond _EXP_FAST give garbage, which
+    # the `%` path replaces; arrays are updated in place and dropped early,
+    # which keeps a block's memory, and its page faults, small
+    digits, high, pow10, exp = _tables()
     a = np.abs(x)
-    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
     zero = a == 0
-    a = np.where(fast, a, 1.0)
-    e = np.floor(np.log10(a)).astype(np.intp)
-    m = a * np.take(_POW10, (p + _EXP_BIAS) - e)
-    # log10 can miss by one next to a power of ten
-    for step, wrong in ((-1, m < 10.0**p), (1, m >= 10.0 ** (p + 1))):
-        if wrong.any():
-            e[wrong] += step
-            m[wrong] = a[wrong] * np.take(_POW10, (p + _EXP_BIAS) - e[wrong])
-    r = np.rint(m)
-    # |m - rint(m)| = 0.5 - (distance of m from the nearest half-integer)
-    slow = ~(fast | zero) | (np.abs(m - r) > 0.5 - _TIE_WINDOW)
-    carry = r == 10.0 ** (p + 1)
-    r[carry] = 10.0**p
-    e[carry] += 1
-    r[zero] = 0.0
-    e[zero] = 0
+    a += zero
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.log10(a)
+        np.floor(e, out=e)
+        slow = ~(np.abs(e) <= _EXP_FAST)
+        e = e.astype(np.intp)
+        m = np.take(pow10, (p + _EXP_BIAS) - e, mode="clip")
+        m *= a
+        # log10 can miss by one next to a power of ten
+        for step, wrong in ((-1, m < 10.0**p), (1, m >= 10.0 ** (p + 1))):
+            if wrong.any():
+                e[wrong] += step
+                m[wrong] = a[wrong] * np.take(pow10, (p + _EXP_BIAS) - e[wrong], mode="clip")
+        del a
+        r = np.rint(m)
+        # m's distance 0.5 - |m - rint(m)| from the nearest half-integer
+        gap = m - r
+        np.abs(gap, out=gap)
+        np.subtract(0.5, gap, out=gap)
+        m *= _TIE_WINDOW
+        slow |= gap < m
+        del m, gap
+        carry = r == 10.0 ** (p + 1)
+        if carry.any():
+            r[carry] = 10.0**p
+            e[carry] += 1
+        r = r.astype(np.intp)
 
-    # r < 10**13 is an exact float, and so are floor(r / 10**k) and the
-    # remainders: a quotient that is not an integer lies >= 10**-k from one
-    lead = np.floor(r / 10.0**p)
-    np.take(_LEAD, np.signbit(x) * 10 + lead.astype(np.intp), axis=1, out=buf[off : off + 3], mode="clip")
-    r -= lead * 10.0**p
-    hi = np.floor(r / 1e8)
-    _put_digits(buf, off + 3, p - 8, hi.astype(np.uint32))
-    _put_digits(buf, off + p - 5, 8, (r - hi * 1e8).astype(np.uint32))
-    np.take(_EXP_SUFFIX, e + _EXP_BIAS, axis=1, out=buf[off + p + 3 : off + p + 8], mode="clip")
+    # three words per field: from byte 14 - p to 7, the leading digit, '.'
+    # and the next p - 8 digits; then the last 8 digits; then "e", the
+    # exponent, the separator and '-'
+    words = np.empty(x.shape + (3,), np.intp)
+    lead = r // 10**p
+    r -= lead * 10**p
+    lead -= zero
+    head = r // 10**8
+    r -= head * 10**8
+    head = np.take(high, head, mode="clip")
+    if p < 12:
+        # the zero padding before the p - 8 digits gives way to lead and '.'
+        head &= np.int64(-1) << np.int64(8 * (16 - p))
+    lead += ord("0") + (ord(".") << 8)
+    lead <<= 8 * (14 - p)
+    np.bitwise_or(head, lead, out=words[..., 0])
+    del head, lead
+    low = r // 10**4
+    r -= low * 10**4
+    np.bitwise_or(np.take(digits, low, mode="clip"), np.take(high, r, mode="clip"), out=words[..., 1])
+    del low, r
+    e += _EXP_BIAS
+    suffix = np.array([ord(sep) + (ord("-") << 8) for sep in seps])[:, None]
+    length, shift = p + 7, 32
+    if e.min() <= _EXP_BIAS - 100 or e.max() >= _EXP_BIAS + 100:
+        wide = np.abs(e - _EXP_BIAS) >= 100
+        length, shift = length + wide, shift + 8 * wide
+    np.bitwise_or(np.take(exp, e, mode="clip"), suffix << shift, out=words[..., 2])
+    del e
+    buf = words.view(np.uint8)
+    sign = np.signbit(x)
 
     idx = np.flatnonzero(slow)
     if len(idx):
         fmt = f"%.{p}e"
-        _put_fallback(buf, slice(off, off + p + 8), idx, [fmt % v for v in x[idx].tolist()])
+        texts = [fmt % v for v in x.reshape(-1)[idx].tolist()]
+        bodies = [t.removeprefix("-") + seps[j] for t, j in zip(texts, (idx // x.shape[1]).tolist())]
+        buf.reshape(-1, 24)[idx] = _padded(["\0" * (14 - p) + b + "-" for b in bodies], 24)
+        sign.reshape(-1)[idx] = [t[0] == "-" for t in texts]
+        if not isinstance(length, int) or any(len(b) != length for b in bodies):
+            length = np.full(x.shape, length) if isinstance(length, int) else length
+            length.reshape(-1)[idx] = [len(b) for b in bodies]
+    return buf, length, sign
 
 
-def _put_int_field(buf: np.ndarray, off: int, width: int, v: np.ndarray) -> None:
-    """Write `'%d' % v[i]` right-aligned into buf[off : off + width, i]."""
-    fast = (v >= 0) & (v < _INT_FAST_MAX)
-    vi = np.where(fast, v, 0).astype(np.uint32)
-    digits = len(str(int(vi.max())))
-    first = off + width - digits
-    _put_digits(buf, first, digits, vi)
-    # blank the leading zeros (the units digit always stays)
-    for j in range(digits - 1):
-        buf[first + j, vi < 10 ** (digits - 1 - j)] = 0
-    idx = np.flatnonzero(~fast)
+def _int_field(v: np.ndarray, sep: str):
+    """`'%d' % v[i]` as (buf, length): buf[i] ends in the text, `sep`, a '-'
+    and two spare bytes; length counts the text and `sep`, per row or as one
+    int for all."""
+    digits, high, _, _ = _tables()
+    # values that are not integers in [0, 2**32) fail the round trip and
+    # take the `%` path
+    with np.errstate(invalid="ignore"):
+        vi = v.astype(np.uint32)
+    idx = np.flatnonzero(vi != v)
+    vi = vi.astype(np.intp)
+    texts = ["%d" % t + sep for t in v[idx].tolist()]
+    words = np.empty((len(v), max([2] + [(len(t) + 10) // 8 for t in texts])), np.intp)
+    fewest, most = len(str(vi.min())), len(str(vi.max()))
+    length = fewest + 1
+    for k in range(fewest, most):
+        length = length + (vi >= 10**k)
+    # the last two words: digits 9-12, 5-8 and 1-4 from the units, the
+    # separator and '-'
+    q = vi // 10**4
+    np.bitwise_or(np.take(digits, vi - q * 10**4), (ord(sep) << 32) + (ord("-") << 40), out=words[:, -1])
+    if most > 4:
+        top = q // 10**4
+        np.bitwise_or(np.take(digits, top, mode="clip"), np.take(high, q - top * 10**4), out=words[:, -2])
+    buf = words.view(np.uint8)
     if len(idx):
-        _put_fallback(buf, slice(off, off + width), idx, ["%d" % t for t in v[idx].tolist()])
+        width = buf.shape[1]
+        buf[idx] = _padded([(t + "-").rjust(width - 2, "\0") for t in texts], width)
+        length = np.full(len(v), length) if isinstance(length, int) else length
+        length[idx] = [len(t) for t in texts]
+    return buf, length
 
 
-def _int_width(v: np.ndarray) -> int:
-    """Length of the longest `'%d' % v[i]`."""
-    return max(len("%d" % v.min()), len("%d" % v.max()))
+def _scatter(out: np.ndarray, dest: np.ndarray, buf: np.ndarray, length: int | np.ndarray, dash: bool,
+             start: int | None) -> None:
+    """Copy the length[i] bytes of text and separator in buf[i], and the '-'
+    after them if `dash`, to out[dest[i]:], as one numpy void item per row,
+    in one copy per length.  The text starts at byte `start` of buf[i], or,
+    if `start` is None, only the '-' and two spare bytes follow the
+    separator."""
+    fewest, most = (length, length) if isinstance(length, int) else (int(length.min()), int(length.max()))
+    for n in range(fewest, most + 1):
+        rows = slice(None) if fewest == most else np.flatnonzero(length == n)
+        width = n + dash
+        offset = buf.shape[1] - 3 - n if start is None else start
+        src = np.ndarray(len(buf), f"V{width}", buf, offset, buf.strides[:1])
+        dst = np.ndarray(out.size - width + 1, f"V{width}", out, 0, (1,))
+        dst[dest[rows]] = src[rows]
 
 
 def _format_block(precisions: list[int | None], block: np.ndarray) -> bytes:
     """The CSV lines of `block`: `%d` for a column of precision None, else
     `%.{p}e`, joined by ',' and ended by '\\n'."""
-    widths = [_int_width(block[:, c]) if p is None else p + 8 for c, p in enumerate(precisions)]
-    # column-major: each byte position of a row is one contiguous buffer row
-    buf = np.zeros((sum(widths) + len(widths), len(block)), np.uint8)
-    off = 0
-    for c, (p, width) in enumerate(zip(precisions, widths)):
+    last = len(precisions) - 1
+    seps = [","] * last + ["\n"]
+    fields = [None] * len(precisions)
+    row_len = np.zeros(len(block), np.intp)
+    # float columns of one precision are formatted together
+    for p in set(precisions) - {None}:
+        cols = [c for c, q in enumerate(precisions) if q == p]
+        bufs, lengths, signs = _float_fields(np.ascontiguousarray(block.T[cols]), p, [seps[c] for c in cols])
+        row_len += (signs + lengths).sum(axis=0)
+        for j, c in enumerate(cols):
+            fields[c] = (bufs[j], lengths if isinstance(lengths, int) else lengths[j], signs[j], 14 - p)
+    for c, p in enumerate(precisions):
         if p is None:
-            _put_int_field(buf, off, width, block[:, c])
-        else:
-            _put_float_field(buf, off, block[:, c], p)
-        off += width
-        buf[off] = ord("," if c < len(widths) - 1 else "\n")
-        off += 1
-    lines = np.ascontiguousarray(buf.T).ravel()
-    return lines[lines != 0].tobytes()
+            buf, length = _int_field(block[:, c], seps[c])
+            row_len += length
+            fields[c] = (buf, length, None, None)
+    ends = np.cumsum(row_len)
+    pos = ends - row_len
+    out = np.empty(int(ends[-1]), np.uint8)
+    # a field is copied with the '-' after its separator, and the next
+    # field's text overwrites that byte unless the next value is negative;
+    # the first field's '-' is written on its own
+    first_sign = fields[0][2]
+    if first_sign is not None:
+        out[pos[first_sign]] = ord("-")
+    for c, (buf, length, sign, start) in enumerate(fields):
+        if sign is not None:
+            pos += sign
+        _scatter(out, pos, buf, length, c < last, start)
+        pos += length
+    return out.tobytes()
+
+
+def _create_beside(head: str, name: str) -> tuple[int, str]:
+    """Create `.{name}.{pid}.tmp` in the directory `head`, open for writing,
+    or `.{name}.{pid}.{k}.tmp` for the first k = 1, 2, ... whose name is free;
+    returns the descriptor and the path.  A file that a killed run left under
+    a pid this process reuses is passed over and left as it is."""
+    for k in itertools.count():
+        tmp = os.path.join(head, f".{name}.{os.getpid()}{f'.{k}' if k else ''}.tmp")
+        try:
+            return os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), tmp
+        except FileExistsError:
+            pass
 
 
 @contextlib.contextmanager
@@ -182,17 +272,32 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
 
     Column c is written as `'%d' % v` where precisions[c] is None and as
     `'%.{p}e' % v` for precisions[c] = p, byte for byte, but by whole numpy
-    columns: the decimal exponent from log10, a (p + 1)-digit mantissa by
-    scaling with a correctly rounded power of ten and rint, and its digits
-    through a two-digit table.  The mantissa's absolute error is below
-    2.2e-3 (two correctly rounded steps, relative error < 2**-52, times
-    m < 10**13), so only mantissas within _TIE_WINDOW = 1e-2 of a rounding
-    tie can round the wrong way; those, non-finite values, magnitudes
-    outside [1e-280, 1e280] and integer-column values outside [0, 2**32)
-    are formatted with `%`.
+    columns.  A float's decimal exponent e comes from log10, its (p + 1)-digit
+    mantissa from rint(m), m = |x| * 10**(p - e), and the digits from a
+    four-digit table, as little-endian words.  m takes two steps that round
+    to nearest on normal doubles (the power of ten and the product), so
+    m = m*(1 + d1)(1 + d2) for the exact m*, with |di| <= u = 2**-53, and
+    |m - m*| <= m*(2u + u**2) <= m(2u + u**2) / (1 - u)**2
+    < m * 2**-52 * (1 + 2**-50).  The window m * _TIE_WINDOW, with
+    _TIE_WINDOW = 2**-52 * (1 + 2**-49) and rounded once, is above that
+    bound.  m's distance 0.5 - |m - rint(m)| from the nearest half-integer
+    is exact wherever it is below 0.25, so where it is at least the window,
+    m* lies on the same side of every half-integer as m, never on one, and
+    rint(m) is m* correctly rounded.  Mantissas within the window, values
+    that are not finite, decimal exponents beyond +-_EXP_FAST and
+    integer-column values that are not integers in [0, 2**32) are formatted
+    with `%`.
 
-    Rows are stacked, formatted and written EXPORT_BLOCK_ROWS at a time into
-    a temporary file beside `path`, named from the process id and created
+    Every field is built in a row of bytes of its own: its text without the
+    sign, its separator and a '-'.  Each column's fields are then copied to
+    their offsets in the block's text, one column after the other, as numpy
+    void items: a field is copied with the '-' after its separator, and the
+    next field's text overwrites that byte unless the next value is
+    negative.
+
+    Rows are formatted and written EXPORT_BLOCK_ROWS at a time into a
+    temporary file beside `path`, named from the process id (and a counter,
+    should a file left by a killed run hold the name) and created
     exclusively before anything is yielded; it replaces `path` when the
     block exits normally.  A path that cannot be opened or written, or that
     names a directory or no file at all (which the final rename would refuse
@@ -205,15 +310,15 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
     head, name = os.path.split(path)
     if not name:
         raise ValidationError(f"cannot write {path!r}: it names no file")
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fd, tmp = _create_beside(head, name)
         try:
             with open(fd, "wb") as fh:
                 fh.write((",".join(header) + "\n").encode("utf-8"))
                 def write(*columns: np.ndarray) -> None:
                     for start in range(0, len(columns[0]), EXPORT_BLOCK_ROWS):
-                        block = np.column_stack([c[start : start + EXPORT_BLOCK_ROWS] for c in columns])
+                        # column-major, so each column is contiguous
+                        block = np.vstack([c[start : start + EXPORT_BLOCK_ROWS].T for c in columns]).T
                         fh.write(_format_block(precisions, block))
                 yield write
             os.replace(tmp, path)

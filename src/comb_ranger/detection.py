@@ -276,6 +276,7 @@ def numeric_detection_mode(
     `_oracle_rows` combine with weights (1, X, P_w) for L, (0, L, 0) for X
     and (0, 0, L) for P_w.
     """
+    air_model.check_length(length_m)
     weights = {"L": (1.0, air_model.density_factor(state), state.water_vapor_pa),
                "X": (0.0, length_m, 0.0), "Pw": (0.0, 0.0, length_m)}
     if label not in weights:

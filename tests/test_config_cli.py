@@ -720,6 +720,19 @@ class TestSimulateCommand:
         assert os.strerror(errno.ENOSPC) in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_export_beside_stale_temporary_file(self, tmp_path, monkeypatch):
+        # runs killed mid-export leave their temporary files, whose names a
+        # later run with the same pid would try first and second
+        monkeypatch.chdir(tmp_path)
+        stale = [tmp_path / f".s.csv.{os.getpid()}{suffix}.tmp" for suffix in ("", ".1")]
+        for path in stale:
+            path.write_bytes(b"left by a killed run")
+        code, _ = run_cli(["simulate", "--samples", "10", "--out", "s.csv"])
+        assert code == EXIT_OK
+        assert [path.read_bytes() for path in stale] == [b"left by a killed run"] * 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([p.name for p in stale] + ["s.csv"])
+        assert (tmp_path / "s.csv").read_text().startswith("index,p_L_m,p_X,p_Pw_pa,signal_m\n0,")
+
     def test_env_seed_and_flag_priority(self, tmp_path, monkeypatch):
         # the config's seed holds unless --seed is given; the environment
         # is not a seed source

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -475,10 +476,17 @@ class TestContaminationReport:
         )
         assert all(math.isfinite(v) and v != 0.0 for v in values)
 
-    @pytest.mark.parametrize("length", [LENGTH_MIN_M * 0.999, LENGTH_MAX_M * 1.001, math.nan])
+    # the exact oracle once returned a sign-flipped X mode at -3 m, and
+    # failed its unit-norm check after an overflow at 1e300 m
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("length", [LENGTH_MIN_M * 0.999, LENGTH_MAX_M * 1.001, math.nan, -3.0, 1e300])
     def test_length_outside_window_refused(self, length):
-        with pytest.raises(ValidationError, match="length_m"):
+        message = re.escape(f"length_m={length!r} must be finite and in")
+        with pytest.raises(ValidationError, match=message):
             ranging_modes(PULSE, AIR, length)
+        for label in RANGING_LABELS:
+            with pytest.raises(ValidationError, match=message):
+                numeric_detection_mode(label, EXACT_PULSES[0], AIR, length)
 
     def test_prefactors(self):
         report = contamination_report(PULSE, AIR, 1.0, 8e16)

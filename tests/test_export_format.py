@@ -4,6 +4,8 @@
 each table here is compared line by line with a `%` reference.
 """
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -64,6 +66,32 @@ def test_random_bit_patterns(p):
     bits = np.random.default_rng(20260418).integers(0, 2**64, size=50_000, dtype=np.uint64)
     values = bits.view(np.float64)
     assert_same_as_percent([p], values[np.isfinite(values)][:, None])
+
+
+def test_tie_window_covers_the_error_bound():
+    # the computed mantissa m is |x| * 10**(p - e) after two correctly rounded
+    # steps, off by less than m * 2**-52 * (1 + 2**-50); the window is
+    # m * _TIE_WINDOW rounded once, and must stay above that
+    window = Fraction(cli._TIE_WINDOW)
+    assert window >= Fraction(1, 2**52)
+    assert window * (1 - Fraction(1, 2**53)) > Fraction(1, 2**52) * (1 + Fraction(1, 2**50))
+
+
+@pytest.mark.parametrize("p", [12, 9])
+def test_tie_window_edges(p):
+    # mantissas at a rounding tie, and 0.5, 1 and 2 error bounds and one
+    # window to either side of it, with the doubles next to each
+    values = []
+    for mantissa in (10**p, 1234567890123 // 10 ** (12 - p), 10 ** (p + 1) - 1):
+        tie = Fraction(2 * mantissa + 1, 2)
+        bound = tie / 2**52
+        offsets = [k * bound for k in (Fraction(1, 2), 1, 2)] + [tie * Fraction(cli._TIE_WINDOW)]
+        for exponent in (-200, -11, -6, 0, 7, 200):
+            for offset in [0] + offsets + [-d for d in offsets]:
+                values.append(float((tie + offset) * Fraction(10) ** (exponent - p)))
+    values = np.array(values)
+    values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+    assert_same_as_percent([p], np.concatenate([values, -values])[:, None])
 
 
 def test_integer_column():
