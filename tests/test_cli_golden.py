@@ -40,6 +40,17 @@ CONFIG_STDOUT_SHA256 = {
     ("sensitivity", "pulse.wavelength_nm = 1550"): "d777cd123cd39ae8edc405228a9f6b19e1a46b1235cdaf3fde652aa6d70c2b40",
     ("sensitivity", "pulse.relative_bandwidth = 0.02"): "0d1644b4598b54d826386b754ab35eb8d3055164a00da8a9bd37b8d5bf901e05",
 }
+# runs whose stdout holds an `n/a` line: no leakage slope at all (nothing
+# fluctuates), none for P_w alone, and no oracle deviation (its nodes
+# cross the resonance pole)
+NA_STDOUT_SHA256 = {
+    ("simulate --seed 3 --samples 2000", "fluct.density_factor = 0\nfluct.water_vapor_pa = 0"):
+        "5b781ba633141a4ff0d4c728858ccac73fa62a5b8085f9862cd69ce5de1fa1e6",
+    ("simulate --seed 3 --samples 2000", "fluct.water_vapor_pa = 0"):
+        "e5c942465d818e206d349616fc4e289ca108efed6d8a45a40351494ce992b75f",
+    ("sensitivity", "pulse.wavelength_nm = 500\npulse.relative_bandwidth = 0.3"):
+        "1ea6e5dc77334ce679a2f2ceeb3a62d0e80751cdd2ea4f1bf5c06259af8e4781",
+}
 RAW_SIMULATE_STDOUT_SHA256 = "f44a1a55e6d09ea33e7281044705e89748cb2d67b1284e3115a0f8cdcbb5de33"
 RAW_SIMULATE_CSV_SHA256 = "b73f21efeb02932373942cc848818bfd26f8143115db3aba4f90c0a774cca6fb"
 
@@ -99,6 +110,15 @@ def test_config_stdout_golden(in_tmp, argv, line):
     (in_tmp / "run.cfg").write_text(line + "\n")
     stdout = run_cli([argv, "--config", "run.cfg"])
     assert sha256(stdout) == CONFIG_STDOUT_SHA256[argv, line]
+
+
+@pytest.mark.parametrize(
+    "argv, doc", list(NA_STDOUT_SHA256), ids=["nothing-fluctuating", "pw-fixed", "oracle-refused"]
+)
+def test_na_stdout_golden(in_tmp, argv, doc):
+    (in_tmp / "run.cfg").write_text(doc + "\n")
+    stdout = run_cli(argv.split() + ["--config", "run.cfg"])
+    assert sha256(stdout) == NA_STDOUT_SHA256[argv, doc]
 
 
 def test_raw_lo_simulate_export_golden(in_tmp):
