@@ -27,7 +27,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import air_model, detection, mode_algebra, multicolor, simulator
+from . import air_model, detection, mode_algebra, multicolor, records, simulator
 from .air_model import AirState
 from .config import SCHEMA, RunConfig, load_config
 from .errors import DomainError, ValidationError
@@ -48,10 +48,6 @@ _EXP_FAST = 280
 # a mantissa m within m * _TIE_WINDOW of a half-integer takes the `%` path;
 # the proof is in _export_csv's docstring
 _TIE_WINDOW = 2.0**-52 * (1 + 2.0**-49)
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.12e}"
 
 
 @functools.cache
@@ -352,8 +348,7 @@ def cmd_air_index(args: argparse.Namespace, out) -> int:
         ("eta1", scalars.eta1),
         ("eta2", scalars.eta2),
     ]
-    for key, value in rows:
-        print(f"{key} = {_fmt(float(value))}", file=out)
+    out.write(records.lines([(key, float(value), ".12e") for key, value in rows]))
     return EXIT_OK
 
 
@@ -395,13 +390,13 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
     with _export_csv(args.out, header, [9] + [12] * len(profiles)) as write:
         write(x, *profiles)
 
-    # no field needs CSV quoting: labels and formatted numbers
-    print("mode,c0,c1,c2,k_const", file=out)
-    for label, mode, k_const in rows:
+    out.write(records.csv([
+        [("mode", label, "")]
         # + 0.0 turns the -0.0 of a flipped zero into 0.0
-        coeffs = [float(c) + 0.0 for c in mode.padded(2)]
-        fields = [label] + [f"{ic:.12e}" for ic in coeffs] + ["" if k_const is None else f"{k_const:.12e}"]
-        print(",".join(fields), file=out)
+        + [(f"c{n}", float(c) + 0.0, ".12e") for n, c in enumerate(mode.padded(2))]
+        + [("k_const", k_const, ".12e")]
+        for label, mode, k_const in rows
+    ]))
     print(f"# profiles written to {args.out}", file=out)
     return EXIT_OK
 
@@ -417,7 +412,7 @@ def cmd_sensitivity(args: argparse.Namespace, out) -> int:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"{flag}: {text!r} is not a comma-separated number list") from exc
 
@@ -439,29 +434,20 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
     wavelengths_m = [lam * 1e-9 for lam in lambdas_nm]
     if args.scheme == "2wi":
         comb = multicolor.two_color_combination(*wavelengths_m)
-        coeff_cols = {"alpha": -comb.weights[1], "beta": "", "gamma": ""}
+        coeff_cols = {"alpha": -comb.weights[1], "beta": None, "gamma": None}
     else:
         comb = multicolor.synth_3wi(*wavelengths_m)
-        coeff_cols = {"alpha": "", "beta": comb.weights[1], "gamma": comb.weights[2]}
+        coeff_cols = {"alpha": None, "beta": comb.weights[1], "gamma": comb.weights[2]}
     noise = multicolor.shot_noise(comb, photons)
     bias = multicolor.humidity_bias(comb, moist, args.length)
 
-    # no field needs CSV quoting: names and formatted numbers
-    header = (
-        ["scheme"]
-        + [f"lambda{i + 1}_nm" for i in range(expected)]
-        + [f"photons{i + 1}" for i in range(expected)]
-        + ["alpha", "beta", "gamma", "shot_noise_m", "humidity_bias_m"]
-    )
-    row = (
-        [args.scheme]
-        + [f"{lam:.6f}" for lam in lambdas_nm]
-        + [f"{n:.6e}" for n in photons]
-        + [v if v == "" else f"{v:.9e}" for v in coeff_cols.values()]
-        + [f"{noise:.9e}", f"{bias:.9e}"]
-    )
-    print(",".join(header), file=out)
-    print(",".join(row), file=out)
+    out.write(records.csv([
+        [("scheme", args.scheme, "")]
+        + [(f"lambda{i}_nm", lam, ".6f") for i, lam in enumerate(lambdas_nm, 1)]
+        + [(f"photons{i}", n, ".6e") for i, n in enumerate(photons, 1)]
+        + [(key, v, ".9e") for key, v in coeff_cols.items()]
+        + [("shot_noise_m", noise, ".9e"), ("humidity_bias_m", bias, ".9e")]
+    ]))
     return EXIT_OK
 
 

@@ -67,7 +67,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermvander
 
-from . import air_model, mode_algebra, multicolor
+from . import air_model, mode_algebra, multicolor, records
 from .air_model import SPEED_OF_LIGHT, AirState
 from .dispersion import RANGING_LABELS, phase_gradient
 from .errors import DomainError, SeparabilityError, ValidationError
@@ -360,35 +360,28 @@ class SensitivityReport:
 
     def to_text(self) -> str:
         dev = self.numeric_mode_deviation
-        deviation = f"n/a ({self.oracle_refusal})" if dev is None else f"{dev:.6e}"
-        lines = [
+        deviation = (f"n/a ({self.oracle_refusal})", "") if dev is None else (dev, ".6e")
+        return records.lines([
             "# ranging sensitivity report",
             "# units: p_L in m; p_X dimensionless (density-factor deviation); p_Pw in Pa",
-            f"photons = {self.n_photons:.6e}",
-            f"length_m = {self.length_m:.6e}",
-            f"center_wavelength_nm = {2.0 * math.pi * SPEED_OF_LIGHT / self.pulse.omega0 * 1e9:.6f}",
-            f"relative_bandwidth = {self.pulse.delta_omega / self.pulse.omega0:.12f}",
-        ]
-        for lab in RANGING_LABELS:
-            lines.append(f"k_{lab} = {self.k_consts[lab]:.12e}")
-        for lab in RANGING_LABELS:
-            lines.append(f"min_{lab} = {self.min_detectable[lab]:.12e}")
-        lines += [
-            f"x_contamination_per_m = {self.x_contamination_per_m:.12e}",
-            f"pw_contamination_per_m_pa = {self.pw_contamination_per_m_pa:.12e}",
+            ("photons", self.n_photons, ".6e"),
+            ("length_m", self.length_m, ".6e"),
+            ("center_wavelength_nm", 2.0 * math.pi * SPEED_OF_LIGHT / self.pulse.omega0 * 1e9, ".6f"),
+            ("relative_bandwidth", self.pulse.delta_omega / self.pulse.omega0, ".12f"),
+            *[(f"k_{lab}", self.k_consts[lab], ".12e") for lab in RANGING_LABELS],
+            *[(f"min_{lab}", self.min_detectable[lab], ".12e") for lab in RANGING_LABELS],
+            ("x_contamination_per_m", self.x_contamination_per_m, ".12e"),
+            ("pw_contamination_per_m_pa", self.pw_contamination_per_m_pa, ".12e"),
             "# shot-noise values below are independent of length_m: the",
             "# purification factor is built from length-free mode overlaps",
-            f"shot_noise_raw_m = {self.purified.raw_m:.12e}",
-            f"shot_noise_purified_m = {self.purified.full_m:.12e}",
-            f"shot_noise_x_only_purified_m = {self.purified.x_only_m:.12e}",
-            f"numeric_mode_deviation = {deviation}",
-        ]
-        for key in sorted(self.baselines):
-            lines.append(f"{key} = {self.baselines[key]:.12e}")
-        lines.append("# contamination matrix M[i][j]: rows/cols " + ",".join(RANGING_LABELS))
-        for lab, row in zip(RANGING_LABELS, self.matrix):
-            lines.append("M[" + lab + "] = " + ", ".join(f"{v:.12e}" for v in row))
-        return "\n".join(lines) + "\n"
+            ("shot_noise_raw_m", self.purified.raw_m, ".12e"),
+            ("shot_noise_purified_m", self.purified.full_m, ".12e"),
+            ("shot_noise_x_only_purified_m", self.purified.x_only_m, ".12e"),
+            ("numeric_mode_deviation", *deviation),
+            *[(key, self.baselines[key], ".12e") for key in sorted(self.baselines)],
+            "# contamination matrix M[i][j]: rows/cols " + ",".join(RANGING_LABELS),
+            *[(f"M[{lab}]", row, "{:.12e}, {:.12e}, {:.12e}") for lab, row in zip(RANGING_LABELS, self.matrix)],
+        ])
 
 
 def contamination_report(

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import detection
+from . import detection, records
 from .air_model import AirState, check_length
 from .dispersion import RANGING_LABELS, check_linearity
 from .errors import DomainError, ValidationError
@@ -168,28 +168,24 @@ class SimResult:
     rng_seed: int
 
     def to_text(self) -> str:
-        lines = [
+        leak = {
+            lab: ((s.value, s.std_error, s.t_stat), "{:.6e} +/- {:.6e} (t = {:.3f})")
+            for lab, s in self.slopes.items()
+        }
+        return records.lines([
             "# simulation result",
-            f"lo = {self.lo_label}",
-            f"k_lo_per_m = {self.k_lo:.12e}",
-            f"seed = {self.rng_seed}",
-            f"samples = {self.n_samples}",
-            f"mean_estimate_m = {self.mean_estimate_m:.12e}",
-            f"std_estimate_m = {self.std_estimate_m:.12e}",
-            f"std_error_mean_m = {self.std_error_mean_m:.12e}",
-            f"predicted_sigma_m = {self.predicted_sigma_m:.12e}",
-            f"bias_m = {self.bias_m:.12e}",
-        ]
-        for lab in RANGING_LABELS:
-            if lab in self.slopes:
-                s = self.slopes[lab]
-                lines.append(
-                    f"leakage_{lab} = {s.value:.6e} +/- {s.std_error:.6e} (t = {s.t_stat:.3f})"
-                )
-            else:
-                lines.append(f"leakage_{lab} = n/a")
-        lines.append(f"immune = {'n/a' if self.immune is None else str(self.immune).lower()}")
-        return "\n".join(lines) + "\n"
+            ("lo", self.lo_label, ""),
+            ("k_lo_per_m", self.k_lo, ".12e"),
+            ("seed", self.rng_seed, "d"),
+            ("samples", self.n_samples, "d"),
+            ("mean_estimate_m", self.mean_estimate_m, ".12e"),
+            ("std_estimate_m", self.std_estimate_m, ".12e"),
+            ("std_error_mean_m", self.std_error_mean_m, ".12e"),
+            ("predicted_sigma_m", self.predicted_sigma_m, ".12e"),
+            ("bias_m", self.bias_m, ".12e"),
+            *[(f"leakage_{lab}", *leak.get(lab, ("n/a", ""))) for lab in RANGING_LABELS],
+            ("immune", "n/a" if self.immune is None else str(self.immune).lower(), ""),
+        ])
 
 
 def select_lo(

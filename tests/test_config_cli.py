@@ -411,6 +411,15 @@ class TestMulticolorCommand:
         assert text == ""
         assert "length_m=" in capsys.readouterr().err
 
+    # an empty entry was once skipped: the first line printed the 1064/532
+    # row, and the second broadcast its one value to both wavelengths
+    @pytest.mark.parametrize("flag, value", [("--wavelengths", "1064,,532"), ("--photons", "4e16,,")])
+    def test_empty_list_entry_refused(self, flag, value, capsys):
+        code, text = run_cli(["multicolor", "--scheme", "2wi", flag, value])
+        assert code == EXIT_VALIDATION
+        assert text == ""
+        assert f"{flag}: {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("photons", ["inf", "1,inf,1"])
     def test_infinite_photons(self, photons, capsys):
         code, text = run_cli(
@@ -775,6 +784,71 @@ class TestSimulateCommand:
         assert text == ""
         assert not csv_path.exists()
         assert f"{label!r}" in capsys.readouterr().err
+
+
+def log_uniform(low, high):
+    return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
+
+
+@st.composite
+def agreement_documents(draw):
+    """A config document of every key the three commands share, with values
+    where the pulse, the air state and every purification are accepted;
+    the fluctuations may break `simulate`'s linearity guard."""
+    keys = {
+        "lo": st.sampled_from(LO_CHOICES),
+        "pulse.wavelength_nm": st.floats(400.0, 2000.0),
+        "pulse.relative_bandwidth": st.floats(0.02, 0.3),
+        "length_m": log_uniform(1e-3, 1e3),
+        "photons": log_uniform(3.0, 1e20),
+        "air.temperature_c": st.floats(-10.0, 40.0),
+        "air.pressure_pa": st.floats(5e4, 1.1e5),
+        "air.co2_percent": st.floats(0.0, 0.1),
+        "air.water_vapor_pa": st.floats(0.0, 4000.0),
+        "fluct.length_m": st.just(0.0) | log_uniform(1e-12, 1e-6),
+        "fluct.density_factor": st.just(0.0) | log_uniform(1e-9, 1e-4),
+        "fluct.water_vapor_pa": st.just(0.0) | log_uniform(1e-2, 1e2),
+        "seed": st.integers(0, 2**32 - 1),
+        "samples": st.integers(5, 300),
+    }
+    return "".join(f"{key} = {draw(value)}\n" for key, value in keys.items())
+
+
+def stdout_values(text):
+    """The `name = value` lines of a report, value text by name."""
+    return dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
+
+
+# the shot-noise line of `sensitivity` and the `modes` row that state each LO's K
+LO_SHOT_NOISE_KEY = {
+    "raw": "shot_noise_raw_m",
+    "purified": "shot_noise_purified_m",
+    "purified_x_only": "shot_noise_x_only_purified_m",
+}
+LO_MODE_ROW = {"raw": "w_L", "purified": "w_L_p"}
+
+
+@settings(max_examples=50, deadline=None)
+@given(doc=agreement_documents())
+def test_commands_agree_on_the_lo(doc):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
+        cfg = os.path.join(tmp, "run.cfg")
+        Path(cfg).write_text(doc)
+        sim_code, sim = run_cli(["simulate", "--config", cfg])
+        sens_code, sens = run_cli(["sensitivity", "--config", cfg])
+        modes_code, table = run_cli(["modes", "--config", cfg, "--out", os.path.join(tmp, "profiles.csv")])
+    assert sens_code == modes_code == EXIT_OK
+    if sim_code != EXIT_OK:
+        assert (sim_code, sim) == (EXIT_DOMAIN, "")
+        assert "drives the spectral phase" in err.getvalue()
+        return
+    lo = stdout_values(doc)["lo"]
+    sim = stdout_values(sim)
+    assert sim["predicted_sigma_m"] == stdout_values(sens)[LO_SHOT_NOISE_KEY[lo]]
+    if lo in LO_MODE_ROW:
+        k_const = {row["mode"]: row["k_const"] for row in csv.DictReader(io.StringIO(table.split("#")[0]))}
+        assert sim["k_lo_per_m"] == k_const[LO_MODE_ROW[lo]]
 
 
 def run_child(argv):
