@@ -1,9 +1,11 @@
 """Time the designer's path against HEAD and write BENCH_design.json.
 
 Calls paired by bench_harness.py, on the design scan's inputs, memos warm:
-  * `air_model._check_sigma_domain` on a float (CALLS_PER_SAMPLE calls);
+  * `air_model._check_sigma_domain` on a float (CALLS_PER_SAMPLE calls), a
+    cold path: a warm design makes no call to it;
   * `detection.ranging_modes`;
   * `detection.purify`, full (against w_X and w_Pw) and X-only;
+  * `detection.PurifiedSensitivity.build`, every LO of `detection.LO_TABLE`;
   * `detection.numeric_detection_mode` for L, the exact oracle;
   * `detection.contamination_report`;
   * one whole design, as `perfbench.workloads.DesignScan.op` makes it.
@@ -19,7 +21,7 @@ import bench_harness as harness
 SEED = 7
 SAMPLES = 9000
 # calls per sample of the calls too short to time one at a time
-CALLS_PER_SAMPLE = {"check_sigma_domain": 20}
+CALLS_PER_SAMPLE = {"check_sigma_domain_cold": 20}
 
 
 def tree_calls(package: str, pulse_shapes) -> dict:
@@ -47,14 +49,15 @@ def tree_calls(package: str, pulse_shapes) -> dict:
         return report
 
     def check_sigma_domain(_):
-        for _ in range(CALLS_PER_SAMPLE["check_sigma_domain"]):
+        for _ in range(CALLS_PER_SAMPLE["check_sigma_domain_cold"]):
             air_model._check_sigma_domain(1.25)
 
     return {
-        "check_sigma_domain": check_sigma_domain,
+        "check_sigma_domain_cold": check_sigma_domain,
         "ranging_modes": lambda _: detection.ranging_modes(pulse, state, 1.0),
         "purify_full": lambda _: detection.purify(w_l, [w_x, w_pw]),
         "purify_x_only": lambda _: detection.purify(w_l, [w_x]),
+        "purified_sensitivity": lambda _: detection.PurifiedSensitivity.build(w_l, w_x, w_pw, 8e16),
         "oracle_l": lambda _: detection.numeric_detection_mode("L", pulse, state, 1.0),
         "contamination_report": lambda _: detection.contamination_report(pulse, state, 1.0, 8e16),
         "design": design,

@@ -30,11 +30,12 @@ def main() -> None:
         argv = ["simulate", "--seed", str(SEED), "--samples", str(SAMPLE_COUNTS[-1])]
         child = harness.time_cli(staging, argv, SAMPLES, digest)
         config, simulator = harness.modules("config"), harness.modules("simulator")
+        lo_choices = harness.modules("detection")["change"].LO_TABLE
         per_call = {}
         for n in SAMPLE_COUNTS:
             per_call[f"draws_{n}"] = harness.time_calls(
                 {side: lambda _, sim=sim: draws(sim, n) for side, sim in simulator.items()}, SAMPLES)
-            for lo in simulator["change"].LO_CHOICES:
+            for lo in lo_choices:
                 runs = {}
                 for side in harness.TREES:
                     cfg = config[side].build_config({"samples": n, "lo": lo, "seed": SEED}).to_sim_config()

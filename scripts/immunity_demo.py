@@ -14,6 +14,7 @@ Usage: python scripts/immunity_demo.py [--samples 100000] [--seed 20260808]
 import argparse
 
 from comb_ranger.config import SCHEMA, build_config
+from comb_ranger.detection import LO_TABLE
 from comb_ranger.simulator import run
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     header = f"{'LO':18s} {'sigma (m)':>12s} {'X slope':>12s} {'t(X)':>8s} {'Pw slope':>12s} {'t(Pw)':>8s}  immune"
     print(header)
     print("-" * len(header))
-    for lo in ("raw", "purified_x_only", "purified"):
+    for lo in LO_TABLE:
         config = build_config({"lo": lo, "samples": args.samples, "seed": args.seed})
         res = run(config.to_sim_config())
         sx, spw = res.slopes["X"], res.slopes["Pw"]

@@ -15,7 +15,7 @@ Usage: python scripts/reproduce_sensitivities.py [--wavelength-nm 800]
 import argparse
 
 from comb_ranger.config import SCHEMA, build_config
-from comb_ranger.detection import contamination_report
+from comb_ranger.detection import LO_TABLE, contamination_report
 
 # command-line option -> configuration key, whose SCHEMA default it takes
 OPTIONS = {
@@ -36,9 +36,9 @@ def main() -> None:
 
     sens = report.purified
     print("# summary")
-    print(f"raw displacement sensitivity : {sens.raw_m:.3e} m")
-    print(f"fully purified (X and Pw)    : {sens.full_m:.3e} m  (x{sens.full_m / sens.raw_m:.0f})")
-    print(f"X-only purified              : {sens.x_only_m:.3e} m  (x{sens.x_only_m / sens.raw_m:.0f})")
+    for choice, m in zip(LO_TABLE, sens.shot_noise_m):
+        cost = sens.refusals[choice] if m is None else f"{m:.3e} m  (x{m / sens.raw_m:.0f})"
+        print(f"{choice + ' LO':29s}: {cost}")
     print(f"two-color baseline           : {report.baselines['two_color_shot_noise_m']:.3e} m")
     print(f"three-color baseline         : {report.baselines['three_color_shot_noise_m']:.3e} m")
 

@@ -356,24 +356,21 @@ def _mode_table(config: RunConfig):
     """(label, mode, k_const) rows, each mode signed for plotting: a mode whose
     largest-magnitude coefficient is negative is flipped."""
     pulse = config.pulse
-    w_l, w_x, w_pw = detection.ranging_modes(pulse, config.state, config.length_m)
-    w_lp = detection.purify(w_l, [w_x, w_pw])
-    rows = [
-        # u = -i v0 has v0's real profile
-        ("u", mode_algebra.hermite_gauss(0, pulse), None),
-        ("v0", mode_algebra.hermite_gauss(0, pulse), None),
-        ("v1", mode_algebra.hermite_gauss(1, pulse), None),
-        ("v2", mode_algebra.hermite_gauss(2, pulse), None),
-        ("w_L", w_l.mode, w_l.k_const),
-        ("w_X", w_x.mode, w_x.k_const),
-        ("w_Pw", w_pw.mode, w_pw.k_const),
-        ("w_L_p", w_lp.mode, w_lp.k_const),
-    ]
-    for i, (label, mode, k_const) in enumerate(rows):
+    modes = detection.ranging_modes(pulse, config.state, config.length_m)
+    # u = -i v0 has v0's real profile
+    rows = {label: (mode_algebra.hermite_gauss(n, pulse), None)
+            for label, n in (("u", 0), ("v0", 0), ("v1", 1), ("v2", 2))}
+    rows.update({f"w_{m.label}": (m.mode, m.k_const) for m in modes})
+    # the raw LO is w_L itself, so its row keeps w_L's place
+    for lo in detection.LO_TABLE.values():
+        if lo.mode_row is not None:
+            m = detection.lo_mode(lo, modes)
+            rows[lo.mode_row] = (m.mode, m.k_const)
+    for label, (mode, k_const) in rows.items():
         vec = mode.vector
         if vec[np.argmax(np.abs(vec))] < 0.0:
-            rows[i] = (label, mode_algebra.SpectralMode(pulse, tuple(-vec)), k_const)
-    return rows
+            rows[label] = (mode_algebra.SpectralMode(pulse, tuple(-vec)), k_const)
+    return [(label, *row) for label, row in rows.items()]
 
 
 def cmd_modes(args: argparse.Namespace, out) -> int:
@@ -384,7 +381,9 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
     x = np.linspace(-mode_algebra.GRID_HALF_WIDTH, mode_algebra.GRID_HALF_WIDTH, 2049)
     omega = pulse.omega0 + x * pulse.delta_omega
     scale = math.sqrt(pulse.delta_omega)
-    profile_rows = [r for r in rows if r[0] in ("u", "v0", "v1", "v2", "w_L", "w_L_p")]
+    # the profiles of the Hermite-Gauss basis, the rows with no k_const, and of the LOs
+    lo_rows = {lo.mode_row for lo in detection.LO_TABLE.values()}
+    profile_rows = [r for r in rows if r[2] is None or r[0] in lo_rows]
     profiles = [mode_algebra.real_profile(m, omega) * scale for _, m, _ in profile_rows]
     header = ["x"] + [label for label, _, _ in profile_rows]
     with _export_csv(args.out, header, [9] + [12] * len(profiles)) as write:

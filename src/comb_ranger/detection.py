@@ -62,7 +62,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss, hermvander
@@ -86,6 +86,17 @@ PURIFY_FLOOR = 2.0**-66
 # of each.  A design scan cycles over a few dozen pulses; an entry is at
 # most about a kilobyte.
 MEMO_SIZE = 256
+
+# The local oscillators of `simulate`, `sensitivity` and `modes`: w_L purified
+# against the slice `against` of the ranging modes (w_L, w_X, w_Pw), empty
+# for w_L itself, printed on the `sensitivity` line `report_key` and the
+# `modes` row `mode_row`; an X-only row would change the output of `modes`.
+LoChoice = NamedTuple("LoChoice", [("against", slice), ("report_key", str), ("mode_row", str | None)])
+LO_TABLE = {
+    "raw": LoChoice(slice(1, 1), "shot_noise_raw_m", "w_L"),
+    "purified": LoChoice(slice(1, 3), "shot_noise_purified_m", "w_L_p"),
+    "purified_x_only": LoChoice(slice(1, 2), "shot_noise_x_only_purified_m", None),
+}
 
 # The report's multicolor baselines: a 1064 nm comb, frequency-doubled and
 # -tripled, sharing the report's photon budget.
@@ -237,6 +248,11 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
     return DetectionMode(label, mode, target.k_const * math.sqrt(share))
 
 
+def lo_mode(lo: LoChoice, modes: Sequence[DetectionMode]) -> DetectionMode:
+    """The LO of the LO_TABLE entry `lo`, given the ranging modes (w_L, w_X, w_Pw)."""
+    return purify(modes[0], modes[lo.against])
+
+
 @functools.cache
 def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
     """Node offsets sqrt(2) x_k (in delta_omega) and rows w_k H_n(x_k) / sqrt(pi 2^n n!)
@@ -296,31 +312,38 @@ def contamination_coefficient(k_lo: float, k_j: float, overlap: float) -> float:
 
 @dataclass(frozen=True)
 class PurifiedSensitivity:
-    """Shot-noise distance sensitivities with and without purification.
+    """Shot-noise distance sensitivities of the LO_TABLE choices.
 
-    p_X here is the dimensionless deviation of the density factor X from its
-    reference value; p_Pw is in pascal.  k-constants are in 1/m.
+    The k-constants (1/m), then the minimum detectable lengths (m), are the
+    fields in LO_TABLE order: raw, fully purified, X-only purified.  A choice
+    whose purification is refused has None in both, and `refusals` holds
+    the refusal under its choice.
     """
 
     k_raw: float
-    k_full: float
-    k_x_only: float
+    k_full: float | None
+    k_x_only: float | None
     raw_m: float
-    full_m: float
-    x_only_m: float
+    full_m: float | None
+    x_only_m: float | None
+    refusals: dict[str, str]
 
     @classmethod
     def build(cls, w_l: DetectionMode, w_x: DetectionMode, w_pw: DetectionMode, n_photons: float) -> "PurifiedSensitivity":
-        k_full = purify(w_l, [w_x, w_pw]).k_const
-        k_x = purify(w_l, [w_x]).k_const
-        return cls(
-            k_raw=w_l.k_const,
-            k_full=k_full,
-            k_x_only=k_x,
-            raw_m=min_detectable(w_l.k_const, n_photons),
-            full_m=min_detectable(k_full, n_photons),
-            x_only_m=min_detectable(k_x, n_photons),
-        )
+        modes = (w_l, w_x, w_pw)
+        ks, refusals = [], {}
+        for choice, lo in LO_TABLE.items():
+            try:
+                ks.append(lo_mode(lo, modes).k_const)
+            except SeparabilityError as exc:
+                ks.append(None)
+                refusals[choice] = f"purification refused: {exc}"
+        return cls(*ks, *[None if k is None else min_detectable(k, n_photons) for k in ks], refusals)
+
+    @property
+    def shot_noise_m(self) -> tuple[float | None, ...]:
+        """The minimum detectable lengths in LO_TABLE order."""
+        return self.raw_m, self.full_m, self.x_only_m
 
 
 @functools.cache
@@ -342,7 +365,8 @@ class SensitivityReport:
     is exactly 1.  Minimum detectable values are recomputable from the
     stored k_consts as 1/(2 sqrt(N) K).  `numeric_mode_deviation` is None,
     and `oracle_refusal` says why, when the oracle's nodes leave the air
-    model's validity band.
+    model's validity band; an LO whose purification is refused prints its
+    refusal in place of its shot noise.
     """
 
     n_photons: float
@@ -359,8 +383,10 @@ class SensitivityReport:
     oracle_refusal: str | None = None
 
     def to_text(self) -> str:
-        dev = self.numeric_mode_deviation
-        deviation = (f"n/a ({self.oracle_refusal})", "") if dev is None else (dev, ".6e")
+        def value(v, spec, refusal):
+            return (f"n/a ({refusal})", "") if v is None else (v, spec)
+
+        sens = self.purified
         return records.lines([
             "# ranging sensitivity report",
             "# units: p_L in m; p_X dimensionless (density-factor deviation); p_Pw in Pa",
@@ -374,10 +400,9 @@ class SensitivityReport:
             ("pw_contamination_per_m_pa", self.pw_contamination_per_m_pa, ".12e"),
             "# shot-noise values below are independent of length_m: the",
             "# purification factor is built from length-free mode overlaps",
-            ("shot_noise_raw_m", self.purified.raw_m, ".12e"),
-            ("shot_noise_purified_m", self.purified.full_m, ".12e"),
-            ("shot_noise_x_only_purified_m", self.purified.x_only_m, ".12e"),
-            ("numeric_mode_deviation", *deviation),
+            *[(lo.report_key, *value(m, ".12e", sens.refusals.get(choice)))
+              for (choice, lo), m in zip(LO_TABLE.items(), sens.shot_noise_m)],
+            ("numeric_mode_deviation", *value(self.numeric_mode_deviation, ".6e", self.oracle_refusal)),
             *[(key, self.baselines[key], ".12e") for key in sorted(self.baselines)],
             "# contamination matrix M[i][j]: rows/cols " + ",".join(RANGING_LABELS),
             *[(f"M[{lab}]", row, "{:.12e}, {:.12e}, {:.12e}") for lab, row in zip(RANGING_LABELS, self.matrix)],
@@ -397,7 +422,9 @@ def contamination_report(
     deviation of the verbatim w_L mode from the exact Gauss-Hermite oracle.
     The oracle's outer nodes reach omega0 +/- 8.51 delta_omega, past the
     pulse itself; where they cross the resonance pole the deviation is
-    reported as not available and the rest of the report stands.
+    reported as not available and the rest of the report stands.  So is
+    the shot noise of an LO whose purification is refused, as below the
+    purification floor.
     """
     if not n_photons >= 3.0:
         raise ValidationError(

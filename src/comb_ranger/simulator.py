@@ -52,8 +52,6 @@ from .dispersion import RANGING_LABELS, check_linearity
 from .errors import DomainError, ValidationError
 from .mode_algebra import GaussianPulse, inner_product
 
-LO_CHOICES = ("raw", "purified", "purified_x_only")
-
 # rows per streamed block: a few MB of float64 per block, and two 2 MB draw
 # buffers, one being folded while the helper thread fills the other; 2**17
 # rows raised the peak RSS of a 1e5-sample `simulate --out` by 5 %
@@ -74,8 +72,8 @@ def _is_integer(value) -> bool:
 def check_inputs(lo_choice, sample_count, rng_seed, length_m, n_photons, offsets, sigmas) -> None:
     """Every value rule of a run but the linearity guard, of the config keys
     and of SimConfig alike; the arguments are SimConfig's fields."""
-    if lo_choice not in LO_CHOICES:
-        raise ValidationError(f"lo_choice (config key 'lo') = {lo_choice!r} must be one of {LO_CHOICES}")
+    if lo_choice not in detection.LO_TABLE:
+        raise ValidationError(f"lo_choice (config key 'lo') = {lo_choice!r} must be one of {tuple(detection.LO_TABLE)}")
     if not (_is_integer(sample_count) and 1 <= sample_count <= MAX_SAMPLES):
         raise ValidationError(
             f"sample_count (config key 'samples') = {sample_count!r} must be an integer in [1, {MAX_SAMPLES:.0e}]"
@@ -185,16 +183,8 @@ def select_lo(
     config: SimConfig,
     modes: tuple[detection.DetectionMode, ...],
 ) -> detection.DetectionMode:
-    """Resolve the configured LO choice to a detection mode.
-
-    `modes` are the config's ranging modes (w_L, w_X, w_Pw).
-    """
-    w_l, w_x, w_pw = modes
-    if config.lo_choice == "raw":
-        return w_l
-    if config.lo_choice == "purified":
-        return detection.purify(w_l, [w_x, w_pw])
-    return detection.purify(w_l, [w_x])
+    """The configured LO choice, given the config's ranging modes (w_L, w_X, w_Pw)."""
+    return detection.lo_mode(detection.LO_TABLE[config.lo_choice], modes)
 
 
 def draw_generator(seed: int) -> np.random.Generator:

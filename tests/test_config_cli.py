@@ -28,7 +28,6 @@ from comb_ranger import detection
 from comb_ranger.air_model import WAVELENGTH_MAX_M, WAVELENGTH_MIN_M, AirState
 from comb_ranger.dispersion import RANGING_LABELS
 from comb_ranger import simulator
-from comb_ranger.simulator import LO_CHOICES
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -596,7 +595,7 @@ def config_bytes(draw):
     the text of a number, encoded as UTF-8; up to 4 arbitrary bytes may be
     spliced in, so the document need not be valid UTF-8."""
     keys = draw(st.lists(st.sampled_from(sorted(SCHEMA)), min_size=1, max_size=5, unique=True))
-    other = st.one_of(st.text(), ANY_FLOAT.map(repr), st.integers().map(str), st.sampled_from(LO_CHOICES))
+    other = st.one_of(st.text(), ANY_FLOAT.map(repr), st.integers().map(str), st.sampled_from(tuple(detection.LO_TABLE)))
     doc = "".join(f"{key} = {draw(st.just(str(SCHEMA[key][1])) | other)}\n" for key in keys).encode()
     cut = draw(st.integers(0, len(doc)))
     return doc[:cut] + draw(st.one_of(st.just(b""), st.binary(max_size=4))) + doc[cut:]
@@ -822,17 +821,47 @@ def log_uniform(low, high):
     return st.floats(math.log10(low), math.log10(high)).map(lambda e: 10.0**e)
 
 
-@st.composite
-def agreement_documents(draw):
-    """A config document of every key the three commands share, with values
-    where the pulse, the air state and every purification are accepted;
-    the fluctuations may break `simulate`'s linearity guard."""
-    keys = {
-        "lo": st.sampled_from(LO_CHOICES),
+# the pulse and photon draws of `agreement_documents`, by regime: one where
+# every command runs, and three whose documented endings the property checks
+AGREEMENT_REGIMES = {
+    "ordinary": {
         "pulse.wavelength_nm": st.floats(400.0, 2000.0),
         "pulse.relative_bandwidth": st.floats(0.02, 0.3),
-        "length_m": log_uniform(1e-3, 1e3),
         "photons": log_uniform(3.0, 1e20),
+    },
+    # `sensitivity` exits 2: its three-colour baseline needs 3 photons
+    "few_photons": {
+        "pulse.wavelength_nm": st.floats(400.0, 2000.0),
+        "pulse.relative_bandwidth": st.floats(0.02, 0.3),
+        "photons": st.floats(1.0, 3.0, exclude_max=True),
+    },
+    # the oracle's outer node, sigma0 (1 + 8.51 bandwidth), crosses the
+    # pole's 6.24 um^-1: `sensitivity` prints n/a for the oracle line
+    "near_pole": {
+        "pulse.wavelength_nm": st.floats(400.0, 450.0),
+        "pulse.relative_bandwidth": st.floats(0.26, 0.3),
+        "photons": log_uniform(3.0, 1e20),
+    },
+    # 1 - s of the full purification is below PURIFY_FLOOR (1.3e-21 at
+    # 1500 nm and 0.001): its `sensitivity` line is n/a and `modes` exits 3
+    "below_floor": {
+        "pulse.wavelength_nm": st.floats(1500.0, 2000.0),
+        "pulse.relative_bandwidth": st.floats(5e-4, 1e-3),
+        "photons": log_uniform(3.0, 1e20),
+    },
+}
+
+
+@st.composite
+def agreement_documents(draw):
+    """(regime, document): a config document of every key the three commands
+    share, its pulse and photon count drawn from one of AGREEMENT_REGIMES;
+    the fluctuations may break `simulate`'s linearity guard."""
+    regime = draw(st.sampled_from(sorted(AGREEMENT_REGIMES)))
+    keys = {
+        "lo": st.sampled_from(tuple(detection.LO_TABLE)),
+        **AGREEMENT_REGIMES[regime],
+        "length_m": log_uniform(1e-3, 1e3),
         "air.temperature_c": st.floats(-10.0, 40.0),
         "air.pressure_pa": st.floats(5e4, 1.1e5),
         "air.co2_percent": st.floats(0.0, 0.1),
@@ -843,7 +872,7 @@ def agreement_documents(draw):
         "seed": st.integers(0, 2**32 - 1),
         "samples": st.integers(5, 300),
     }
-    return "".join(f"{key} = {draw(value)}\n" for key, value in keys.items())
+    return regime, "".join(f"{key} = {draw(value)}\n" for key, value in keys.items())
 
 
 def stdout_values(text):
@@ -851,36 +880,92 @@ def stdout_values(text):
     return dict(line.split(" = ", 1) for line in text.splitlines() if " = " in line)
 
 
-# the shot-noise line of `sensitivity` and the `modes` row that state each LO's K
-LO_SHOT_NOISE_KEY = {
-    "raw": "shot_noise_raw_m",
-    "purified": "shot_noise_purified_m",
-    "purified_x_only": "shot_noise_x_only_purified_m",
-}
-LO_MODE_ROW = {"raw": "w_L", "purified": "w_L_p"}
+def run_lo_commands(doc):
+    """(exit code, stdout, stderr) of `simulate`, `sensitivity` and `modes` on
+    the config document `doc`, by command."""
+    ends = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "run.cfg")
+        Path(cfg).write_text(doc)
+        for command, extra in (("simulate", []), ("sensitivity", []),
+                               ("modes", ["--out", os.path.join(tmp, "profiles.csv")])):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code, out = run_cli([command, "--config", cfg, *extra])
+            ends[command] = code, out, err.getvalue()
+    return ends
 
 
 @settings(max_examples=50, deadline=None)
-@given(doc=agreement_documents())
-def test_commands_agree_on_the_lo(doc):
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err):
-        cfg = os.path.join(tmp, "run.cfg")
-        Path(cfg).write_text(doc)
-        sim_code, sim = run_cli(["simulate", "--config", cfg])
-        sens_code, sens = run_cli(["sensitivity", "--config", cfg])
-        modes_code, table = run_cli(["modes", "--config", cfg, "--out", os.path.join(tmp, "profiles.csv")])
-    assert sens_code == modes_code == EXIT_OK
+@given(drawn=agreement_documents())
+def test_commands_agree_on_the_lo(drawn):
+    # each LO_TABLE entry names the `sensitivity` line and the `modes` row
+    # that must state the K of the LO `simulate` runs, or its refusal
+    regime, doc = drawn
+    choice = stdout_values(doc)["lo"]
+    lo = detection.LO_TABLE[choice]
+    ends = run_lo_commands(doc)
+    (sim_code, sim, sim_err), (sens_code, sens, sens_err), (modes_code, table, modes_err) = (
+        ends["simulate"], ends["sensitivity"], ends["modes"])
+
+    if regime == "few_photons":
+        assert (sens_code, sens) == (EXIT_VALIDATION, "")
+        assert "three channels of at least one photon each" in sens_err
+    else:
+        assert sens_code == EXIT_OK, sens_err
+    sens = stdout_values(sens)
+    refusals = {key: value for key, value in sens.items() if value.startswith("n/a (purification refused: ")}
+    if regime == "near_pole":
+        assert sens["numeric_mode_deviation"].startswith("n/a (oracle refused: ")
+    if regime == "below_floor":
+        assert set(refusals) == {detection.LO_TABLE["purified"].report_key}
+    else:
+        assert refusals == {}
+    if refusals:
+        # `modes` always prints the fully purified row
+        assert (modes_code, table) == (EXIT_DOMAIN, "")
+        assert "not separable" in modes_err
+    else:
+        assert modes_code == EXIT_OK, modes_err
+
     if sim_code != EXIT_OK:
+        # the linearity guard comes before the LO is built
         assert (sim_code, sim) == (EXIT_DOMAIN, "")
-        assert "drives the spectral phase" in err.getvalue()
+        message = sim_err.removeprefix("error: ").strip()
+        assert ("drives the spectral phase" in message
+                or refusals.get(lo.report_key) == f"n/a (purification refused: {message})")
         return
-    lo = stdout_values(doc)["lo"]
+    assert lo.report_key not in refusals
     sim = stdout_values(sim)
-    assert sim["predicted_sigma_m"] == stdout_values(sens)[LO_SHOT_NOISE_KEY[lo]]
-    if lo in LO_MODE_ROW:
+    if sens_code == EXIT_OK:
+        assert sim["predicted_sigma_m"] == sens[lo.report_key]
+    if lo.mode_row is not None and modes_code == EXIT_OK:
         k_const = {row["mode"]: row["k_const"] for row in csv.DictReader(io.StringIO(table.split("#")[0]))}
-        assert sim["k_lo_per_m"] == k_const[LO_MODE_ROW[lo]]
+        assert sim["k_lo_per_m"] == k_const[lo.mode_row]
+
+
+@pytest.mark.parametrize("choice", tuple(detection.LO_TABLE))
+def test_lo_choices_below_the_purification_floor(choice):
+    # 1600 nm at bandwidth 0.001: only the full purification is refused, so
+    # `simulate` runs the other LOs and `sensitivity` prints every line but
+    # that LO's; `modes` always prints the fully purified row and refuses
+    doc = f"pulse.wavelength_nm = 1600\npulse.relative_bandwidth = 0.001\nlo = {choice}\n"
+    ends = run_lo_commands(doc)
+    refusal = "parameter 'L' not separable: its detection mode lies in the span of the interfering modes"
+    sim_code, sim, sim_err = ends["simulate"]
+    sens_code, sens, _ = ends["sensitivity"]
+    assert sens_code == EXIT_OK
+    sens = stdout_values(sens)
+    assert sens["shot_noise_purified_m"] == f"n/a (purification refused: {refusal})"
+    assert float(sens["shot_noise_raw_m"]) < float(sens["shot_noise_x_only_purified_m"])
+    assert ends["modes"][:2] == (EXIT_DOMAIN, "")
+    assert refusal in ends["modes"][2]
+    if choice == "purified":
+        assert (sim_code, sim) == (EXIT_DOMAIN, "")
+        assert refusal in sim_err
+    else:
+        assert sim_code == EXIT_OK
+        assert stdout_values(sim)["predicted_sigma_m"] == sens[detection.LO_TABLE[choice].report_key]
 
 
 def run_child(argv):

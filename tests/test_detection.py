@@ -572,8 +572,13 @@ class TestPurifiedSensitivity:
     def test_degenerate_environmental_modes_rejected(self):
         w_l, w_x, _ = ranging_modes(PULSE, AIR, 1.0)
         clone = DetectionMode("Pw", w_x.mode, 2.0 * w_x.k_const)
-        with pytest.raises(SeparabilityError):
-            PurifiedSensitivity.build(w_l, w_x, clone, 8e16)
+        sens = PurifiedSensitivity.build(w_l, w_x, clone, 8e16)
+        # the full purification is refused, and it alone
+        assert (sens.k_full, sens.full_m) == (None, None)
+        assert sens.refusals == {
+            "purified": "purification refused: interfering modes are degenerate: 'Pw' lies in the span of those before it"
+        }
+        assert sens.k_x_only == purify(w_l, [w_x]).k_const
 
 
 def _clear_memos():
@@ -768,10 +773,11 @@ class TestSensitivitySimulateAgreement:
     """`sensitivity` and `simulate` share one purification.
 
     Over a carrier-by-bandwidth grid, the report's K_full and K_x_only equal
-    the K of the LO `simulate` selects, to the bit, or both refuse with the
-    same error.  The narrow-bandwidth corner refuses: there 1 - s falls
-    below the purification floor.  At the near-pole corner (500 nm at 0.3)
-    only the oracle line of the report is not available.
+    the K of the LO `simulate` selects, to the bit, or the report prints the
+    refusal that `simulate` raises.  The narrow-bandwidth corner refuses the
+    full purification: there 1 - s falls below the purification floor.  At
+    the near-pole corner (500 nm at 0.3) only the oracle line of the report
+    is not available.
     """
 
     def test_scan(self):
@@ -779,27 +785,24 @@ class TestSensitivitySimulateAgreement:
         for nm in np.linspace(500.0, 1600.0, 12):
             for rel in np.geomspace(0.001, 0.3, 12):
                 pulse = GaussianPulse.from_wavelength(nm * 1e-9, rel)
-                try:
-                    report = contamination_report(pulse, AIR, 1.0, 8e16)
-                    sens, refusal = report.purified, None
-                    oracle_na += report.numeric_mode_deviation is None
-                except SeparabilityError as exc:
-                    refusal = str(exc)
+                report = contamination_report(pulse, AIR, 1.0, 8e16)
+                sens = report.purified
+                oracle_na += report.numeric_mode_deviation is None
                 for lo, attr in (("purified", "k_full"), ("purified_x_only", "k_x_only")):
                     cfg = SimConfig(pulse, AIR, 1.0, 8e16, lo, 1000, 1)
+                    modes = ranging_modes(cfg.pulse, cfg.state, cfg.length_m)
                     try:
-                        modes = ranging_modes(cfg.pulse, cfg.state, cfg.length_m)
                         k = select_lo(cfg, modes).k_const
                     except SeparabilityError as exc:
-                        assert str(exc) == refusal, (nm, rel, lo)
-                        continue
-                    if refusal is None:
-                        assert k == getattr(sens, attr), (nm, rel, lo)
-                        agreed += 1
+                        assert getattr(sens, attr) is None, (nm, rel, lo)
+                        assert sens.refusals[lo] == f"purification refused: {exc}", (nm, rel, lo)
+                        # only the full purification reaches the floor here
+                        assert lo == "purified", (nm, rel)
+                        refused += 1
                     else:
-                        # the report refuses on the full purification alone
-                        assert lo == "purified_x_only", (nm, rel)
-                refused += refusal is not None
+                        assert k == getattr(sens, attr), (nm, rel, lo)
+                        assert lo not in sens.refusals, (nm, rel, lo)
+                        agreed += 1
         assert refused > 0 and agreed > 0 and oracle_na > 0
 
 

@@ -88,14 +88,32 @@ def test_no_import_cycle():
         visit(name, ())
 
 
+def perfbench_span_names() -> dict[str, set[str]]:
+    """The span names perfbench/tracing.py reads back, by where it reads them:
+    `incl[...]` and `span_self[...]` keys, `name == ...` literals and the
+    keys of `_ANNOTATE`."""
+    found: dict[str, set[str]] = {"incl": set(), "span_self": set(), "name ==": set(), "_ANNOTATE": set()}
+    for node in ast.walk(parse(TRACING)):
+        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+                and node.value.id in ("incl", "span_self") and isinstance(node.slice, ast.Constant)):
+            found[node.value.id].add(node.slice.value)
+        elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name) and node.left.id == "name"
+                and isinstance(node.ops[0], ast.Eq) and isinstance(node.comparators[0], ast.Constant)):
+            found["name =="].add(node.comparators[0].value)
+        elif (isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["_ANNOTATE"]
+                and isinstance(node.value, ast.Dict)):
+            found["_ANNOTATE"].update(key.value for key in node.value.keys)
+    return found
+
+
 def test_perfbench_span_names_resolve():
     # perfbench/tracing.py names a span "<module>.<function>" or
     # "<module>.<Class>.<method>" after the public callable it wraps, and
-    # reads some spans back by key; a renamed callable would zero the metric.
-    keys = set(re.findall(r'incl\["([^"]+)"\]', TRACING.read_text(encoding="utf-8")))
-    assert keys, "no span keys found in perfbench/tracing.py"
+    # reads some spans back by name; a renamed callable would zero the metric.
+    found = perfbench_span_names()
+    assert all(found.values()), f"no span names found in perfbench/tracing.py: {found}"
     unresolved = []
-    for key in sorted(keys):
+    for key in sorted(set().union(*found.values())):
         module_name, *path = key.split(".")
         module = importlib.import_module(f"comb_ranger.{module_name}")
         obj = module

@@ -12,12 +12,11 @@ import pytest
 
 from comb_ranger import cli, simulator
 from comb_ranger.air_model import AirState
-from comb_ranger.detection import contamination_report, ranging_modes
+from comb_ranger.detection import LO_TABLE, contamination_report, ranging_modes
 from comb_ranger.dispersion import RANGING_LABELS
 from comb_ranger.errors import ValidationError
 from comb_ranger.mode_algebra import GaussianPulse
 from comb_ranger.simulator import (
-    LO_CHOICES,
     SimConfig,
     draw_generator,
     perturbation_draws,
@@ -90,7 +89,7 @@ class TestReproducibility:
 
     # 2000 rows in blocks of 1, 7 or 1000 rows: the two draw buffers are
     # each filled and folded up to 1000 times
-    @pytest.mark.parametrize("lo", LO_CHOICES)
+    @pytest.mark.parametrize("lo", tuple(LO_TABLE))
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
     def test_block_size_invariance(self, monkeypatch, lo, chunk_rows):
         cfg = make_config(lo_choice=lo, sample_count=2000, sigmas=(0.0, 1e-6, 10.0))
@@ -207,7 +206,7 @@ class TestDrawAhead:
         monkeypatch.setattr(simulator, "CHUNK_ROWS", 7)
         configs = [
             make_config(**{**self.CONFIG, "sample_count": 700, "rng_seed": seed, "lo_choice": lo})
-            for seed, lo in zip(range(4), LO_CHOICES * 2)
+            for seed, lo in zip(range(4), tuple(LO_TABLE) * 2)
         ]
         alone = [run_with_table(cfg) for cfg in configs]
         together = [None] * len(configs)
@@ -364,7 +363,7 @@ def reference_regression(samples: np.ndarray, labels) -> tuple[np.ndarray, np.nd
     np.finfo(np.longdouble).eps > 1e-18, reason="the reference needs an extended long double"
 )
 @pytest.mark.parametrize("samples", [2000, 100_000])
-@pytest.mark.parametrize("lo", LO_CHOICES)
+@pytest.mark.parametrize("lo", tuple(LO_TABLE))
 def test_regression_matches_extended_precision_reference(lo, samples):
     # the raw LO's signal spread is ~1.7e7 times its shot noise, so its
     # std errors are a residual of 1 part in 1.7e7; at 1e5 samples its
