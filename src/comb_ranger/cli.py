@@ -417,7 +417,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def cmd_multicolor(args: argparse.Namespace, out) -> int:
-    lambdas_nm = _parse_float_list(args.wavelengths, "--wavelengths")
+    default = "1064,532" if args.scheme == "2wi" else "1064,532,355"
+    lambdas_nm = _parse_float_list(default if args.wavelengths is None else args.wavelengths, "--wavelengths")
     photons = _parse_float_list(args.photons, "--photons")
     expected = 2 if args.scheme == "2wi" else 3
     if len(lambdas_nm) != expected:
@@ -495,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_multi = sub.add_parser("multicolor", help="Multicolor baseline comparison CSV.")
     p_multi.add_argument("--scheme", choices=("2wi", "3wi"), required=True)
     p_multi.add_argument(
-        "--wavelengths", default="1064,532", help="comma-separated wavelengths [nm]"
+        "--wavelengths", default=None,
+        help="comma-separated wavelengths [nm]; default 1064,532 for 2wi, 1064,532,355 for 3wi",
     )
     p_multi.add_argument(
         "--photons", default="4e16", help="photon number(s), single value or per wavelength"

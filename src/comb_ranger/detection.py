@@ -28,31 +28,38 @@ arithmetic on the near-unit overlaps would lose six digits to cancellation.
 
 Four memos serve a design scan whose designs share pulses; each is a pure
 function of frozen, hashable keys (keys that compare equal hold the same
-doubles), so a hit returns the very values a miss computes and results stay
-bit-identical.  A memo holds only the pulse-only inputs of a quantity; the
-quantity itself is formed per call by the one function that defines it.
-Errors, such as a near-pole DomainError, are not cached: they are raised
-again on every call.
+doubles), so a hit returns the very object a miss builds and results stay
+bit-identical.  Each pulse-only object is built once, finished; a call
+forms only what depends on its state, length and photon count.  Errors,
+such as a near-pole DomainError or a refused purification, are not cached:
+they are raised again on every call, a refusal naming that call's labels.
   * `_ranging_shapes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE
-    pulses: the unit ranging modes, their vector norms, K(sigma0), g(sigma0)
-    and the overlaps <m_i, m_j>.  `ranging_modes` checks the length and
-    scales K_X and K_Pw per call; the report's matrix passes the overlaps
-    to `contamination_coefficient`.
-  * `_purify_core`, keyed by the `SpectralMode`s of the target and the
-    interferers (so two pulses never share an entry), bounded at 2 MEMO_SIZE:
-    the unit residual, 1 - s and the position of a refused input; `purify`
-    raises the refusal itself, naming the caller's labels.
+    pulses: the finished w_L (its K = |a_L| / c is free of the length), the
+    unit X and P_w modes, their vector norms, K(sigma0), g(sigma0) and the
+    overlaps <m_i, m_j>.  `ranging_modes` checks the length and builds w_X
+    and w_Pw per call; the report's matrix passes the overlaps to
+    `contamination_coefficient`.
+  * `_purify_core`, keyed by the target `DetectionMode` and the (mode,
+    label) pair of each interferer, whose K does not enter (so two pulses
+    never share an entry and every length shares one), bounded at
+    2 MEMO_SIZE: the finished purified `DetectionMode`, which `purify`, and
+    through it every LO of LO_TABLE, returns.
   * `_oracle_rows`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE: the
     oracle's projections of omega / c and of the X and P_w gradients over
-    1 m, free of state and length; each mode weights them per call.
+    1 m, free of state and length.  `_oracle_projection` weights them per
+    call; `numeric_detection_mode` builds its mode on it, and the report
+    reads its coefficients without building one.
   * `_baseline_combinations`, one entry per process: the two- and
-    three-colour combinations, whose weights depend on the fixed wavelengths
-    alone; each report takes their shot noise at its own photon budget.
+    three-colour combinations, each with its channel frequencies, which
+    depend on the fixed wavelengths alone; each report takes their shot
+    noise at its own photon budget.
 A `GaussianPulse` and a `SpectralMode` compute their hash once, when built,
 so a memo lookup rehashes no coefficients; a mode computes its norm on first
 use.  Every vector norm here is sqrt(v.v), which is what `np.linalg.norm`
 computes for a real vector, bit for bit, at less than half its cost; the
-oracle and `purify` build their modes from `.tolist()` floats.
+oracle and `purify` build their modes from `.tolist()` floats.  The report
+and its `PurifiedSensitivity` are fresh records, never memo keys, so they
+are plain dataclasses: a frozen one pays an `object.__setattr__` per field.
 """
 
 from __future__ import annotations
@@ -145,8 +152,9 @@ def _ranging_vectors(pulse: GaussianPulse):
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _ranging_shapes(pulse: GaussianPulse):
-    """The pulse-only part of `ranging_modes`: unit modes, vector norms, K(sigma0),
-    g(sigma0), and the overlaps <m_i, m_j> (1 on the diagonal)."""
+    """The pulse-only part of `ranging_modes`: the finished w_L, the unit X and
+    P_w modes, their vector norms, K(sigma0), g(sigma0), and the overlaps
+    <m_i, m_j> of the three unit modes (1 on the diagonal)."""
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)
     norms = tuple(math.sqrt(a.dot(a)) for a in (a_l, a_x, a_p))
@@ -157,7 +165,10 @@ def _ranging_shapes(pulse: GaussianPulse):
         tuple(1.0 if i == j else inner_product(mi, mj) for j, mj in enumerate(modes))
         for i, mi in enumerate(modes)
     )
-    return modes, norms, air_model.k_dispersion(sigma0), air_model.water_term(sigma0), overlaps
+    w_l = DetectionMode(RANGING_LABELS[0], modes[0], norms[0] / SPEED_OF_LIGHT)
+    # floats: arithmetic on a numpy scalar costs several times as much per call
+    k_sigma, g_sigma = float(air_model.k_dispersion(sigma0)), float(air_model.water_term(sigma0))
+    return w_l, modes[1:], norms[1:], k_sigma, g_sigma, overlaps
 
 
 def ranging_modes(
@@ -175,11 +186,10 @@ def ranging_modes(
     """
     air_model.check_length(length_m)
     del state  # shapes are state-independent by construction
-    modes, (n_l, n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
-    k_l = n_l / SPEED_OF_LIGHT
+    w_l, (m_x, m_p), (n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
     k_x = k_sigma * length_m / SPEED_OF_LIGHT * n_x
     k_p = g_sigma * length_m / SPEED_OF_LIGHT * n_p
-    return tuple(map(DetectionMode, RANGING_LABELS, modes, (k_l, k_x, k_p)))
+    return w_l, DetectionMode(RANGING_LABELS[1], m_x, k_x), DetectionMode(RANGING_LABELS[2], m_p, k_p)
 
 
 def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
@@ -194,11 +204,16 @@ def _dot(u: Sequence[int], v: Sequence[int]) -> int:
 
 
 @functools.lru_cache(maxsize=2 * MEMO_SIZE)
-def _purify_core(target: SpectralMode, against: tuple[SpectralMode, ...]):
-    """(unit residual or None, share 1 - s, position of a refused input or None)."""
-    order = max(m.order for m in (target, *against))
+def _purify_core(target: DetectionMode, against: tuple[tuple[SpectralMode, str], ...]) -> DetectionMode:
+    """`purify` of `target` against the interferers' (mode, label) pairs."""
+    pulse = target.mode.pulse
+    modes, labels = [m for m, _ in against], [label for _, label in against]
+    for m in modes:
+        if m.pulse is not pulse and m.pulse != pulse:
+            raise ValidationError("purification needs every mode on the target's pulse basis")
+    order = max(m.order for m in (target.mode, *modes))
     basis: list[tuple[list[int], int]] = []
-    for i, m in enumerate((*against, target)):
+    for i, m in enumerate((*modes, target.mode)):
         x = _integer_vector(m, order)
         r = x
         for q, qq in basis:
@@ -207,11 +222,16 @@ def _purify_core(target: SpectralMode, against: tuple[SpectralMode, ...]):
         rr = _dot(r, r)
         share = _dot(r, x) ** 2 / (rr * _dot(x, x)) if rr else 0.0
         if share <= PURIFY_FLOOR:
-            return None, share, i
+            raise SeparabilityError(
+                f"parameter {target.label!r} not separable: its detection mode "
+                "lies in the span of the interfering modes" if i == len(against) else
+                f"interfering modes are degenerate: {labels[i]!r} lies in the span of those before it"
+            )
         basis.append((r, rr))
     scale = 1 << max(abs(c) for c in r).bit_length()
     vec = np.array([c / scale for c in r])
-    return SpectralMode(target.pulse, tuple((vec / math.sqrt(vec.dot(vec))).tolist())), share, None
+    mode = SpectralMode(pulse, tuple((vec / math.sqrt(vec.dot(vec))).tolist()))
+    return DetectionMode(f"{target.label}^p({','.join(labels)})", mode, target.k_const * math.sqrt(share))
 
 
 def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> DetectionMode:
@@ -228,24 +248,7 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
     """
     if len(against) == 0:
         return target
-    pulse = target.mode.pulse
-    modes = tuple([dm.mode for dm in against])
-    for m in modes:
-        if m.pulse is not pulse and m.pulse != pulse:
-            raise ValidationError("purification needs every mode on the target's pulse basis")
-    mode, share, refused = _purify_core(target.mode, modes)
-    if refused == len(against):
-        raise SeparabilityError(
-            f"parameter {target.label!r} not separable: its detection mode "
-            "lies in the span of the interfering modes"
-        )
-    if refused is not None:
-        raise SeparabilityError(
-            f"interfering modes are degenerate: {against[refused].label!r} "
-            "lies in the span of those before it"
-        )
-    label = f"{target.label}^p({','.join([dm.label for dm in against])})"
-    return DetectionMode(label, mode, target.k_const * math.sqrt(share))
+    return _purify_core(target, tuple([(dm.mode, dm.label) for dm in against]))
 
 
 def lo_mode(lo: LoChoice, modes: Sequence[DetectionMode]) -> DetectionMode:
@@ -280,6 +283,22 @@ def _oracle_rows(pulse: GaussianPulse) -> np.ndarray:
     return rows
 
 
+def _oracle_projection(label: str, pulse: GaussianPulse, state: AirState, length_m: float) -> tuple[list[float], float]:
+    """The unit coefficients and K of `numeric_detection_mode`, with its refusals
+    but the length check, which its callers make."""
+    weights = {"L": (1.0, air_model.density_factor(state), state.water_vapor_pa),
+               "X": (0.0, length_m, 0.0), "Pw": (0.0, 0.0, length_m)}
+    if label not in weights:
+        raise ValidationError(f"unknown parameter label {label!r}")
+    coeffs = np.dot(weights[label], _oracle_rows(pulse))
+    k_est = math.sqrt(coeffs.dot(coeffs))
+    if k_est == 0.0:
+        raise DomainError(f"parameter {label!r} has no effect on the field")
+    if not math.isfinite(k_est):
+        raise ValidationError("mode coefficients must be finite")
+    return (coeffs / k_est).tolist(), k_est
+
+
 def numeric_detection_mode(
     label: str, pulse: GaussianPulse, state: AirState, length_m: float
 ) -> DetectionMode:
@@ -293,15 +312,8 @@ def numeric_detection_mode(
     and (0, 0, L) for P_w.
     """
     air_model.check_length(length_m)
-    weights = {"L": (1.0, air_model.density_factor(state), state.water_vapor_pa),
-               "X": (0.0, length_m, 0.0), "Pw": (0.0, 0.0, length_m)}
-    if label not in weights:
-        raise ValidationError(f"unknown parameter label {label!r}")
-    coeffs = np.array(weights[label]) @ _oracle_rows(pulse)
-    k_est = math.sqrt(coeffs.dot(coeffs))
-    if k_est == 0.0:
-        raise DomainError(f"parameter {label!r} has no effect on the field")
-    return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple((coeffs / k_est).tolist())), k_est)
+    coeffs, k_est = _oracle_projection(label, pulse, state, length_m)
+    return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple(coeffs)), k_est)
 
 
 def contamination_coefficient(k_lo: float, k_j: float, overlap: float) -> float:
@@ -310,7 +322,7 @@ def contamination_coefficient(k_lo: float, k_j: float, overlap: float) -> float:
     return float(k_j / k_lo * overlap)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PurifiedSensitivity:
     """Shot-noise distance sensitivities of the LO_TABLE choices.
 
@@ -356,7 +368,7 @@ def _baseline_combinations() -> tuple[multicolor.MulticolorCombination, multicol
     )
 
 
-@dataclass(frozen=True)
+@dataclass
 class SensitivityReport:
     """Cross-contamination structure and sensitivities of the ranging scheme.
 
@@ -442,12 +454,12 @@ def contamination_report(
 
     deviation, refusal = None, None
     try:
-        numeric_l = numeric_detection_mode("L", pulse, state, length_m)
+        numeric_l, _ = _oracle_projection("L", pulse, state, length_m)
     except DomainError as exc:
         refusal = f"oracle refused: {exc}"
     else:
         # max |c_n - c'_n| over the coefficients, the shorter mode padded with zeros
-        pairs = itertools.zip_longest(w_l.mode.coefficients, numeric_l.mode.coefficients, fillvalue=0.0)
+        pairs = itertools.zip_longest(w_l.mode.coefficients, numeric_l, fillvalue=0.0)
         deviation = max(map(abs, itertools.starmap(operator.sub, pairs)))
 
     two, three = _baseline_combinations()

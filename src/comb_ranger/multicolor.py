@@ -45,6 +45,11 @@ class MulticolorCombination:
     wavelengths_m: tuple[float, ...]
     weights: tuple[float, ...]
 
+    def __post_init__(self) -> None:
+        # the channel frequencies of `shot_noise`, formed once per combination
+        omegas = tuple([2.0 * math.pi * SPEED_OF_LIGHT / lam for lam in self.wavelengths_m])
+        object.__setattr__(self, "_omegas", omegas)
+
     def reconstruct(self, phase_lengths_m) -> float:
         values = np.asarray(phase_lengths_m, dtype=float)
         if values.shape != (len(self.weights),):
@@ -107,9 +112,8 @@ def shot_noise(comb: MulticolorCombination, photons: Sequence[float]) -> float:
     for n in photons:
         if not 1.0 <= n < math.inf:
             raise ValidationError(f"photons={n} must be finite and >= 1")
-    omegas = [2.0 * math.pi * SPEED_OF_LIGHT / lam for lam in comb.wavelengths_m]
-    channel = np.array([SPEED_OF_LIGHT / (2.0 * math.sqrt(n) * w) for n, w in zip(photons, omegas)])
-    weighted = np.asarray(comb.weights) * channel
+    weighted = np.array([a * (SPEED_OF_LIGHT / (2.0 * math.sqrt(n) * w))
+                         for a, n, w in zip(comb.weights, photons, comb._omegas)])
     # sqrt(v.v) is what np.linalg.norm computes for a real vector
     return math.sqrt(weighted.dot(weighted))
 

@@ -96,6 +96,12 @@ def test_stdout_golden(in_tmp, argv):
     assert sha256(run_cli(list(argv))) == STDOUT_SHA256[argv]
 
 
+# each scheme's default wavelengths are the pinned set of that scheme
+def test_multicolor_3wi_default_wavelengths(in_tmp):
+    stdout = run_cli(["multicolor", "--scheme", "3wi"])
+    assert sha256(stdout) == STDOUT_SHA256["multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"]
+
+
 # The default block holds every row of both exports (2000 and 2049 rows);
 # these sizes cut them into many blocks, with a short last block.
 @pytest.mark.parametrize("block_rows", [1, 7, 1000])

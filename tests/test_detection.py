@@ -730,7 +730,50 @@ class TestPerCarrierMemos:
             assert all(entry[1] == pulse for entry in snapshot)
         assert len({tuple(snap[0][2]) for snap in snapshots}) == len(pulses)
 
+    # the report's deviation comes from the oracle's own projection, to the bit
+    def test_report_deviation_is_the_oracle_mode(self):
+        for pulse, state in itertools.product(MEMO_PULSES, EXACT_STATES):
+            w_l = ranging_modes(pulse, state, 7.0)[0]
+            num = numeric_detection_mode("L", pulse, state, 7.0)
+            expected = float(np.abs(w_l.mode.padded(num.mode.order) - num.mode.vector).max())
+            assert contamination_report(pulse, state, 7.0, 8e16).numeric_mode_deviation == expected
+
+    # a non-finite projection is refused on the report's path as in the oracle
+    def test_non_finite_oracle_refused(self, monkeypatch):
+        for bad in (math.inf, math.nan):
+            monkeypatch.setattr(detection, "_oracle_rows", lambda pulse, bad=bad: np.full((3, 9), bad))
+            with np.errstate(all="ignore"), pytest.raises(ValidationError, match="finite"):
+                numeric_detection_mode("L", PULSE, AIR, 1.0)
+            with np.errstate(all="ignore"), pytest.raises(ValidationError, match="finite"):
+                contamination_report(PULSE, AIR, 1.0, 8e16)
+
+    # a warm design forms only its per-design numbers: no mode is built
+    def test_warm_design_builds_no_spectral_mode(self, monkeypatch):
+        def design(pulse, state, length_m, n_photons):
+            contamination_report(pulse, state, length_m, n_photons)
+            w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
+            purify(w_l, [w_x, w_pw])
+            purify(w_l, [w_x])
+
+        for pulse in MEMO_PULSES:
+            design(pulse, AIR, 2.5, 3e9)
+        built = []
+        post_init = SpectralMode.__post_init__
+        monkeypatch.setattr(SpectralMode, "__post_init__", lambda mode: built.append(mode) or post_init(mode))
+        for pulse, state in itertools.product(MEMO_PULSES, EXACT_STATES):
+            design(pulse, state, 0.37, 8e16)
+        assert built == []
+
+    # the memo returns the finished LO: one object for every length
+    def test_purify_hit_is_one_object(self):
+        for pulse in MEMO_PULSES:
+            short, long = ranging_modes(pulse, AIR, 1.0), ranging_modes(pulse, AIR, 250.0)
+            assert short[0] is long[0]
+            for against in (slice(1, 3), slice(1, 2)):
+                assert purify(short[0], short[against]) is purify(long[0], list(long[against]))
+
     def test_refusal_raised_on_every_call(self):
+        _clear_memos()
         eps = math.sqrt(0.99 * PURIFY_FLOOR)
         v0 = DetectionMode("v0", hermite_gauss(0, PULSE), 1.0)
         near = SpectralMode(PULSE, (1.0, eps))
@@ -741,6 +784,8 @@ class TestPerCarrierMemos:
                 purify(DetectionMode(label, near, 1.0), [v0])
             with pytest.raises(SeparabilityError, match=f"degenerate: '{label}' lies"):
                 purify(v2, [v0, DetectionMode(label, near, 1.0)])
+        # a refusal leaves no entry behind
+        assert detection._purify_core.cache_info().currsize == 0
 
     def test_narrow_band_refusal_repeats(self):
         pulse = GaussianPulse.from_wavelength(1600e-9, 0.001)
