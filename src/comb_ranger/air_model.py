@@ -108,25 +108,27 @@ class AirState:
     co2_percent: float
     water_vapor_pa: float
 
-    def __post_init__(self) -> None:
-        if not (TEMPERATURE_MIN_C <= self.temperature_c <= TEMPERATURE_MAX_C):
+    # written out, not generated: the checks run in the one frame that sets the fields
+    def __init__(self, temperature_c: float, pressure_pa: float, co2_percent: float, water_vapor_pa: float) -> None:
+        if not TEMPERATURE_MIN_C <= temperature_c <= TEMPERATURE_MAX_C:
             raise ValidationError(
-                f"temperature_c={self.temperature_c} outside model window "
+                f"temperature_c={temperature_c} outside model window "
                 f"[{TEMPERATURE_MIN_C}, {TEMPERATURE_MAX_C}] C"
             )
-        for name, upper in (
-            ("pressure_pa", PRESSURE_MAX_PA),
-            ("co2_percent", CO2_MAX_PERCENT),
-            ("water_vapor_pa", PRESSURE_MAX_PA),
-        ):
-            value = getattr(self, name)
-            if not 0.0 <= value <= upper:
-                raise ValidationError(f"{name}={value} must be finite and in [0, {upper:g}]")
-        if self.water_vapor_pa > self.pressure_pa:
+        if not 0.0 <= pressure_pa <= PRESSURE_MAX_PA:
+            raise ValidationError(f"pressure_pa={pressure_pa} must be finite and in [0, {PRESSURE_MAX_PA:g}]")
+        if not 0.0 <= co2_percent <= CO2_MAX_PERCENT:
+            raise ValidationError(f"co2_percent={co2_percent} must be finite and in [0, {CO2_MAX_PERCENT:g}]")
+        if not 0.0 <= water_vapor_pa <= PRESSURE_MAX_PA:
+            raise ValidationError(f"water_vapor_pa={water_vapor_pa} must be finite and in [0, {PRESSURE_MAX_PA:g}]")
+        if water_vapor_pa > pressure_pa:
             raise ValidationError(
-                f"water_vapor_pa={self.water_vapor_pa} exceeds total "
-                f"pressure_pa={self.pressure_pa}"
+                f"water_vapor_pa={water_vapor_pa} exceeds total pressure_pa={pressure_pa}"
             )
+        object.__setattr__(self, "temperature_c", temperature_c)
+        object.__setattr__(self, "pressure_pa", pressure_pa)
+        object.__setattr__(self, "co2_percent", co2_percent)
+        object.__setattr__(self, "water_vapor_pa", water_vapor_pa)
 
     @classmethod
     def standard(cls) -> "AirState":

@@ -29,37 +29,32 @@ arithmetic on the near-unit overlaps would lose six digits to cancellation.
 Four memos serve a design scan whose designs share pulses; each is a pure
 function of frozen, hashable keys (keys that compare equal hold the same
 doubles), so a hit returns the very object a miss builds and results stay
-bit-identical.  Each pulse-only object is built once, finished; a call
-forms only what depends on its state, length and photon count.  Errors,
-such as a near-pole DomainError or a refused purification, are not cached:
-they are raised again on every call, a refusal naming that call's labels.
+bit-identical.  Errors, such as a near-pole DomainError or a refused
+purification, are not cached: they are raised again on every call, a
+refusal naming that call's labels.
   * `_ranging_shapes`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE
-    pulses: the finished w_L (its K = |a_L| / c is free of the length), the
-    unit X and P_w modes, their vector norms, K(sigma0), g(sigma0) and the
-    overlaps <m_i, m_j>.  `ranging_modes` checks the length and builds w_X
-    and w_Pw per call; the report's matrix passes the overlaps to
-    `contamination_coefficient`.
+    pulses: the `_PulseRecord`, all of a design that depends on the pulse
+    alone.  Its K of each LO_TABLE choice (or refusal text) is filled once
+    through `lo_mode`: K_L sqrt(1 - s) depends on neither the length nor the
+    interferers' K.
   * `_purify_core`, keyed by the target `DetectionMode` and the (mode,
-    label) pair of each interferer, whose K does not enter (so two pulses
-    never share an entry and every length shares one), bounded at
-    2 MEMO_SIZE: the finished purified `DetectionMode`, which `purify`, and
-    through it every LO of LO_TABLE, returns.
+    label) pair of each interferer, whose K does not enter (so every length
+    shares one entry), bounded at 2 MEMO_SIZE: the finished purified
+    `DetectionMode` that `purify`, and so every LO, returns.
   * `_oracle_rows`, keyed by the `GaussianPulse`, bounded at MEMO_SIZE: the
     oracle's projections of omega / c and of the X and P_w gradients over
-    1 m, free of state and length.  `_oracle_projection` weights them per
-    call; `numeric_detection_mode` builds its mode on it, and the report
-    reads its coefficients without building one.
+    1 m, which `_oracle_projection` weights per call.
   * `_baseline_combinations`, one entry per process: the two- and
-    three-colour combinations, each with its channel frequencies, which
-    depend on the fixed wavelengths alone; each report takes their shot
-    noise at its own photon budget.
-A `GaussianPulse` and a `SpectralMode` compute their hash once, when built,
-so a memo lookup rehashes no coefficients; a mode computes its norm on first
-use.  Every vector norm here is sqrt(v.v), which is what `np.linalg.norm`
-computes for a real vector, bit for bit, at less than half its cost; the
-oracle and `purify` build their modes from `.tolist()` floats.  The report
-and its `PurifiedSensitivity` are fresh records, never memo keys, so they
-are plain dataclasses: a frozen one pays an `object.__setattr__` per field.
+    three-colour combinations with their channel frequencies.
+A warm report reads its pulse's record once and forms only the floats that
+depend on its state, length and photon count: K_X and K_Pw, the matrix, the
+minimum detectable values, the oracle's deviation and the two baselines;
+`ranging_modes` builds only w_X and w_Pw.  A `GaussianPulse` and a
+`SpectralMode` keep their hash from when they are built, a `DetectionMode`
+from its first use, and a mode its norm from its first use.  Every vector
+norm is sqrt(v.v), what `np.linalg.norm` computes for a real vector, bit for
+bit, at less than half its cost.  The report and its `PurifiedSensitivity`
+are fresh records, never memo keys, so they are plain slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -115,18 +110,31 @@ class DetectionMode:
     """A unit-norm spectral mode tagged with the parameter it detects.
 
     k_const carries the dimensional normalization: 1/m for L,
-    dimensionless for X, 1/Pa for P_w.
+    dimensionless for X, 1/Pa for P_w.  The hash is kept, outside the
+    fields, from its first use: memo keys rehash on every call.
     """
 
     label: str
     mode: SpectralMode
     k_const: float
 
-    def __post_init__(self) -> None:
-        if not self.k_const > 0.0:
-            raise ValidationError(f"k_const={self.k_const} must be > 0")
-        if abs(self.mode.norm() ** 2 - 1.0) > 1e-12:
-            raise ValidationError(f"detection mode {self.label!r} is not unit norm")
+    # written out, not generated: the checks run in the one frame that sets the fields
+    def __init__(self, label: str, mode: SpectralMode, k_const: float) -> None:
+        if not k_const > 0.0:
+            raise ValidationError(f"k_const={k_const} must be > 0")
+        if abs(mode.norm() ** 2 - 1.0) > 1e-12:
+            raise ValidationError(f"detection mode {label!r} is not unit norm")
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "k_const", k_const)
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.label, self.mode, self.k_const))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
 def min_detectable(k_const: float, n_photons: float) -> float:
@@ -150,11 +158,33 @@ def _ranging_vectors(pulse: GaussianPulse):
     return a_l, a_x, a_p
 
 
+@dataclass(frozen=True, slots=True)
+class _PulseRecord:
+    """The pulse-only part of a design: the finished w_L, the unit X and P_w
+    modes and their vector norms, K(sigma0), g(sigma0), the overlaps of the
+    three unit modes, and the K of each LO_TABLE choice (None where refused)
+    with each refusal by choice.  Slotted: a warm design reads it often."""
+
+    w_l: DetectionMode
+    m_x: SpectralMode
+    m_pw: SpectralMode
+    n_x: float
+    n_pw: float
+    k_sigma: float
+    g_sigma: float
+    overlaps: tuple[tuple[float, float, float], ...]
+    lo_ks: tuple[float | None, ...]
+    refusals: dict[str, str]
+
+    def k_consts(self, length_m: float) -> tuple[float, float, float]:
+        """K_L, K_X and K_Pw over length_m: K_X and K_Pw scale linearly with it."""
+        return (self.w_l.k_const, self.k_sigma * length_m / SPEED_OF_LIGHT * self.n_x,
+                self.g_sigma * length_m / SPEED_OF_LIGHT * self.n_pw)
+
+
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _ranging_shapes(pulse: GaussianPulse):
-    """The pulse-only part of `ranging_modes`: the finished w_L, the unit X and
-    P_w modes, their vector norms, K(sigma0), g(sigma0), and the overlaps
-    <m_i, m_j> of the three unit modes (1 on the diagonal)."""
+def _ranging_shapes(pulse: GaussianPulse) -> _PulseRecord:
+    """The `_PulseRecord` of the pulse."""
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)
     norms = tuple(math.sqrt(a.dot(a)) for a in (a_l, a_x, a_p))
@@ -166,9 +196,12 @@ def _ranging_shapes(pulse: GaussianPulse):
         for i, mi in enumerate(modes)
     )
     w_l = DetectionMode(RANGING_LABELS[0], modes[0], norms[0] / SPEED_OF_LIGHT)
+    # the interferers' K never enters a purification, so any K gives the LOs' own
+    interferers = [DetectionMode(label, m, 1.0) for label, m in zip(RANGING_LABELS[1:], modes[1:])]
+    lo_ks, refusals = _lo_constants((w_l, *interferers))
     # floats: arithmetic on a numpy scalar costs several times as much per call
     k_sigma, g_sigma = float(air_model.k_dispersion(sigma0)), float(air_model.water_term(sigma0))
-    return w_l, modes[1:], norms[1:], k_sigma, g_sigma, overlaps
+    return _PulseRecord(w_l, *modes[1:], *norms[1:], k_sigma, g_sigma, overlaps, lo_ks, refusals)
 
 
 def ranging_modes(
@@ -186,10 +219,9 @@ def ranging_modes(
     """
     air_model.check_length(length_m)
     del state  # shapes are state-independent by construction
-    w_l, (m_x, m_p), (n_x, n_p), k_sigma, g_sigma, _ = _ranging_shapes(pulse)
-    k_x = k_sigma * length_m / SPEED_OF_LIGHT * n_x
-    k_p = g_sigma * length_m / SPEED_OF_LIGHT * n_p
-    return w_l, DetectionMode(RANGING_LABELS[1], m_x, k_x), DetectionMode(RANGING_LABELS[2], m_p, k_p)
+    rec = _ranging_shapes(pulse)
+    _, k_x, k_pw = rec.k_consts(length_m)
+    return rec.w_l, DetectionMode(RANGING_LABELS[1], rec.m_x, k_x), DetectionMode(RANGING_LABELS[2], rec.m_pw, k_pw)
 
 
 def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
@@ -248,12 +280,25 @@ def purify(target: DetectionMode, against: Sequence[DetectionMode]) -> Detection
     """
     if len(against) == 0:
         return target
-    return _purify_core(target, tuple([(dm.mode, dm.label) for dm in against]))
+    return _purify_core(target, tuple(map(operator.attrgetter("mode", "label"), against)))
 
 
 def lo_mode(lo: LoChoice, modes: Sequence[DetectionMode]) -> DetectionMode:
     """The LO of the LO_TABLE entry `lo`, given the ranging modes (w_L, w_X, w_Pw)."""
     return purify(modes[0], modes[lo.against])
+
+
+def _lo_constants(modes: Sequence[DetectionMode]) -> tuple[tuple[float | None, ...], dict[str, str]]:
+    """The K of each LO_TABLE choice on the ranging modes (w_L, w_X, w_Pw), None
+    where its purification is refused, and each refusal under its choice."""
+    ks, refusals = [], {}
+    for choice, lo in LO_TABLE.items():
+        try:
+            ks.append(lo_mode(lo, modes).k_const)
+        except SeparabilityError as exc:
+            ks.append(None)
+            refusals[choice] = f"purification refused: {exc}"
+    return tuple(ks), refusals
 
 
 @functools.cache
@@ -284,19 +329,25 @@ def _oracle_rows(pulse: GaussianPulse) -> np.ndarray:
 
 
 def _oracle_projection(label: str, pulse: GaussianPulse, state: AirState, length_m: float) -> tuple[list[float], float]:
-    """The unit coefficients and K of `numeric_detection_mode`, with its refusals
-    but the length check, which its callers make."""
-    weights = {"L": (1.0, air_model.density_factor(state), state.water_vapor_pa),
-               "X": (0.0, length_m, 0.0), "Pw": (0.0, 0.0, length_m)}
-    if label not in weights:
+    """The projected coefficients and K of `numeric_detection_mode`, with its
+    refusals but the length check, which its callers make; each caller divides
+    the coefficients by K."""
+    if label == "L":
+        weights = (1.0, air_model.density_factor(state), state.water_vapor_pa)
+    elif label == "X":
+        weights = (0.0, length_m, 0.0)
+    elif label == "Pw":
+        weights = (0.0, 0.0, length_m)
+    else:
         raise ValidationError(f"unknown parameter label {label!r}")
-    coeffs = np.dot(weights[label], _oracle_rows(pulse))
+    # the array's own dot: np.dot runs the same product behind a dispatch frame
+    coeffs = np.array(weights).dot(_oracle_rows(pulse))
     k_est = math.sqrt(coeffs.dot(coeffs))
     if k_est == 0.0:
         raise DomainError(f"parameter {label!r} has no effect on the field")
     if not math.isfinite(k_est):
         raise ValidationError("mode coefficients must be finite")
-    return (coeffs / k_est).tolist(), k_est
+    return coeffs.tolist(), k_est
 
 
 def numeric_detection_mode(
@@ -313,16 +364,16 @@ def numeric_detection_mode(
     """
     air_model.check_length(length_m)
     coeffs, k_est = _oracle_projection(label, pulse, state, length_m)
-    return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple(coeffs)), k_est)
+    return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple([c / k_est for c in coeffs])), k_est)
 
 
 def contamination_coefficient(k_lo: float, k_j: float, overlap: float) -> float:
     """(K_j / K_lo) <w_lo, w_j>: coefficient of p_j in the signal S[w_lo],
     given the overlap <w_lo, w_j>."""
-    return float(k_j / k_lo * overlap)
+    return k_j / k_lo * overlap
 
 
-@dataclass
+@dataclass(slots=True)
 class PurifiedSensitivity:
     """Shot-noise distance sensitivities of the LO_TABLE choices.
 
@@ -342,15 +393,19 @@ class PurifiedSensitivity:
 
     @classmethod
     def build(cls, w_l: DetectionMode, w_x: DetectionMode, w_pw: DetectionMode, n_photons: float) -> "PurifiedSensitivity":
-        modes = (w_l, w_x, w_pw)
-        ks, refusals = [], {}
-        for choice, lo in LO_TABLE.items():
-            try:
-                ks.append(lo_mode(lo, modes).k_const)
-            except SeparabilityError as exc:
-                ks.append(None)
-                refusals[choice] = f"purification refused: {exc}"
-        return cls(*ks, *[None if k is None else min_detectable(k, n_photons) for k in ks], refusals)
+        """The sensitivities of the LOs purified from these ranging modes."""
+        return cls.from_ks(*_lo_constants((w_l, w_x, w_pw)), n_photons)
+
+    @classmethod
+    def from_ks(cls, ks: Sequence[float | None], refusals: dict[str, str],
+                n_photons: float) -> "PurifiedSensitivity":
+        """The sensitivities at n_photons of the LO_TABLE K's `ks`, None where
+        `refusals` says why."""
+        # the raw LO is w_L itself: never refused
+        k_raw, k_full, k_x_only = ks
+        return cls(k_raw, k_full, k_x_only, min_detectable(k_raw, n_photons),
+                   None if k_full is None else min_detectable(k_full, n_photons),
+                   None if k_x_only is None else min_detectable(k_x_only, n_photons), dict(refusals))
 
     @property
     def shot_noise_m(self) -> tuple[float | None, ...]:
@@ -368,7 +423,7 @@ def _baseline_combinations() -> tuple[multicolor.MulticolorCombination, multicol
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class SensitivityReport:
     """Cross-contamination structure and sensitivities of the ranging scheme.
 
@@ -443,42 +498,44 @@ def contamination_report(
             f"photons={n_photons} must be >= 3: the three-colour baseline splits "
             "the photon budget over three channels of at least one photon each"
         )
-    w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
-    *_, overlaps = _ranging_shapes(pulse)
-    k_consts = (w_l.k_const, w_x.k_const, w_pw.k_const)
-    rows = []
-    for k_lo, row in zip(k_consts, overlaps):
-        rows.append(tuple(map(contamination_coefficient, (k_lo,) * 3, k_consts, row)))
-    matrix = tuple(rows)
-    purified = PurifiedSensitivity.build(w_l, w_x, w_pw, n_photons)
+    air_model.check_length(length_m)
+    rec = _ranging_shapes(pulse)
+    k_consts = rec.k_consts(length_m)
+    k_l, k_x, k_pw = k_consts
+    (o_ll, o_lx, o_lp), (o_xl, o_xx, o_xp), (o_pl, o_px, o_pp) = rec.overlaps
+    cc = contamination_coefficient
+    matrix = (
+        (cc(k_l, k_l, o_ll), cc(k_l, k_x, o_lx), cc(k_l, k_pw, o_lp)),
+        (cc(k_x, k_l, o_xl), cc(k_x, k_x, o_xx), cc(k_x, k_pw, o_xp)),
+        (cc(k_pw, k_l, o_pl), cc(k_pw, k_x, o_px), cc(k_pw, k_pw, o_pp)),
+    )
+    purified = PurifiedSensitivity.from_ks(rec.lo_ks, rec.refusals, n_photons)
 
     deviation, refusal = None, None
     try:
-        numeric_l, _ = _oracle_projection("L", pulse, state, length_m)
+        coeffs, k_est = _oracle_projection("L", pulse, state, length_m)
     except DomainError as exc:
         refusal = f"oracle refused: {exc}"
     else:
-        # max |c_n - c'_n| over the coefficients, the shorter mode padded with zeros
-        pairs = itertools.zip_longest(w_l.mode.coefficients, numeric_l, fillvalue=0.0)
-        deviation = max(map(abs, itertools.starmap(operator.sub, pairs)))
+        # max |c_n - c'_n| over the unit coefficients c'_n = p_n / K; past w_L's
+        # own, where its c_n is 0, that is max |p_n| / K, as rounding is monotonic
+        own = rec.w_l.mode.coefficients
+        unit = map(operator.truediv, coeffs, itertools.repeat(k_est))
+        head = map(abs, map(operator.sub, own, unit))
+        deviation = max(*head, max(map(abs, coeffs[len(own):])) / k_est)
 
     two, three = _baseline_combinations()
     base = {
-        "two_color_shot_noise_m": multicolor.shot_noise(two, (n_photons / 2,) * 2),
-        "three_color_shot_noise_m": multicolor.shot_noise(three, (n_photons / 3,) * 3),
+        "two_color_shot_noise_m": multicolor.split_shot_noise(two, n_photons),
+        "three_color_shot_noise_m": multicolor.split_shot_noise(three, n_photons),
     }
 
+    # positional, in field order: keywords cost a twelve-field record about 1 us
     return SensitivityReport(
-        n_photons=n_photons,
-        length_m=length_m,
-        pulse=pulse,
-        k_consts=dict(zip(RANGING_LABELS, k_consts)),
-        min_detectable=dict(zip(RANGING_LABELS, [min_detectable(k, n_photons) for k in k_consts])),
-        matrix=matrix,
-        x_contamination_per_m=matrix[0][1] / length_m,
-        pw_contamination_per_m_pa=matrix[0][2] / length_m,
-        purified=purified,
-        numeric_mode_deviation=deviation,
-        baselines=base,
-        oracle_refusal=refusal,
+        n_photons, length_m, pulse,
+        dict(zip(RANGING_LABELS, k_consts)),
+        dict(zip(RANGING_LABELS, (min_detectable(k_l, n_photons), min_detectable(k_x, n_photons),
+                                  min_detectable(k_pw, n_photons)))),
+        matrix, matrix[0][1] / length_m, matrix[0][2] / length_m,
+        purified, deviation, base, refusal,
     )

@@ -19,7 +19,8 @@ A `MulticolorCombination` holds its wavelengths with its weights, and is
 built by `two_color_combination` or `synth_3wi`, which refuse wavelengths
 outside the air model's band or not distinct.  Shot-noise limits combine the
 single-color phase-length noises c / (2 sqrt(N_i) omega_i) in quadrature
-with the combination weights, for N_i photons at wavelength i; the large
+with the combination weights, for N_i photons at wavelength i
+(`split_shot_noise` splits one budget evenly over the channels); the large
 alpha/beta/gamma amplify the noise, which is the known cost of multicolor
 dispersion compensation.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -80,7 +81,7 @@ def two_color_combination(lambda1_m: float, lambda2_m: float) -> MulticolorCombi
     k1, k2 = map(air_model.k_dispersion, _sigmas((lambda1_m, lambda2_m)))
     if k2 == k1:
         raise DomainError("degenerate wavelength pair: K(lambda2) = K(lambda1)")
-    alpha = k1 / (k2 - k1)
+    alpha = float(k1 / (k2 - k1))
     return MulticolorCombination((lambda1_m, lambda2_m), (1.0 + alpha, -alpha))
 
 
@@ -99,8 +100,21 @@ def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> Multicolo
     rhs = np.array([-k1, -g1])
     if abs(np.linalg.det(system)) < 1e-12 * np.abs(system).max() ** 2:
         raise DomainError("colinear dispersion: three-color system is singular")
-    beta, gamma = np.linalg.solve(system, rhs)
-    return MulticolorCombination(wavelengths_m, (1.0 - beta - gamma, float(beta), float(gamma)))
+    beta, gamma = np.linalg.solve(system, rhs).tolist()
+    return MulticolorCombination(wavelengths_m, (1.0 - beta - gamma, beta, gamma))
+
+
+def _quadrature(comb: MulticolorCombination, roots: Iterable[float]) -> float:
+    """The channel noises c / (2 sqrt(N_i) omega_i), given sqrt(N_i) for each
+    channel, weighted by the combination and added in quadrature."""
+    # a loop, not a comprehension: the comprehension's own frame costs more than
+    # its two or three channels
+    noises = []
+    for a, r, w in zip(comb.weights, roots, comb._omegas):
+        noises.append(a * (SPEED_OF_LIGHT / (2.0 * r * w)))
+    weighted = np.array(noises)
+    # sqrt(v.v) is what np.linalg.norm computes for a real vector
+    return math.sqrt(weighted.dot(weighted))
 
 
 def shot_noise(comb: MulticolorCombination, photons: Sequence[float]) -> float:
@@ -112,10 +126,16 @@ def shot_noise(comb: MulticolorCombination, photons: Sequence[float]) -> float:
     for n in photons:
         if not 1.0 <= n < math.inf:
             raise ValidationError(f"photons={n} must be finite and >= 1")
-    weighted = np.array([a * (SPEED_OF_LIGHT / (2.0 * math.sqrt(n) * w))
-                         for a, n, w in zip(comb.weights, photons, comb._omegas)])
-    # sqrt(v.v) is what np.linalg.norm computes for a real vector
-    return math.sqrt(weighted.dot(weighted))
+    return _quadrature(comb, map(math.sqrt, photons))
+
+
+def split_shot_noise(comb: MulticolorCombination, n_photons: float) -> float:
+    """`shot_noise` with n_photons split evenly over the channels: the square
+    root of each channel's share is taken once."""
+    share = n_photons / len(comb.wavelengths_m)
+    if not 1.0 <= share < math.inf:
+        raise ValidationError(f"photons={share} must be finite and >= 1")
+    return _quadrature(comb, (math.sqrt(share),) * len(comb._omegas))
 
 
 def humidity_bias(comb: MulticolorCombination, state: AirState, length_m: float) -> float:

@@ -764,6 +764,54 @@ class TestPerCarrierMemos:
             design(pulse, state, 0.37, 8e16)
         assert built == []
 
+    # a warm design reads every pulse-only number from the memos: none misses
+    def test_warm_designs_add_no_misses(self):
+        _clear_memos()
+        pulses = [GaussianPulse.from_wavelength(nm * 1e-9, rel) for nm, rel in
+                  ((700.0, 0.05), (785.0, 0.25), (850.0, 0.1), (980.0, 0.2),
+                   (1064.0, 1.0 / 6.0), (1310.0, 0.08), (1480.0, 0.12), (1600.0, 0.06))]
+        states = [AirState(t, p, 0.04, pw) for t, p, pw in ((5.0, 92000.0, 0.0), (22.0, 101325.0, 700.0),
+                                                            (38.0, 104000.0, 1900.0))]
+
+        def design(pulse, state, length_m, n_photons):
+            contamination_report(pulse, state, length_m, n_photons)
+            w_l, w_x, w_pw = ranging_modes(pulse, state, length_m)
+            purify(w_l, [w_x, w_pw])
+            purify(w_l, [w_x])
+
+        for pulse in pulses:
+            design(pulse, AIR, 1.0, 8e16)
+        memos = (detection._ranging_shapes, detection._purify_core,
+                 detection._oracle_rows, detection._baseline_combinations)
+        misses = [memo.cache_info().misses for memo in memos]
+        for k in range(64):
+            design(pulses[k % 8], states[k % 3], 0.1 * 1.1**k, 10.0 ** (14 + k % 5))
+        assert [memo.cache_info().misses for memo in memos] == misses
+
+    # the refusal lines too come from the memo byte for byte
+    @pytest.mark.parametrize("nm, bandwidth, refusal", [
+        (1600.0, 0.001, "n/a (purification refused: "),
+        (500.0, 0.3, "n/a (oracle refused: "),
+    ])
+    def test_report_with_refusal_cold_equals_warm(self, nm, bandwidth, refusal):
+        pulse = GaussianPulse.from_wavelength(nm * 1e-9, bandwidth)
+        state = AirState(12.5, 98000.0, 0.05, 900.0)
+        _clear_memos()
+        cold = contamination_report(pulse, state, 2.5, 3e9).to_text()
+        assert refusal in cold
+        for _ in range(2):
+            assert contamination_report(pulse, state, 2.5, 3e9).to_text() == cold
+
+    # the record keeps a refusal's text; purify still raises, naming each call's labels
+    def test_refusal_in_the_record_still_raised_by_purify(self):
+        pulse = GaussianPulse.from_wavelength(1600e-9, 0.001)
+        contamination_report(pulse, AIR, 1.0, 8e16)
+        w_l, w_x, w_pw = ranging_modes(pulse, AIR, 1.0)
+        for label in ("L", "L'", "L"):
+            target = w_l if label == "L" else DetectionMode(label, w_l.mode, w_l.k_const)
+            with pytest.raises(SeparabilityError, match=f"{label!r} not separable"):
+                purify(target, [w_x, w_pw])
+
     # the memo returns the finished LO: one object for every length
     def test_purify_hit_is_one_object(self):
         for pulse in MEMO_PULSES:

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from comb_ranger import air_model
+from comb_ranger import air_model, detection
 from comb_ranger.air_model import AirState
 from comb_ranger.errors import DomainError, ValidationError
-from comb_ranger.multicolor import humidity_bias, phase_lengths, shot_noise, synth_3wi, two_color_combination
+from comb_ranger.multicolor import (
+    humidity_bias,
+    phase_lengths,
+    shot_noise,
+    split_shot_noise,
+    synth_3wi,
+    two_color_combination,
+)
 
 # Frozen by direct evaluation with an independent script.
 ALPHA_1064_532 = 64.92173071777036
@@ -239,3 +246,29 @@ class TestRefusals:
     def test_length_outside_window(self, length, standard_air):
         with pytest.raises(ValidationError, match="length_m="):
             humidity_bias(PAIR, standard_air, length)
+
+
+class TestPlainFloats:
+    # numpy scalars among the weights printed as np.float64(...) in the repr
+    def test_report_baseline_weights_are_floats(self):
+        for comb in detection._baseline_combinations():
+            assert [type(w) for w in comb.weights] == [float] * len(comb.weights)
+            assert "np." not in repr(comb)
+
+    def test_other_combinations_hold_floats(self):
+        for comb in (two_color_combination(0.633e-6, 1.55e-6), synth_3wi(1.55e-6, 0.78e-6, 0.52e-6)):
+            assert [type(w) for w in comb.weights] == [float] * len(comb.weights)
+
+
+class TestSplitShotNoise:
+    # one square root per call, the same bits as one count per channel
+    @pytest.mark.parametrize("n_photons", [3.0, 7.3e9, 8e16, 1e30])
+    def test_equals_shot_noise_of_the_shares(self, n_photons):
+        for comb in (PAIR, TRIPLE):
+            k = len(comb.weights)
+            assert split_shot_noise(comb, n_photons) == shot_noise(comb, (n_photons / k,) * k)
+
+    @pytest.mark.parametrize("n_photons", [2.9, math.inf, math.nan])
+    def test_share_below_one_or_not_finite_refused(self, n_photons):
+        with pytest.raises(ValidationError, match="finite and >= 1"):
+            split_shot_noise(TRIPLE, n_photons)
