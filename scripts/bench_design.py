@@ -5,7 +5,9 @@ Calls paired by bench_harness.py, on the design scan's inputs, memos warm:
     cold path: a warm design makes no call to it;
   * `detection.ranging_modes`;
   * `detection.purify`, full (against w_X and w_Pw) and X-only;
-  * `detection.PurifiedSensitivity.build`, every LO of `detection.LO_TABLE`;
+  * `detection.PurifiedSensitivity.from_ks` on the pulse's record from
+    `detection._ranging_shapes`, every LO of `detection.LO_TABLE`, as a warm
+    design forms it;
   * `detection.numeric_detection_mode` for L, the exact oracle;
   * `detection.contamination_report`;
   * one whole design, as `perfbench.workloads.DesignScan.op` makes it.
@@ -35,6 +37,7 @@ def tree_calls(package: str, pulse_shapes) -> dict:
     pulse = mode_algebra.GaussianPulse.from_wavelength(800e-9, 1.0 / 6.0)
     state = air_model.AirState.standard()
     w_l, w_x, w_pw = detection.ranging_modes(pulse, state, 1.0)
+    rec = detection._ranging_shapes(pulse)
 
     def design(d):
         p = pulses[d.pulse]
@@ -57,7 +60,7 @@ def tree_calls(package: str, pulse_shapes) -> dict:
         "ranging_modes": lambda _: detection.ranging_modes(pulse, state, 1.0),
         "purify_full": lambda _: detection.purify(w_l, [w_x, w_pw]),
         "purify_x_only": lambda _: detection.purify(w_l, [w_x]),
-        "purified_sensitivity": lambda _: detection.PurifiedSensitivity.build(w_l, w_x, w_pw, 8e16),
+        "purified_sensitivity": lambda _: detection.PurifiedSensitivity.from_ks(rec.lo_ks, rec.refusals, 8e16),
         "oracle_l": lambda _: detection.numeric_detection_mode("L", pulse, state, 1.0),
         "contamination_report": lambda _: detection.contamination_report(pulse, state, 1.0, 8e16),
         "design": design,

@@ -28,7 +28,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
     for lo in LO_TABLE:
-        config = build_config({"lo": lo, "samples": args.samples, "seed": args.seed})
+        config = build_config({**vars(args), "lo": lo})
         res = run(config.to_sim_config())
         sx, spw = res.slopes["X"], res.slopes["Pw"]
         print(

@@ -23,12 +23,10 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import air_model, detection, mode_algebra, multicolor, records, simulator
-from .air_model import AirState
 from .config import SCHEMA, RunConfig, load_config
 from .errors import DomainError, ValidationError
 
@@ -326,23 +324,24 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _config(args: argparse.Namespace) -> RunConfig:
+    """The command's --config file, if it takes one, under its flags whose dest is a SCHEMA key."""
+    return load_config(getattr(args, "config", None),
+                       {key: v for key, v in vars(args).items() if key in SCHEMA and v is not None})
+
+
 def cmd_air_index(args: argparse.Namespace, out) -> int:
-    state = AirState(
-        temperature_c=args.temperature,
-        pressure_pa=args.pressure,
-        co2_percent=args.co2,
-        water_vapor_pa=args.humidity_pa,
-    )
-    sigma = air_model.sigma_from_wavelength(args.wavelength * 1e-9)
+    config = _config(args)
+    sigma = air_model.sigma_from_wavelength(config.values["pulse.wavelength_nm"] * 1e-9)
     scalars = air_model.dispersion_scalars(air_model.omega_from_sigma(sigma))
     rows = [
-        ("wavelength_nm", args.wavelength),
+        ("wavelength_nm", config.values["pulse.wavelength_nm"]),
         ("sigma_per_um", sigma),
-        ("n_phi", air_model.phase_index(sigma, state)),
-        ("n_g", air_model.group_index(sigma, state)),
+        ("n_phi", air_model.phase_index(sigma, config.state)),
+        ("n_g", air_model.group_index(sigma, config.state)),
         ("k_dispersion", air_model.k_dispersion(sigma)),
         ("water_term_per_pa", air_model.water_term(sigma)),
-        ("density_factor", air_model.density_factor(state)),
+        ("density_factor", air_model.density_factor(config.state)),
         ("delta1", scalars.delta1),
         ("delta2", scalars.delta2),
         ("eta1", scalars.eta1),
@@ -374,7 +373,7 @@ def _mode_table(config: RunConfig):
 
 
 def cmd_modes(args: argparse.Namespace, out) -> int:
-    config = load_config(args.config)
+    config = _config(args)
     rows = _mode_table(config)
 
     pulse = config.pulse
@@ -401,7 +400,7 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace, out) -> int:
-    config = load_config(args.config)
+    config = _config(args)
     report = detection.contamination_report(
         config.pulse, config.state, config.length_m, config.photons
     )
@@ -419,7 +418,7 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 def cmd_multicolor(args: argparse.Namespace, out) -> int:
     default = "1064,532" if args.scheme == "2wi" else "1064,532,355"
     lambdas_nm = _parse_float_list(default if args.wavelengths is None else args.wavelengths, "--wavelengths")
-    photons = _parse_float_list(args.photons, "--photons")
+    photons = _parse_float_list(args.photon_list, "--photons")
     expected = 2 if args.scheme == "2wi" else 3
     if len(lambdas_nm) != expected:
         raise ValidationError(
@@ -429,7 +428,7 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
         photons = photons * expected
     if len(photons) != expected:
         raise ValidationError(f"--photons needs 1 or {expected} entries")
-    moist = replace(AirState.standard(), water_vapor_pa=args.humidity_pa)
+    config = _config(args)
 
     wavelengths_m = [lam * 1e-9 for lam in lambdas_nm]
     if args.scheme == "2wi":
@@ -439,7 +438,7 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
         comb = multicolor.synth_3wi(*wavelengths_m)
         coeff_cols = {"alpha": None, "beta": comb.weights[1], "gamma": comb.weights[2]}
     noise = multicolor.shot_noise(comb, photons)
-    bias = multicolor.humidity_bias(comb, moist, args.length)
+    bias = multicolor.humidity_bias(comb, config.state, config.length_m)
 
     out.write(records.csv([
         [("scheme", args.scheme, "")]
@@ -452,8 +451,7 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, out) -> int:
-    flags = {key: v for key, v in (("seed", args.seed), ("samples", args.samples)) if v is not None}
-    sim_config = load_config(args.config, flags).to_sim_config()
+    sim_config = _config(args).to_sim_config()
     export = contextlib.nullcontext()
     if args.out is not None:
         export = _export_csv(args.out, ["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"], [None] + [12] * 4)
@@ -474,14 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_air = sub.add_parser("air-index", help="Refractive index of air for given conditions.")
-    p_air.add_argument("--wavelength", type=float, default=633.0, help="vacuum wavelength [nm]")
-    for flag, key, help_text in (
-        ("--temperature", "air.temperature_c", "temperature [C]"),
-        ("--pressure", "air.pressure_pa", "total pressure [Pa]"),
-        ("--co2", "air.co2_percent", "CO2 content [percent]"),
-        ("--humidity-pa", "air.water_vapor_pa", "water vapor partial pressure [Pa]"),
+    # a flag's dest is its SCHEMA key; it has a default only where the command's differs from SCHEMA's
+    for flag, key, default, help_text in (
+        ("--wavelength", "pulse.wavelength_nm", 633.0, "vacuum wavelength [nm]"),
+        ("--temperature", "air.temperature_c", None, "temperature [C]"),
+        ("--pressure", "air.pressure_pa", None, "total pressure [Pa]"),
+        ("--co2", "air.co2_percent", None, "CO2 content [percent]"),
+        ("--humidity-pa", "air.water_vapor_pa", None, "water vapor partial pressure [Pa]"),
     ):
-        p_air.add_argument(flag, type=float, default=SCHEMA[key][1], help=help_text)
+        p_air.add_argument(flag, dest=key, type=float, default=default, help=help_text)
     p_air.set_defaults(func=cmd_air_index)
 
     p_modes = sub.add_parser("modes", help="LO mode profiles (CSV) and coefficient table.")
@@ -499,11 +498,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--wavelengths", default=None,
         help="comma-separated wavelengths [nm]; default 1064,532 for 2wi, 1064,532,355 for 3wi",
     )
-    p_multi.add_argument(
-        "--photons", default="4e16", help="photon number(s), single value or per wavelength"
-    )
-    p_multi.add_argument("--humidity-pa", type=float, default=1000.0, help="P_w for the bias column [Pa]")
-    p_multi.add_argument("--length", type=float, default=1.0, help="path length [m]")
+    # a list, not the photons key
+    p_multi.add_argument("--photons", dest="photon_list", default="4e16",
+                         help="photon number(s), single value or per wavelength")
+    p_multi.add_argument("--humidity-pa", dest="air.water_vapor_pa", type=float, default=1000.0,
+                         help="P_w for the bias column [Pa]")
+    p_multi.add_argument("--length", dest="length_m", type=float, help="path length [m]")
     p_multi.set_defaults(func=cmd_multicolor)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo homodyne simulation.")

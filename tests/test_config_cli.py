@@ -1,5 +1,6 @@
 """Configuration parsing and the command-line front end."""
 
+import argparse
 import contextlib
 import csv
 import errno
@@ -984,6 +985,47 @@ def test_console_entry_point():
     proc = run_child(["-m", "comb_ranger.cli", "air-index", "--wavelength", "633"])
     assert proc.returncode == 0
     assert "n_phi" in proc.stdout
+
+
+COMMANDS = ("air-index", "modes", "sensitivity", "multicolor", "simulate")
+# dests of the options that are a command's own inputs, not config quantities
+COMMAND_INPUTS = {"config", "out", "scheme", "wavelengths", "photon_list"}
+
+
+def subcommands() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert tuple(action.choices) == COMMANDS
+    return action.choices
+
+
+def test_every_option_sets_a_config_key_or_a_command_input():
+    """An option that sets a config quantity has the SCHEMA key as its dest
+    and SCHEMA's type as its type, so `cli._config` reads it by name; the
+    rest are the command's own inputs.  `multicolor --photons` is a list,
+    and as the `photons` key it would be refused as "not a number"."""
+    for name, parser in subcommands().items():
+        for action in parser._actions:
+            if isinstance(action, argparse._HelpAction):
+                continue
+            where = (name, action.option_strings, action.dest)
+            if action.dest in SCHEMA:
+                assert action.type is SCHEMA[action.dest][0], where
+            else:
+                assert action.dest in COMMAND_INPUTS, where
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_names_every_flag_and_config_key(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for action in subcommands()[command]._actions:
+        for flag in action.option_strings:
+            assert re.search(rf"{flag}\b", text), flag
+        if action.dest in SCHEMA:
+            # argparse's metavar: the dest, upper-cased
+            assert action.dest.upper() in text, action.dest
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
