@@ -22,6 +22,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -464,8 +465,16 @@ def cmd_simulate(args: argparse.Namespace, out) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse reads only -123 and -1.5 as negative numbers, not -1e1 or -inf;
+    # subparsers take their parent's class, and no option string looks like a number
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-(inf|infinity|nan)$", re.I)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="comb-ranger",
         description="Dispersion-immune frequency-comb ranging toolkit",
     )

@@ -28,14 +28,22 @@ rejected, with the offending key named.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .air_model import AirState
+import numpy as np
+
+from . import detection
+from .air_model import AirState, check_length
+from .dispersion import RANGING_LABELS
 from .errors import ValidationError
 from .mode_algebra import GaussianPulse
-from .simulator import SimConfig, check_inputs
 
 DEFAULT_SEED = 20260808
+# largest sample count a run accepts: about two minutes of streaming at
+# 0.12 s per 1e6 samples, and 250x the largest benchmarked run; a count far
+# beyond streams without output for years
+MAX_SAMPLES = 10**9
 
 # key -> (type, default); _run_fields names each key's SimConfig field, and
 # the perturb.* and fluct.* keys, in RANGING_LABELS order, give the offsets
@@ -72,6 +80,58 @@ def _run_fields(values: dict[str, object]) -> dict[str, object]:
         offsets=tuple(v for key, v in values.items() if key.startswith("perturb.")),
         sigmas=tuple(v for key, v in values.items() if key.startswith("fluct.")),
     )
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    """Full specification of a simulation run, checked when built; `simulator.run` adds the linearity guard.
+
+    `offsets` are the fixed perturbations (p_L [m], p_X, p_Pw [Pa]) and
+    `sigmas` the standard deviations of additional zero-mean per-sample
+    fluctuations, both in RANGING_LABELS order.  The seed fixes the complete
+    sample sequence.
+    """
+
+    pulse: GaussianPulse
+    state: AirState
+    length_m: float
+    n_photons: float
+    lo_choice: str
+    sample_count: int
+    rng_seed: int
+    offsets: tuple[float, float, float] = (0.0, 0.0, 0.0)
+    sigmas: tuple[float, float, float] = (0.0, 0.0, 0.0)
+
+    def __post_init__(self) -> None:
+        if self.lo_choice not in detection.LO_TABLE:
+            raise ValidationError(f"lo_choice (config key 'lo') = {self.lo_choice!r}"
+                                  f" must be one of {tuple(detection.LO_TABLE)}")
+        if not (_is_integer(self.sample_count) and 1 <= self.sample_count <= MAX_SAMPLES):
+            raise ValidationError(f"sample_count (config key 'samples') = {self.sample_count!r}"
+                                  f" must be an integer in [1, {MAX_SAMPLES:.0e}]")
+        # the seed is the key of a 128-bit Philox generator
+        if not (_is_integer(self.rng_seed) and 0 <= self.rng_seed < 2**128):
+            raise ValidationError(f"rng_seed={self.rng_seed!r} must be an integer in [0, 2**128)")
+        check_length(self.length_m)
+        if not 1.0 <= self.n_photons < math.inf:
+            raise ValidationError(f"n_photons={self.n_photons} must be finite and >= 1")
+        for name, triple in (("offsets", self.offsets), ("sigmas", self.sigmas)):
+            if len(triple) != len(RANGING_LABELS):
+                raise ValidationError(f"{name} must hold one value per label {RANGING_LABELS}, got {len(triple)}")
+            for label, value in zip(RANGING_LABELS, triple):
+                if not math.isfinite(value):
+                    raise ValidationError(f"{name}[{label}]={value} must be finite")
+        for label, sigma in zip(RANGING_LABELS, self.sigmas):
+            if sigma < 0.0:
+                raise ValidationError(f"sigmas[{label}]={sigma} must be >= 0")
+
+    @property
+    def fluctuating_labels(self) -> tuple[str, ...]:
+        return tuple(lab for lab, s in zip(RANGING_LABELS, self.sigmas) if s > 0.0)
 
 
 @dataclass(frozen=True)
@@ -155,8 +215,6 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
             raise ValidationError(f"unknown configuration key {key!r}")
         values[key] = value
     values = {key: _typed(key, value) for key, value in values.items()}
-    # every command refuses what a run refuses, the linearity guard aside
-    check_inputs(**_run_fields(values))
     pulse = GaussianPulse.from_wavelength(
         values["pulse.wavelength_nm"] * 1e-9, values["pulse.relative_bandwidth"]
     )
@@ -166,6 +224,8 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
         co2_percent=values["air.co2_percent"],
         water_vapor_pa=values["air.water_vapor_pa"],
     )
+    # every command refuses what a run's config refuses
+    SimConfig(pulse, state, **_run_fields(values))
     return RunConfig(pulse, state, values)
 
 

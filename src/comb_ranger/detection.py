@@ -240,9 +240,8 @@ def _purify_core(target: DetectionMode, against: tuple[tuple[SpectralMode, str],
     """`purify` of `target` against the interferers' (mode, label) pairs."""
     pulse = target.mode.pulse
     modes, labels = [m for m, _ in against], [label for _, label in against]
-    for m in modes:
-        if m.pulse is not pulse and m.pulse != pulse:
-            raise ValidationError("purification needs every mode on the target's pulse basis")
+    if any(m.pulse != pulse for m in modes):
+        raise ValidationError("purification needs every mode on the target's pulse basis")
     order = max(m.order for m in (target.mode, *modes))
     basis: list[tuple[list[int], int]] = []
     for i, m in enumerate((*modes, target.mode)):

@@ -84,11 +84,6 @@ class GaussianPulse:
         return cls(omega0, relative_bandwidth * omega0)
 
 
-# Coefficient types that are real by type alone: float and its subclass
-# np.float64.  Any other type is probed for a complex dtype.
-_REAL_TYPES = frozenset((float, np.float64))
-
-
 @dataclass(frozen=True)
 class SpectralMode:
     """A spectral amplitude as real coefficients c_0..c_n on the {v_n} basis.
@@ -105,7 +100,7 @@ class SpectralMode:
     def __post_init__(self) -> None:
         coeffs = tuple(self.coefficients)
         # float() would drop an imaginary part silently; v_n = i h_n already carry i
-        if not set(map(type, coeffs)) <= _REAL_TYPES and np.asarray(coeffs).dtype.kind == "c":
+        if np.asarray(coeffs).dtype.kind == "c":
             raise ValidationError("mode coefficients must be real")
         coeffs = tuple(map(float, coeffs))
         if not coeffs:

@@ -47,10 +47,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detection, records
-from .air_model import AirState, check_length
+from .config import SimConfig
 from .dispersion import RANGING_LABELS, check_linearity
 from .errors import DomainError, ValidationError
-from .mode_algebra import GaussianPulse, inner_product
+from .mode_algebra import inner_product
 
 # rows per streamed block: a few MB of float64 per block, and two 2 MB draw
 # buffers, one being folded while the helper thread fills the other; 2**17
@@ -59,74 +59,6 @@ CHUNK_ROWS = 65536
 # rows per QR update: 8192 x 4 float64 (256 KB) stays in cache, which made
 # the update of a 65536-row block about 3x faster than one QR of the block
 QR_ROWS = 8192
-# largest sample count a run accepts: about two minutes of streaming at
-# 0.12 s per 1e6 samples, and 250x the largest benchmarked run; a count far
-# beyond streams without output for years
-MAX_SAMPLES = 10**9
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def check_inputs(lo_choice, sample_count, rng_seed, length_m, n_photons, offsets, sigmas) -> None:
-    """Every value rule of a run but the linearity guard, of the config keys
-    and of SimConfig alike; the arguments are SimConfig's fields."""
-    if lo_choice not in detection.LO_TABLE:
-        raise ValidationError(f"lo_choice (config key 'lo') = {lo_choice!r} must be one of {tuple(detection.LO_TABLE)}")
-    if not (_is_integer(sample_count) and 1 <= sample_count <= MAX_SAMPLES):
-        raise ValidationError(
-            f"sample_count (config key 'samples') = {sample_count!r} must be an integer in [1, {MAX_SAMPLES:.0e}]"
-        )
-    # the seed is the key of a 128-bit Philox generator
-    if not (_is_integer(rng_seed) and 0 <= rng_seed < 2**128):
-        raise ValidationError(f"rng_seed={rng_seed!r} must be an integer in [0, 2**128)")
-    check_length(length_m)
-    if not 1.0 <= n_photons < math.inf:
-        raise ValidationError(f"n_photons={n_photons} must be finite and >= 1")
-    for name, triple in (("offsets", offsets), ("sigmas", sigmas)):
-        if len(triple) != len(RANGING_LABELS):
-            raise ValidationError(f"{name} must hold one value per label {RANGING_LABELS}, got {len(triple)}")
-        for label, value in zip(RANGING_LABELS, triple):
-            if not math.isfinite(value):
-                raise ValidationError(f"{name}[{label}]={value} must be finite")
-    for label, sigma in zip(RANGING_LABELS, sigmas):
-        if sigma < 0.0:
-            raise ValidationError(f"sigmas[{label}]={sigma} must be >= 0")
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Full specification of a simulation run.
-
-    `offsets` are the fixed perturbations (p_L [m], p_X, p_Pw [Pa]) and
-    `sigmas` the standard deviations of additional zero-mean per-sample
-    fluctuations, both in RANGING_LABELS order.  The seed fixes the complete
-    sample sequence.
-    """
-
-    pulse: GaussianPulse
-    state: AirState
-    length_m: float
-    n_photons: float
-    lo_choice: str
-    sample_count: int
-    rng_seed: int
-    offsets: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    sigmas: tuple[float, float, float] = (0.0, 0.0, 0.0)
-
-    def __post_init__(self) -> None:
-        check_inputs(
-            self.lo_choice, self.sample_count, self.rng_seed, self.length_m, self.n_photons, self.offsets, self.sigmas
-        )
-        # typical excursions (fixed offset + 1 sigma) must stay inside the
-        # linearity guard of the first-order signal model
-        typical = tuple(abs(p) + s for p, s in zip(self.offsets, self.sigmas))
-        check_linearity(typical, self.pulse, self.state, self.length_m)
-
-    @property
-    def fluctuating_labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, s in zip(RANGING_LABELS, self.sigmas) if s > 0.0)
 
 
 @dataclass(frozen=True)
@@ -244,6 +176,10 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     perturbations (p_L, p_X, p_Pw) and its m signals, new arrays that the
     run does not touch again.
     """
+    # typical excursions (fixed offset + 1 sigma) must stay inside the
+    # linearity guard of the first-order signal model
+    check_linearity(tuple(abs(p) + s for p, s in zip(config.offsets, config.sigmas)),
+                    config.pulse, config.state, config.length_m)
     n = config.sample_count
     labels = config.fluctuating_labels
     k = 1 + len(labels)

@@ -31,7 +31,8 @@ from comb_ranger.detection import (
 )
 from comb_ranger.mode_algebra import GaussianPulse, inner_product
 from comb_ranger.multicolor import phase_lengths, shot_noise, synth_3wi, two_color_combination
-from comb_ranger.simulator import SimConfig, run
+from comb_ranger.config import SimConfig
+from comb_ranger.simulator import run
 from reference import TimeDelays, homodyne_signal, linearized_field, lstsq_purify, time_detection_modes
 
 PULSE = GaussianPulse.from_wavelength(800e-9)

@@ -32,7 +32,8 @@ from comb_ranger.mode_algebra import (
 )
 from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
 from comb_ranger.errors import DomainError, SeparabilityError, ValidationError
-from comb_ranger.simulator import SimConfig, select_lo
+from comb_ranger.config import SimConfig
+from comb_ranger.simulator import select_lo
 from reference import (
     TimeDelays,
     apply_spectral_phase,

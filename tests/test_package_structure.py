@@ -153,6 +153,32 @@ def test_package_import_loads_no_submodule_or_numpy():
     assert out.stdout.strip() == "[]"
 
 
+def test_config_import_loads_no_simulator():
+    # config decides whether a run's inputs are valid; the simulator only runs
+    code = "import sys, comb_ranger.config; print('comb_ranger.simulator' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_linearity_guard_is_the_first_statement_of_run_only():
+    callers = []
+    for path in MODULES:
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.FunctionDef):
+                for sub in ast.walk(node):
+                    if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "check_linearity":
+                        callers.append((path.stem, node.name))
+    assert callers == [("simulator", "run")]
+    run = next(
+        node for node in parse(PACKAGE_DIR / "simulator.py").body
+        if isinstance(node, ast.FunctionDef) and node.name == "run"
+    )
+    first = run.body[1]  # after the docstring
+    assert isinstance(first, ast.Expr) and first.value.func.id == "check_linearity"
+
+
 def test_package_init_holds_only_its_docstring():
     tree = parse(PACKAGE_DIR / "__init__.py")
     assert ast.get_docstring(tree) and len(tree.body) == 1

@@ -10,14 +10,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from comb_ranger import cli, simulator
+from comb_ranger import cli, detection, simulator
 from comb_ranger.air_model import AirState
+from comb_ranger.config import SimConfig
 from comb_ranger.detection import LO_TABLE, contamination_report, ranging_modes
 from comb_ranger.dispersion import RANGING_LABELS
-from comb_ranger.errors import ValidationError
+from comb_ranger.errors import DomainError, ValidationError
 from comb_ranger.mode_algebra import GaussianPulse
 from comb_ranger.simulator import (
-    SimConfig,
     draw_generator,
     perturbation_draws,
     run,
@@ -434,8 +434,21 @@ class TestConfigValidation:
             make_config(**{triple: values})
 
     def test_linearity_guard_on_fluctuations(self):
-        with pytest.raises(Exception):
-            make_config(sigmas=(0.0, 0.0, 1e4))
+        with pytest.raises(DomainError, match="drives the spectral phase"):
+            run(make_config(sigmas=(0.0, 0.0, 1e4)))
+
+    def test_linearity_guard_refuses_first_in_the_run(self, monkeypatch):
+        # a config past the guard is a valid SimConfig: the run refuses it,
+        # before the n <= k refusal, any draw and the LO
+        def fails(*args):
+            raise AssertionError("the linearity guard must refuse first")
+
+        cfg = make_config(sample_count=2, sigmas=(0.0, 0.0, 1e4))
+        monkeypatch.setattr(simulator, "perturbation_draws", fails)
+        monkeypatch.setattr(simulator, "select_lo", fails)
+        monkeypatch.setattr(detection, "ranging_modes", fails)
+        with pytest.raises(DomainError, match="drives the spectral phase"):
+            run(cfg)
 
     def test_select_lo_labels(self):
         raw, pure = make_config(), make_config(lo_choice="purified")
