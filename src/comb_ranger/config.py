@@ -138,13 +138,21 @@ class SimConfig:
 class RunConfig:
     """Validated configuration shared by the CLI subcommands.
 
-    `values` holds every SCHEMA key with its typed value; `pulse` and
-    `state` are built from the pulse.* and air.* keys.
+    `values` holds every SCHEMA key with its typed value; `sim` is the
+    SimConfig that `build_config` built from them, and validated, its pulse
+    and air state from the pulse.* and air.* keys.
     """
 
-    pulse: GaussianPulse
-    state: AirState
+    sim: SimConfig
     values: dict[str, object]
+
+    @property
+    def pulse(self) -> GaussianPulse:
+        return self.sim.pulse
+
+    @property
+    def state(self) -> AirState:
+        return self.sim.state
 
     @property
     def length_m(self) -> float:
@@ -155,7 +163,7 @@ class RunConfig:
         return self.values["photons"]
 
     def to_sim_config(self) -> SimConfig:
-        return SimConfig(pulse=self.pulse, state=self.state, **_run_fields(self.values))
+        return self.sim
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -225,8 +233,7 @@ def build_config(overrides: dict[str, object] | None = None) -> RunConfig:
         water_vapor_pa=values["air.water_vapor_pa"],
     )
     # every command refuses what a run's config refuses
-    SimConfig(pulse, state, **_run_fields(values))
-    return RunConfig(pulse, state, values)
+    return RunConfig(SimConfig(pulse, state, **_run_fields(values)), values)
 
 
 def load_config(path: str | None, overrides: dict[str, object] | None = None) -> RunConfig:

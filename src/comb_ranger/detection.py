@@ -67,7 +67,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss, hermvander
 
 from . import air_model, mode_algebra, multicolor, records
 from .air_model import SPEED_OF_LIGHT, AirState
@@ -307,10 +306,13 @@ def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
 
     24 Gauss-Hermite nodes reach omega0 +/- 8.51 delta_omega; 48 agree to ~4e-16.
     """
+    # numpy loads np.polynomial on first use: here, once per process, so a
+    # command that builds no oracle never loads it
+    hermite = np.polynomial.hermite
     order = mode_algebra.MAX_ORDER_DEFAULT
-    x, w = hermgauss(24)
+    x, w = hermite.hermgauss(24)
     norm = [(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(order + 1)]
-    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * hermvander(x, order).T * w
+    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * hermite.hermvander(x, order).T * w
     offsets.flags.writeable = table.flags.writeable = False
     return offsets, table
 

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.hermite import hermval
 
 from .air_model import SPEED_OF_LIGHT, WAVELENGTH_MAX_M, WAVELENGTH_MIN_M, check_wavelength
 from .errors import ValidationError
@@ -175,7 +174,9 @@ def hermite_envelope(n: int, pulse: GaussianPulse, omega: np.ndarray) -> np.ndar
     x = (np.asarray(omega, dtype=float) - pulse.omega0) / (math.sqrt(2.0) * pulse.delta_omega)
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    return hermval(x, coeffs) / math.sqrt(2.0**n * math.factorial(n)) * gaussian_envelope(pulse, omega)
+    # numpy loads np.polynomial on first use, so only profile sampling loads it
+    h = np.polynomial.hermite.hermval(x, coeffs)
+    return h / math.sqrt(2.0**n * math.factorial(n)) * gaussian_envelope(pulse, omega)
 
 
 def real_profile(mode: SpectralMode, omega: np.ndarray) -> np.ndarray:

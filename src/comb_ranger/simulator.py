@@ -17,14 +17,16 @@ how the run is cut into blocks, and reruns are bit-identical.
 A run streams its samples in blocks of CHUNK_ROWS rows: each block is
 drawn, projected and folded into running moments and a running regression,
 then dropped, so memory is O(CHUNK_ROWS), not O(samples); a caller that
-wants the samples takes each block as it is folded.  One block is drawn
-ahead: while block i is projected and folded, a helper thread fills block
-i+1 from the same generator (numpy releases the interpreter lock while it
-draws), so the draw time hides the rest of the work.  The draws live in
-two preallocated CHUNK_ROWS x 4 buffers that the two threads take in turn.
-The generator is used by one thread at a time and the blocks are drawn in
-order, so the rows, and every aggregate, are those of a sequential run:
-the reproducibility contract is unchanged.
+wants the samples takes each block as it is folded.  The caller draws block
+0; one drawer thread per run then draws blocks 1, 2, ... in order from the
+same generator (numpy releases the interpreter lock while it draws), up to
+two blocks ahead of the fold, so the draws run without a pause and hide the
+rest of the work.  The draws live in a ring of three preallocated
+CHUNK_ROWS x 4 buffers, block b in buffer b % 3; a buffer is drawn into
+again only after its block is folded.  The generator is used by one thread
+at a time and the blocks are drawn in order, so the rows, and every
+aggregate, are those of a sequential run: the reproducibility contract is
+unchanged.
 
 Leakage of the environmental parameters into the distance estimate is
 characterized by ordinary least squares of the signal against the injected
@@ -52,10 +54,14 @@ from .dispersion import RANGING_LABELS, check_linearity
 from .errors import DomainError, ValidationError
 from .mode_algebra import inner_product
 
-# rows per streamed block: a few MB of float64 per block, and two 2 MB draw
-# buffers, one being folded while the helper thread fills the other; 2**17
+# rows per streamed block: a few MB of float64 per block, and three 2 MB
+# draw buffers, one being folded while the drawer fills the others; 2**17
 # rows raised the peak RSS of a 1e5-sample `simulate --out` by 5 %
 CHUNK_ROWS = 65536
+# draw buffers in a run's ring: the drawer runs up to RING - 1 blocks ahead
+# of the fold, so a fold slower than a draw does not stall the draws; a
+# ring of two read the same mc_stream median (three was lower in 5 of 6 pairs)
+RING = 3
 # rows per QR update: 8192 x 4 float64 (256 KB) stays in cache, which made
 # the update of a 65536-row block about 3x faster than one QR of the block
 QR_ROWS = 8192
@@ -139,27 +145,53 @@ def perturbation_draws(
     return gen.standard_normal((count, 4), out=out)
 
 
-class _DrawAhead(threading.Thread):
-    """Fills `out` with the next rows of `gen` while the caller works on.
+class _Drawer(threading.Thread):
+    """Draws blocks 1, 2, ... of an n-row run from `gen`, `rows` rows a block,
+    block b into buffers[b % len(buffers)].
 
-    After `join`, `check` raises again any error the draw raised.
+    Block 0 is in buffers[0] when the drawer starts, so it runs up to
+    len(buffers) - 1 blocks ahead.  `take` waits for the next block and
+    raises again any error its draw raised; `hand_back` frees the buffer of
+    the oldest block taken; `halt` stops the drawer and joins it.  (No
+    attribute is named `_stop`: that would shadow `Thread._stop`, which
+    `join` calls.)
     """
 
-    def __init__(self, gen: np.random.Generator, out: np.ndarray) -> None:
-        super().__init__(name="comb_ranger-draw-ahead", daemon=True)
-        self._gen, self._out = gen, out
+    def __init__(self, gen: np.random.Generator, n: int, rows: int, buffers: list[np.ndarray]) -> None:
+        super().__init__(name="comb_ranger-drawer", daemon=True)
+        self._gen, self._n, self._rows, self._buffers = gen, n, rows, buffers
+        self._free = threading.Semaphore(len(buffers) - 1)
+        self._ready = threading.Semaphore(0)
+        self._halted = False
         self._error: BaseException | None = None
         self.start()
 
     def run(self) -> None:
         try:
-            perturbation_draws(self._gen, len(self._out), out=self._out)
-        except BaseException as exc:  # raised in the caller by check()
+            for b, start in enumerate(range(self._rows, self._n, self._rows), start=1):
+                self._free.acquire()
+                if self._halted:
+                    return
+                m = min(self._rows, self._n - start)
+                perturbation_draws(self._gen, m, out=self._buffers[b % len(self._buffers)][:m])
+                self._ready.release()
+        except BaseException as exc:  # raised in the caller by take()
             self._error = exc
+            self._ready.release()
 
-    def check(self) -> None:
+    def take(self) -> None:
+        self._ready.acquire()
         if self._error is not None:
             raise self._error
+
+    def hand_back(self) -> None:
+        self._free.release()
+
+    def halt(self) -> None:
+        # set before the release, so the drawer sees it at its next acquire
+        self._halted = True
+        self._free.release()
+        self.join()
 
 
 def run(config: SimConfig, on_rows=None) -> SimResult:
@@ -169,10 +201,10 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     field on the LO; with the ranging modes this reduces to the
     contamination-matrix row of the chosen LO, which is how it is
     evaluated (vectorized) here.  Samples are drawn, projected and folded
-    into the aggregates CHUNK_ROWS at a time, the next block being drawn in
-    a helper thread meanwhile; no array grows with the sample count.  After
-    the block of m rows from `start` is folded, `on_rows`, if given, is
-    called with its indices np.arange(start, start + m), its (m, 3)
+    into the aggregates CHUNK_ROWS at a time, the later blocks being drawn
+    by the run's drawer thread meanwhile; no array grows with the sample
+    count.  After the block of m rows from `start` is folded, `on_rows`, if
+    given, is called with its indices np.arange(start, start + m), its (m, 3)
     perturbations (p_L, p_X, p_Pw) and its m signals, new arrays that the
     run does not touch again.
     """
@@ -209,18 +241,18 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     # to the slopes is the OLS of the signal itself; the QR then never
     # sees the raw LO's 1.7e7:1 cancellation of signal against noise
     r = np.zeros((k + 1, k + 1))
-    # block b is drawn into buffers[b % 2]: the first block here, each later
-    # one by a helper thread while the block before it is folded
+    # block b is drawn into buffers[b % len(buffers)]: the first block here,
+    # the later ones by the drawer while the blocks before them are folded
     rows = min(CHUNK_ROWS, n)
-    buffers = [np.empty((rows, 4)) for _ in range(1 if rows == n else 2)]
+    buffers = [np.empty((rows, 4)) for _ in range(min(RING, -(-n // rows)))]
     perturbation_draws(gen, rows, out=buffers[0])
-    for b, start in enumerate(range(0, n, CHUNK_ROWS)):
-        m = min(CHUNK_ROWS, n - start)
-        z = buffers[b % 2][:m]
-        ahead = None
-        if start + m < n:
-            ahead = _DrawAhead(gen, buffers[(b + 1) % 2][: min(CHUNK_ROWS, n - start - m)])
-        try:
+    drawer = _Drawer(gen, n, rows, buffers) if rows < n else None
+    try:
+        for b, start in enumerate(range(0, n, rows)):
+            m = min(rows, n - start)
+            if b:
+                drawer.take()
+            z = buffers[b % len(buffers)][:m]
             perts = np.empty((m, 3))
             for j in range(3):
                 perts[:, j] = config.offsets[j] + config.sigmas[j] * z[:, j]
@@ -245,16 +277,15 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
 
             if labels:
                 response = np.subtract(signal, projection, out=projection)
-                r = _fold_qr(r, perts[:, columns], response)
+                r = _fold_qr(r, perts, columns, response)
 
             if on_rows is not None:
                 on_rows(np.arange(start, start + m), perts, signal)
-
-        finally:
-            if ahead is not None:
-                ahead.join()
-        if ahead is not None:
-            ahead.check()
+            if drawer is not None:
+                drawer.hand_back()
+    finally:
+        if drawer is not None:
+            drawer.halt()
 
     std = math.sqrt(m2 / (n - 1))
     sem = std / math.sqrt(n)
@@ -279,11 +310,12 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     )
 
 
-def _fold_qr(r: np.ndarray, regressors: np.ndarray, response: np.ndarray) -> np.ndarray:
-    """R factor of the rows of `r` stacked on the rows [1, regressors, response].
+def _fold_qr(r: np.ndarray, perts: np.ndarray, columns: list[int], response: np.ndarray) -> np.ndarray:
+    """R factor of the rows of `r` stacked on the rows [1, perts[:, columns], response].
 
     The rows are folded in QR_ROWS at a time, a size whose Householder
-    passes stay in cache.
+    passes stay in cache; each regressor column is copied from `perts`
+    straight into the stacked rows.
     """
     width = r.shape[1]
     for start in range(0, response.size, QR_ROWS):
@@ -291,7 +323,8 @@ def _fold_qr(r: np.ndarray, regressors: np.ndarray, response: np.ndarray) -> np.
         stacked = np.empty((width + rows, width))
         stacked[:width] = r
         stacked[width:, 0] = 1.0
-        stacked[width:, 1:-1] = regressors[start : start + rows]
+        for i, j in enumerate(columns, start=1):
+            stacked[width:, i] = perts[start : start + rows, j]
         stacked[width:, -1] = response[start : start + rows]
         r = np.linalg.qr(stacked, mode="r")
     return r

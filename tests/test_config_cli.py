@@ -122,6 +122,22 @@ class TestConfigParsing:
         assert sim.sigmas == (0.0, 1e-6, 5.0)
         assert sim.offsets == (1e-13, 0.0, 0.0)
 
+    def test_sim_config_is_the_one_validated(self, monkeypatch):
+        # build_config validates by building the SimConfig; to_sim_config
+        # hands back that one and runs no value rule again
+        built = []
+        real = config.SimConfig.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(config.SimConfig, "__post_init__", counting)
+        cfg = build_config({"samples": 5000})
+        assert cfg.to_sim_config() is cfg.to_sim_config() is built[0]
+        assert len(built) == 1
+        assert (cfg.pulse, cfg.state) == (built[0].pulse, built[0].state)
+
     # each perturb.* and fluct.* key lands at its label's index of its triple
     @pytest.mark.parametrize("prefix, triple", [("perturb", "offsets"), ("fluct", "sigmas")])
     @pytest.mark.parametrize("name, label", [("length_m", "L"), ("density_factor", "X"), ("water_vapor_pa", "Pw")])

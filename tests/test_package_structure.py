@@ -127,9 +127,9 @@ def test_perfbench_span_names_resolve():
 
 
 def test_cli_import_loads_no_executor_or_queue():
-    # the simulator's draw-ahead thread is a plain threading.Thread, which
-    # numpy already imports; concurrent.futures would add its import (and
-    # logging's) to every process
+    # the simulator's drawer is a plain threading.Thread handed its buffers
+    # by threading.Semaphores, which numpy already imports; queue or
+    # concurrent.futures would add its import (and logging's) to every process
     code = (
         "import sys, comb_ranger.cli; "
         "print(sorted(m for m in ('concurrent.futures', 'queue') if m in sys.modules))"
@@ -151,6 +151,20 @@ def test_package_import_loads_no_submodule_or_numpy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_simulate_loads_no_polynomial():
+    # numpy.polynomial serves the oracle and profile sampling alone; a run
+    # builds neither, so `simulate` never loads it
+    code = (
+        "import io, sys, comb_ranger.cli as cli; "
+        "code = cli.main(['simulate', '--samples', '1000'], out=io.StringIO()); "
+        "print(code, 'numpy.polynomial' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "0 False"
 
 
 def test_config_import_loads_no_simulator():

@@ -5,6 +5,7 @@ import io
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -87,8 +88,8 @@ class TestReproducibility:
         assert got is buf
         assert np.array_equal(buf, expected)
 
-    # 2000 rows in blocks of 1, 7 or 1000 rows: the two draw buffers are
-    # each filled and folded up to 1000 times
+    # 2000 rows in blocks of 1, 7 or 1000 rows: the ring's draw buffers are
+    # each filled and folded up to 667 times
     @pytest.mark.parametrize("lo", tuple(LO_TABLE))
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
     def test_block_size_invariance(self, monkeypatch, lo, chunk_rows):
@@ -167,6 +168,62 @@ class TestDrawAhead:
         assert threads[0] is threading.current_thread()
         assert all(t is not threading.current_thread() for t in threads[1:])
 
+    def test_one_drawer_thread_per_run(self, monkeypatch):
+        threads = []
+        real = simulator.perturbation_draws
+
+        def recording(gen, count, out=None):
+            threads.append(threading.current_thread())
+            return real(gen, count, out=out)
+
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(simulator, "perturbation_draws", recording)
+        drawers = []
+        for _ in range(2):
+            threads.clear()
+            run(make_config(**self.CONFIG))
+            assert len(threads) == 5 and threads[0] is threading.current_thread()
+            assert len(set(threads[1:])) == 1
+            drawers.append(threads[1])
+        assert drawers[0] is not drawers[1]
+        assert threading.current_thread() not in drawers
+
+    def test_slow_fold_overwrites_no_buffer(self, monkeypatch):
+        # while a block is folded the drawer fills the ring's other buffers
+        # and then must wait: a buffer drawn into early would change rows
+        real = simulator._fold_qr
+
+        def slow_fold(*args):
+            time.sleep(0.002)
+            return real(*args)
+
+        cfg = make_config(**{**self.CONFIG, "sample_count": 700})
+        _, whole_table = run_with_table(cfg)
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 7)
+        plain, plain_table = run_with_table(cfg)
+        monkeypatch.setattr(simulator, "_fold_qr", slow_fold)
+        slow, slow_table = run_with_table(cfg)
+        assert slow == plain
+        assert np.array_equal(slow_table, plain_table)
+        assert np.array_equal(slow_table, whole_table)
+
+    def test_on_rows_error_leaves_no_thread(self, monkeypatch):
+        error = RuntimeError("on_rows failed")
+        calls = []
+
+        def failing_third(*columns):
+            calls.append(columns[0][0])
+            if len(calls) == 3:
+                raise error
+
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError) as info:
+            run(make_config(**self.CONFIG), on_rows=failing_third)
+        assert info.value is error
+        assert calls == [0, 1000, 2000]
+        assert threading.active_count() == before
+
     def test_draw_error_raised_by_run(self, monkeypatch):
         error = RuntimeError("draw failed")
         calls = []
@@ -202,7 +259,7 @@ class TestDrawAhead:
 
     def test_concurrent_runs_match_alone(self, monkeypatch):
         # four runs at once (more threads than cores, each with its own
-        # helper), the interpreter switching threads every microsecond
+        # drawer), the interpreter switching threads every microsecond
         monkeypatch.setattr(simulator, "CHUNK_ROWS", 7)
         configs = [
             make_config(**{**self.CONFIG, "sample_count": 700, "rng_seed": seed, "lo_choice": lo})
