@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import itertools
 import math
 import os
@@ -539,5 +540,19 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_DOMAIN
 
 
+def entry() -> int:
+    """Process entry of the `comb-ranger` script and of `python -m comb_ranger.cli`.
+
+    Moves every object alive after the imports into the collector's
+    permanent generation, so that no collection, and not the interpreter's
+    at exit, walks numpy's and the package's objects again; a one-shot
+    process makes no garbage among them.  What a command creates is still
+    collected, and exit still flushes, runs atexit and closes files.
+    `main` is the in-process call and freezes nothing.
+    """
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import errno
+import gc
 import io
 import math
 import os
@@ -1001,6 +1002,52 @@ def test_console_entry_point():
     proc = run_child(["-m", "comb_ranger.cli", "air-index", "--wavelength", "633"])
     assert proc.returncode == 0
     assert "n_phi" in proc.stdout
+    # a refusal's code survives `entry` and the interpreter's exit
+    for argv, code in ((["simulate", "--samples", "2"], EXIT_VALIDATION),
+                       (["air-index", "--wavelength", "100"], EXIT_DOMAIN)):
+        proc = run_child(["-m", "comb_ranger.cli", *argv])
+        assert (proc.returncode, proc.stdout) == (code, ""), argv
+        assert proc.stderr.startswith("error: "), argv
+
+
+def test_entry_freezes_the_heap_before_main():
+    stub = ("import gc, sys\n"
+            "from comb_ranger import cli\n"
+            "cli.main = lambda: print(gc.get_freeze_count()) or 0\n"
+            "sys.exit(cli.entry())\n")
+    proc = run_child(["-c", stub])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["air-index"],
+    ["sensitivity"],
+    ["multicolor", "--scheme", "3wi"],
+    ["modes", "--out", "modes.csv"],
+    ["simulate", "--samples", "2000", "--out", "samples.csv"],
+], ids=lambda argv: argv[0])
+def test_main_leaves_the_collector_as_it_was(argv, tmp_path, monkeypatch):
+    # only `entry`, a process's own, freezes: `main` is the in-process call;
+    # each state is set here, so a test before this one that changed it
+    # cannot hide a change
+    monkeypatch.chdir(tmp_path)
+    was = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            before = enabled, gc.get_freeze_count()
+            assert run_cli(argv)[0] == EXIT_OK
+            assert (gc.isenabled(), gc.get_freeze_count()) == before
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_console_script_is_the_entry():
+    tomllib = pytest.importorskip("tomllib")
+    with open(README.parent / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"comb-ranger": "comb_ranger.cli:entry"}
 
 
 COMMANDS = ("air-index", "modes", "sensitivity", "multicolor", "simulate")
