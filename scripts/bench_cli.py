@@ -25,6 +25,7 @@ SAMPLES = 36
 def main() -> None:
     with harness.staged_trees() as (staging, parent, digest):
         children = {cmd: harness.time_cli(staging, argv, SAMPLES, digest) for cmd, argv in COMMANDS.items()}
+    children = {cmd: harness.cli_summary(row) for cmd, row in children.items()}
 
     harness.write_report("BENCH_cli.json", parent, "the whole CLI process of each subcommand, "
                          "seconds and peak RSS per child", {

@@ -3,6 +3,10 @@
 Calls paired by bench_harness.py, on the design scan's inputs, memos warm:
   * `air_model._check_sigma_domain` on a float (CALLS_PER_SAMPLE calls), a
     cold path: a warm design makes no call to it;
+  * `air_model.phase_index` on the wavenumbers of the 2049-point `modes`
+    grid and of the oracle's 24 nodes, in standard air;
+  * `detection._oracle_table` cold: its cache cleared, then rebuilt, as the
+    first oracle of a process builds it;
   * `detection.ranging_modes`;
   * `detection.purify`, full (against w_X and w_Pw) and X-only;
   * `detection.PurifiedSensitivity.from_ks` on the pulse's record from
@@ -17,6 +21,8 @@ Usage: python scripts/bench_design.py
 """
 
 import importlib
+
+import numpy as np
 
 import bench_harness as harness
 
@@ -38,6 +44,9 @@ def tree_calls(package: str, pulse_shapes) -> dict:
     state = air_model.AirState.standard()
     w_l, w_x, w_pw = detection.ranging_modes(pulse, state, 1.0)
     rec = detection._ranging_shapes(pulse)
+    half = mode_algebra.GRID_HALF_WIDTH
+    grid = air_model.sigma_from_omega(pulse.omega0 + np.linspace(-half, half, 2049) * pulse.delta_omega)
+    nodes = air_model.sigma_from_omega(pulse.omega0 + detection._oracle_table()[0] * pulse.delta_omega)
 
     def design(d):
         p = pulses[d.pulse]
@@ -55,8 +64,15 @@ def tree_calls(package: str, pulse_shapes) -> dict:
         for _ in range(CALLS_PER_SAMPLE["check_sigma_domain_cold"]):
             air_model._check_sigma_domain(1.25)
 
+    def oracle_table_cold(_):
+        detection._oracle_table.cache_clear()
+        return detection._oracle_table()
+
     return {
         "check_sigma_domain_cold": check_sigma_domain,
+        "phase_index_grid": lambda _: air_model.phase_index(grid, state),
+        "phase_index_nodes": lambda _: air_model.phase_index(nodes, state),
+        "oracle_table_cold": oracle_table_cold,
         "ranging_modes": lambda _: detection.ranging_modes(pulse, state, 1.0),
         "purify_full": lambda _: detection.purify(w_l, [w_x, w_pw]),
         "purify_x_only": lambda _: detection.purify(w_l, [w_x]),

@@ -84,7 +84,7 @@ def main() -> None:
         "per_call": per_call,
         "per_row": per_row,
         "cli_samples": CLI_SAMPLES,
-        "cli_simulate_out": children,
+        "cli_simulate_out": {n: harness.cli_summary(row) for n, row in children.items()},
     }, digest, "output_sha256")
 
 

@@ -5,8 +5,9 @@ working tree's as `comb_ranger` and an A/A copy as `comb_ranger_aa`.  Each
 sample times every tree back to back, in the next of the six orders, so host
 drift cancels out of its ratio change / parent.  The A/A ratio is the floor:
 identical code elsewhere in memory can run a short call 20 % faster.  Child rows
-(`time_cli`) run before numpy or a tree is imported, because a child's
-ru_maxrss also counts its launcher's resident set at the fork.
+(`time_cli`) run before numpy or a tree is imported, and are summarised
+(`cli_summary`, which imports numpy) only after the last child, because a
+child's ru_maxrss also counts its launcher's peak resident set at the fork.
 """
 
 import contextlib
@@ -81,8 +82,9 @@ def time_calls(calls: dict, samples: int, inputs=(None,), scale: int = 1) -> dic
 
 
 def time_cli(staging: str, argv: list[str], samples: int, digest: dict) -> dict:
-    """Summaries of the wall time and peak RSS of `python -m <package>.cli *argv`
-    in `staging`, per tree and sample; each child's stdout goes to digest[tree]."""
+    """The wall time and peak RSS of `python -m <package>.cli *argv` in
+    `staging`, per tree and sample, unsummarised; each child's stdout goes to
+    digest[tree]."""
     env = dict(os.environ, PYTHONPATH=staging)
     wall, rss = [], []
     for i in range(samples):
@@ -99,7 +101,12 @@ def time_cli(staging: str, argv: list[str], samples: int, digest: dict) -> dict:
             rss[-1][side] = usage.ru_maxrss / 1024
             if proc.returncode != 0:
                 sys.exit(f"{PACKAGES[side]}.cli {' '.join(argv)} exited with {proc.returncode}")
-    return {"argv": " ".join(argv), "wall": summary(wall), "peak_rss": summary(rss, unit="mb")}
+    return {"argv": " ".join(argv), "wall": wall, "peak_rss": rss}
+
+
+def cli_summary(row: dict) -> dict:
+    """The summaries of a `time_cli` row, once no child is left to run."""
+    return {"argv": row["argv"], "wall": summary(row["wall"]), "peak_rss": summary(row["peak_rss"], unit="mb")}
 
 
 def summary(samples: list[dict], unit: str = "s", scale: int = 1) -> dict:

@@ -48,7 +48,7 @@ def main() -> None:
         "seed": SEED,
         "samples": SAMPLES,
         "per_call": per_call,
-        "cli_simulate": child,
+        "cli_simulate": harness.cli_summary(child),
     }, digest, "result_text_sha256")
 
 

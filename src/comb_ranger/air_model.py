@@ -95,7 +95,7 @@ CO2_MAX_PERCENT = 100.0
 _DSIGMA_DOMEGA = 1e-6 / (2.0 * math.pi * SPEED_OF_LIGHT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AirState:
     """Environmental parameter set feeding the index model.
 

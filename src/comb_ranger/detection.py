@@ -16,6 +16,9 @@ dropping the ~(n-1)-sized dispersive corrections.  An exact oracle
 (`numeric_detection_mode`) quantifies that drop: it projects the exact
 gradient i (dphi/dp) u of the propagated field onto the basis with a
 24-node Gauss-Hermite rule, whose nodes span omega0 +/- 8.51 delta_omega.
+The rule's nodes and weights are stored as the doubles numpy's hermgauss
+returns, and its Hermite rows follow the three-term recurrence, so
+building the oracle loads no numpy.polynomial.
 By `dispersion`'s identity dphi/dL = omega / c + X dphi/dX + P_w dphi/dP_w,
 the drop lies in the span of the exact X and P_w modes.
 
@@ -104,7 +107,7 @@ LO_TABLE = {
 _BASELINE_WAVELENGTHS_M = (1.064e-6, 0.532e-6, 0.355e-6)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DetectionMode:
     """A unit-norm spectral mode tagged with the parameter it detects.
 
@@ -299,6 +302,22 @@ def _lo_constants(modes: Sequence[DetectionMode]) -> tuple[tuple[float | None, .
     return tuple(ks), refusals
 
 
+# The 24-node Gauss-Hermite rule for the weight exp(-x^2): its 12 positive
+# nodes and their weights, each the double numpy's hermgauss(24) returns.
+# That rule is symmetric to the bit, x == -x[::-1] and w == w[::-1], so
+# mirroring these 12 gives all 24; tests/test_detection.py pins them.
+_HERMGAUSS_NODES = (
+    0.22441454747251557, 0.6741711070372123, 1.1267608176112451, 1.5842500109616942,
+    2.049003573661699, 2.523881017011427, 3.0125461375655647, 3.5200068130345246,
+    4.053664402448149, 4.625662756423788, 5.259382927668044, 6.01592556142574,
+)
+_HERMGAUSS_WEIGHTS = (
+    0.42693116386869934, 0.2861795353464429, 0.12773962178455917, 0.037445470503230736,
+    0.007048355810072673, 0.0008236924826884169, 5.688691636404392e-05, 2.1582457049023414e-06,
+    4.018971174941438e-08, 3.0462542699875555e-10, 6.584620243078167e-13, 1.6643684964891008e-16,
+)
+
+
 @functools.cache
 def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
     """Node offsets sqrt(2) x_k (in delta_omega) and rows w_k H_n(x_k) / sqrt(pi 2^n n!)
@@ -306,13 +325,18 @@ def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
 
     24 Gauss-Hermite nodes reach omega0 +/- 8.51 delta_omega; 48 agree to ~4e-16.
     """
-    # numpy loads np.polynomial on first use: here, once per process, so a
-    # command that builds no oracle never loads it
-    hermite = np.polynomial.hermite
     order = mode_algebra.MAX_ORDER_DEFAULT
-    x, w = hermite.hermgauss(24)
+    nodes, weights = np.array(_HERMGAUSS_NODES), np.array(_HERMGAUSS_WEIGHTS)
+    x, w = np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
+    # H_0 = 1, H_1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}, each row rounded as
+    # numpy's hermvander rounds it, so no numpy.polynomial import is needed
+    x2 = x * 2
+    h = np.empty((order + 1, x.size))
+    h[0], h[1] = 1.0, x2
+    for i in range(2, order + 1):
+        h[i] = h[i - 1] * x2 - h[i - 2] * (2 * (i - 1))
     norm = [(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(order + 1)]
-    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * hermite.hermvander(x, order).T * w
+    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * h * w
     offsets.flags.writeable = table.flags.writeable = False
     return offsets, table
 

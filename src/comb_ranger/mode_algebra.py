@@ -174,7 +174,8 @@ def hermite_envelope(n: int, pulse: GaussianPulse, omega: np.ndarray) -> np.ndar
     x = (np.asarray(omega, dtype=float) - pulse.omega0) / (math.sqrt(2.0) * pulse.delta_omega)
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    # numpy loads np.polynomial on first use, so only profile sampling loads it
+    # numpy loads np.polynomial on first use, so only profile sampling (`modes`)
+    # loads it; hermval's Clenshaw sum, not a forward recurrence, fixes its bits
     h = np.polynomial.hermite.hermval(x, coeffs)
     return h / math.sqrt(2.0**n * math.factorial(n)) * gaussian_envelope(pulse, omega)
 

@@ -7,7 +7,7 @@ import re
 
 import numpy as np
 import pytest
-from numpy.polynomial.hermite import hermgauss, hermval
+from numpy.polynomial.hermite import hermgauss, hermval, hermvander
 from numpy.testing import assert_allclose
 
 from comb_ranger import air_model, detection
@@ -338,6 +338,24 @@ class TestNumericOracle:
         order = num.mode.order
         assert_allclose(num.mode.padded(order), analytic.mode.padded(order), atol=1e-12)
         assert num.k_const == pytest.approx(analytic.k_const, rel=1e-12)
+
+    # the package stores the 24-node rule as literals and forms its Hermite rows
+    # by recurrence; numpy.polynomial, loaded here alone, builds the same bits
+    def test_rule_literals_are_hermgauss_24(self):
+        x, w = hermgauss(24)
+        nodes = [-v for v in reversed(detection._HERMGAUSS_NODES)] + list(detection._HERMGAUSS_NODES)
+        weights = [*reversed(detection._HERMGAUSS_WEIGHTS), *detection._HERMGAUSS_WEIGHTS]
+        assert np.array(nodes).tobytes() == x.tobytes()
+        assert np.array(weights).tobytes() == w.tobytes()
+
+    def test_oracle_table_is_the_hermvander_build(self):
+        x, w = hermgauss(24)
+        order = detection.mode_algebra.MAX_ORDER_DEFAULT
+        norm = np.array([(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(order + 1)])
+        offsets, table = detection._oracle_table()
+        assert offsets.tobytes() == (math.sqrt(2.0) * x).tobytes()
+        assert table.shape == (order + 1, 24)
+        assert table.tobytes() == (norm[:, None] * hermvander(x, order).T * w).tobytes()
 
     @pytest.mark.parametrize("label", ["L", "X", "Pw"])
     def test_converged_against_48_nodes(self, label):

@@ -153,18 +153,25 @@ def test_package_import_loads_no_submodule_or_numpy():
     assert out.stdout.strip() == "[]"
 
 
-def test_simulate_loads_no_polynomial():
-    # numpy.polynomial serves the oracle and profile sampling alone; a run
-    # builds neither, so `simulate` never loads it
+# numpy.polynomial serves `modes`' profile sampling alone: the oracle's
+# Gauss-Hermite rule is literals and a recurrence, so no other subcommand loads it
+@pytest.mark.parametrize("argv, loads", [
+    pytest.param(["air-index"], False, id="air-index"),
+    pytest.param(["sensitivity"], False, id="sensitivity"),
+    pytest.param(["multicolor", "--scheme", "3wi"], False, id="multicolor"),
+    pytest.param(["simulate", "--samples", "1000"], False, id="simulate"),
+    pytest.param(["modes", "--out", "profiles.csv"], True, id="modes"),
+])
+def test_only_modes_loads_polynomial(tmp_path, argv, loads):
     code = (
         "import io, sys, comb_ranger.cli as cli; "
-        "code = cli.main(['simulate', '--samples', '1000'], out=io.StringIO()); "
+        f"code = cli.main({argv!r}, out=io.StringIO()); "
         "print(code, 'numpy.polynomial' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_DIR.parent))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0 False"
+    assert out.stdout.strip() == f"0 {loads}"
 
 
 def test_config_import_loads_no_simulator():
