@@ -29,7 +29,7 @@ def main() -> None:
     print("-" * len(header))
     for lo in LO_TABLE:
         config = build_config({**vars(args), "lo": lo})
-        res = run(config.to_sim_config())
+        res = run(config.sim)
         sx, spw = res.slopes["X"], res.slopes["Pw"]
         print(
             f"{lo:18s} {res.std_estimate_m:12.3e} {sx.value:12.3e} {sx.t_stat:8.1f} "

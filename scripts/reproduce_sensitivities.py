@@ -30,8 +30,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     for option, key in OPTIONS.items():
         parser.add_argument(option, dest=key, type=float, default=SCHEMA[key][1])
-    config = build_config(vars(parser.parse_args()))
-    report = contamination_report(config.pulse, config.state, config.length_m, config.photons)
+    config = build_config(vars(parser.parse_args())).sim
+    report = contamination_report(config.pulse, config.state, config.length_m, config.n_photons)
     print(report.to_text())
 
     sens = report.purified

@@ -20,8 +20,10 @@ standard-air check in the test suite pins the correct one (n-1 ~ 2.7e-4 at
 
 Everything here is a pure function of its arguments; sigma arguments accept
 scalars or numpy arrays, except that group_index, k_derivatives and
-g_derivatives take a scalar.  Angular frequencies are rad/s at module
-boundaries, converted here via omega = 2*pi*c*sigma (sigma per meter).
+g_derivatives take a scalar.  For a float sigma (np.float64 included),
+k_dispersion and water_term return a Python float.  Angular
+frequencies are rad/s at module boundaries, converted here via
+omega = 2*pi*c*sigma (sigma per meter).
 """
 
 from __future__ import annotations
@@ -188,7 +190,9 @@ def omega_from_sigma(sigma):
     return sigma / _DSIGMA_DOMEGA
 
 
-def _check_sigma_domain(sigma) -> None:
+def _check_sigma_domain(sigma):
+    """sigma^2, refusing a wavenumber that is not finite or that lies at the
+    near resonance pole or beyond; the formulas below take this sigma^2."""
     # K and g are even in sigma, so the dispersion functions accept the even
     # continuation to sigma < 0 (needed by quadrature grids whose Gaussian
     # tail formally crosses omega = 0); a carrier's wavenumber from
@@ -203,25 +207,31 @@ def _check_sigma_domain(sigma) -> None:
             raise DomainError("sigma must be finite")
         if s2 >= POLE_NEAR - POLE_GUARD:
             raise DomainError(_NEAR_POLE_MESSAGE)
-        return
+        return s2
     s2 = np.square(sigma)
     if not np.all(np.isfinite(s2)):
         raise DomainError("sigma must be finite")
     if np.any(s2 >= POLE_NEAR - POLE_GUARD):
         raise DomainError(_NEAR_POLE_MESSAGE)
+    return s2
+
+
+def _k_of_s2(s2):
+    return 1e-8 * (COEFF_A + COEFF_B / (POLE_FAR - s2) + COEFF_C / (POLE_NEAR - s2))
+
+
+def _g_of_s2(s2):
+    return 1e-10 * (COEFF_I - COEFF_J * s2)
 
 
 def k_dispersion(sigma):
     """Dispersion function K(sigma), dimensionless; sigma in um^-1."""
-    _check_sigma_domain(sigma)
-    s2 = np.square(sigma)
-    return 1e-8 * (COEFF_A + COEFF_B / (POLE_FAR - s2) + COEFF_C / (POLE_NEAR - s2))
+    return _k_of_s2(_check_sigma_domain(sigma))
 
 
 def k_derivatives(sigma: float) -> tuple[float, float, float]:
     """(K, dK/dsigma, d2K/dsigma2) with analytic rational forms."""
-    k = float(k_dispersion(sigma))
-    s2 = sigma * sigma
+    s2 = _check_sigma_domain(sigma)
     u = POLE_FAR - s2
     v = POLE_NEAR - s2
     k1 = 1e-8 * (2.0 * COEFF_B * sigma / u**2 + 2.0 * COEFF_C * sigma / v**2)
@@ -231,18 +241,17 @@ def k_derivatives(sigma: float) -> tuple[float, float, float]:
         + 2.0 * COEFF_C / v**2
         + 8.0 * COEFF_C * s2 / v**3
     )
-    return k, k1, k2
+    return _k_of_s2(s2), k1, k2
 
 
 def water_term(sigma):
     """Water-vapor dispersion g(sigma) in 1/Pa; sigma in um^-1."""
-    _check_sigma_domain(sigma)
-    return 1e-10 * (COEFF_I - COEFF_J * np.square(sigma))
+    return _g_of_s2(_check_sigma_domain(sigma))
 
 
 def g_derivatives(sigma: float) -> tuple[float, float, float]:
     """(g, dg/dsigma, d2g/dsigma2); the polynomial form makes these exact."""
-    return float(water_term(sigma)), -2e-10 * COEFF_J * sigma, -2e-10 * COEFF_J
+    return water_term(sigma), -2e-10 * COEFF_J * sigma, -2e-10 * COEFF_J
 
 
 def density_factor(state: AirState) -> float:
@@ -264,7 +273,8 @@ def density_factor(state: AirState) -> float:
 
 def phase_index(sigma, state: AirState):
     """Phase refractive index n_phi(sigma, state); exactly 1 in vacuum."""
-    return 1.0 + k_dispersion(sigma) * density_factor(state) - water_term(sigma) * state.water_vapor_pa
+    s2 = _check_sigma_domain(sigma)
+    return 1.0 + _k_of_s2(s2) * density_factor(state) - _g_of_s2(s2) * state.water_vapor_pa
 
 
 def group_index(sigma, state: AirState):

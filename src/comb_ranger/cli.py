@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import air_model, detection, mode_algebra, multicolor, records, simulator
-from .config import SCHEMA, RunConfig, load_config
+from .config import SCHEMA, RunConfig, SimConfig, load_config
 from .errors import DomainError, ValidationError
 
 EXIT_OK = 0
@@ -339,21 +339,21 @@ def cmd_air_index(args: argparse.Namespace, out) -> int:
     rows = [
         ("wavelength_nm", config.values["pulse.wavelength_nm"]),
         ("sigma_per_um", sigma),
-        ("n_phi", air_model.phase_index(sigma, config.state)),
-        ("n_g", air_model.group_index(sigma, config.state)),
+        ("n_phi", air_model.phase_index(sigma, config.sim.state)),
+        ("n_g", air_model.group_index(sigma, config.sim.state)),
         ("k_dispersion", air_model.k_dispersion(sigma)),
         ("water_term_per_pa", air_model.water_term(sigma)),
-        ("density_factor", air_model.density_factor(config.state)),
+        ("density_factor", air_model.density_factor(config.sim.state)),
         ("delta1", scalars.delta1),
         ("delta2", scalars.delta2),
         ("eta1", scalars.eta1),
         ("eta2", scalars.eta2),
     ]
-    out.write(records.lines([(key, float(value), ".12e") for key, value in rows]))
+    out.write(records.lines([(key, value, ".12e") for key, value in rows]))
     return EXIT_OK
 
 
-def _mode_table(config: RunConfig):
+def _mode_table(config: SimConfig):
     """(label, mode, k_const) rows, each mode signed for plotting: a mode whose
     largest-magnitude coefficient is negative is flipped."""
     pulse = config.pulse
@@ -375,7 +375,7 @@ def _mode_table(config: RunConfig):
 
 
 def cmd_modes(args: argparse.Namespace, out) -> int:
-    config = _config(args)
+    config = _config(args).sim
     rows = _mode_table(config)
 
     pulse = config.pulse
@@ -402,9 +402,9 @@ def cmd_modes(args: argparse.Namespace, out) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace, out) -> int:
-    config = _config(args)
+    config = _config(args).sim
     report = detection.contamination_report(
-        config.pulse, config.state, config.length_m, config.photons
+        config.pulse, config.state, config.length_m, config.n_photons
     )
     out.write(report.to_text())
     return EXIT_OK
@@ -440,7 +440,7 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
         comb = multicolor.synth_3wi(*wavelengths_m)
         coeff_cols = {"alpha": None, "beta": comb.weights[1], "gamma": comb.weights[2]}
     noise = multicolor.shot_noise(comb, photons)
-    bias = multicolor.humidity_bias(comb, config.state, config.length_m)
+    bias = multicolor.humidity_bias(comb, config.sim.state, config.sim.length_m)
 
     out.write(records.csv([
         [("scheme", args.scheme, "")]
@@ -453,7 +453,7 @@ def cmd_multicolor(args: argparse.Namespace, out) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace, out) -> int:
-    sim_config = _config(args).to_sim_config()
+    sim_config = _config(args).sim
     export = contextlib.nullcontext()
     if args.out is not None:
         export = _export_csv(args.out, ["index", "p_L_m", "p_X", "p_Pw_pa", "signal_m"], [None] + [12] * 4)

@@ -146,22 +146,6 @@ class RunConfig:
     sim: SimConfig
     values: dict[str, object]
 
-    @property
-    def pulse(self) -> GaussianPulse:
-        return self.sim.pulse
-
-    @property
-    def state(self) -> AirState:
-        return self.sim.state
-
-    @property
-    def length_m(self) -> float:
-        return self.values["length_m"]
-
-    @property
-    def photons(self) -> float:
-        return self.values["photons"]
-
     def to_sim_config(self) -> SimConfig:
         return self.sim
 

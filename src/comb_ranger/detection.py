@@ -201,8 +201,7 @@ def _ranging_shapes(pulse: GaussianPulse) -> _PulseRecord:
     # the interferers' K never enters a purification, so any K gives the LOs' own
     interferers = [DetectionMode(label, m, 1.0) for label, m in zip(RANGING_LABELS[1:], modes[1:])]
     lo_ks, refusals = _lo_constants((w_l, *interferers))
-    # floats: arithmetic on a numpy scalar costs several times as much per call
-    k_sigma, g_sigma = float(air_model.k_dispersion(sigma0)), float(air_model.water_term(sigma0))
+    k_sigma, g_sigma = air_model.k_dispersion(sigma0), air_model.water_term(sigma0)
     return _PulseRecord(w_l, *modes[1:], *norms[1:], k_sigma, g_sigma, overlaps, lo_ks, refusals)
 
 

@@ -70,7 +70,7 @@ def phase_lengths(wavelengths_m: Sequence[float], state: AirState, length_m: flo
     """Observables n_phi(lambda_i, state) * L, one per wavelength."""
     air_model.check_length(length_m)
     return [
-        float(air_model.phase_index(air_model.sigma_from_wavelength(lam), state)) * length_m
+        air_model.phase_index(air_model.sigma_from_wavelength(lam), state) * length_m
         for lam in wavelengths_m
     ]
 
@@ -81,7 +81,7 @@ def two_color_combination(lambda1_m: float, lambda2_m: float) -> MulticolorCombi
     k1, k2 = map(air_model.k_dispersion, _sigmas((lambda1_m, lambda2_m)))
     if k2 == k1:
         raise DomainError("degenerate wavelength pair: K(lambda2) = K(lambda1)")
-    alpha = float(k1 / (k2 - k1))
+    alpha = k1 / (k2 - k1)
     return MulticolorCombination((lambda1_m, lambda2_m), (1.0 + alpha, -alpha))
 
 

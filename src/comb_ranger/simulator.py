@@ -17,16 +17,16 @@ how the run is cut into blocks, and reruns are bit-identical.
 A run streams its samples in blocks of CHUNK_ROWS rows: each block is
 drawn, projected and folded into running moments and a running regression,
 then dropped, so memory is O(CHUNK_ROWS), not O(samples); a caller that
-wants the samples takes each block as it is folded.  The caller draws block
-0; one drawer thread per run then draws blocks 1, 2, ... in order from the
-same generator (numpy releases the interpreter lock while it draws), up to
-two blocks ahead of the fold, so the draws run without a pause and hide the
-rest of the work.  The draws live in a ring of three preallocated
-CHUNK_ROWS x 4 buffers, block b in buffer b % 3; a buffer is drawn into
-again only after its block is folded.  The generator is used by one thread
-at a time and the blocks are drawn in order, so the rows, and every
-aggregate, are those of a sequential run: the reproducibility contract is
-unchanged.
+wants the samples takes each block as it is folded.  One drawer thread per
+run draws every block, 0, 1, 2, ..., in order from the generator (numpy
+releases the interpreter lock while it draws), so the draws run without a
+pause and hide the rest of the work.  The draws live in a ring of two
+preallocated CHUNK_ROWS x 4 buffers, block b in buffer b % 2; a buffer goes
+back to the drawer as soon as its block's perturbations and signals are
+formed, before the block is folded, so the drawer runs up to two blocks
+ahead of the fold.  The generator is used by one thread at a time and the
+blocks are drawn in order, so the rows, and every aggregate, are those of a
+sequential run: the reproducibility contract is unchanged.
 
 Leakage of the environmental parameters into the distance estimate is
 characterized by ordinary least squares of the signal against the injected
@@ -54,14 +54,10 @@ from .dispersion import RANGING_LABELS, check_linearity
 from .errors import DomainError, ValidationError
 from .mode_algebra import inner_product
 
-# rows per streamed block: a few MB of float64 per block, and three 2 MB
-# draw buffers, one being folded while the drawer fills the others; 2**17
-# rows raised the peak RSS of a 1e5-sample `simulate --out` by 5 %
+# rows per streamed block: a few MB of float64 per block, and two 2 MB
+# draw buffers, which the drawer fills while earlier blocks are folded;
+# 2**17 rows raised the peak RSS of a 1e5-sample `simulate --out` by 5 %
 CHUNK_ROWS = 65536
-# draw buffers in a run's ring: the drawer runs up to RING - 1 blocks ahead
-# of the fold, so a fold slower than a draw does not stall the draws; a
-# ring of two read the same mc_stream median (three was lower in 5 of 6 pairs)
-RING = 3
 # rows per QR update: 8192 x 4 float64 (256 KB) stays in cache, which made
 # the update of a 65536-row block about 3x faster than one QR of the block
 QR_ROWS = 8192
@@ -146,21 +142,20 @@ def perturbation_draws(
 
 
 class _Drawer(threading.Thread):
-    """Draws blocks 1, 2, ... of an n-row run from `gen`, `rows` rows a block,
-    block b into buffers[b % len(buffers)].
+    """Draws blocks 0, 1, 2, ... of an n-row run from `gen`, `rows` rows a
+    block, block b into buffers[b % len(buffers)].
 
-    Block 0 is in buffers[0] when the drawer starts, so it runs up to
-    len(buffers) - 1 blocks ahead.  `take` waits for the next block and
-    raises again any error its draw raised; `hand_back` frees the buffer of
-    the oldest block taken; `halt` stops the drawer and joins it.  (No
-    attribute is named `_stop`: that would shadow `Thread._stop`, which
-    `join` calls.)
+    It runs up to len(buffers) blocks ahead of the blocks handed back.
+    `take` waits for the next block and raises again any error its draw
+    raised; `hand_back` frees the buffer of the oldest block taken; `halt`
+    stops the drawer and joins it.  (No attribute is named `_stop`: that
+    would shadow `Thread._stop`, which `join` calls.)
     """
 
     def __init__(self, gen: np.random.Generator, n: int, rows: int, buffers: list[np.ndarray]) -> None:
         super().__init__(name="comb_ranger-drawer", daemon=True)
         self._gen, self._n, self._rows, self._buffers = gen, n, rows, buffers
-        self._free = threading.Semaphore(len(buffers) - 1)
+        self._free = threading.Semaphore(len(buffers))
         self._ready = threading.Semaphore(0)
         self._halted = False
         self._error: BaseException | None = None
@@ -168,7 +163,7 @@ class _Drawer(threading.Thread):
 
     def run(self) -> None:
         try:
-            for b, start in enumerate(range(self._rows, self._n, self._rows), start=1):
+            for b, start in enumerate(range(0, self._n, self._rows)):
                 self._free.acquire()
                 if self._halted:
                     return
@@ -201,12 +196,12 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     field on the LO; with the ranging modes this reduces to the
     contamination-matrix row of the chosen LO, which is how it is
     evaluated (vectorized) here.  Samples are drawn, projected and folded
-    into the aggregates CHUNK_ROWS at a time, the later blocks being drawn
-    by the run's drawer thread meanwhile; no array grows with the sample
-    count.  After the block of m rows from `start` is folded, `on_rows`, if
-    given, is called with its indices np.arange(start, start + m), its (m, 3)
-    perturbations (p_L, p_X, p_Pw) and its m signals, new arrays that the
-    run does not touch again.
+    into the aggregates CHUNK_ROWS at a time, every block drawn by the
+    run's drawer thread while the blocks before it are folded; no array
+    grows with the sample count.  After the block of m rows from `start` is
+    folded, `on_rows`, if given, is called with its indices
+    np.arange(start, start + m), its (m, 3) perturbations (p_L, p_X, p_Pw)
+    and its m signals, new arrays that the run does not touch again.
     """
     # typical excursions (fixed offset + 1 sigma) must stay inside the
     # linearity guard of the first-order signal model
@@ -241,23 +236,22 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
     # to the slopes is the OLS of the signal itself; the QR then never
     # sees the raw LO's 1.7e7:1 cancellation of signal against noise
     r = np.zeros((k + 1, k + 1))
-    # block b is drawn into buffers[b % len(buffers)]: the first block here,
-    # the later ones by the drawer while the blocks before them are folded
+    # block b is drawn into buffers[b % len(buffers)] by the drawer, and
+    # handed back once perts and signal are formed: z is not read after
     rows = min(CHUNK_ROWS, n)
-    buffers = [np.empty((rows, 4)) for _ in range(min(RING, -(-n // rows)))]
-    perturbation_draws(gen, rows, out=buffers[0])
-    drawer = _Drawer(gen, n, rows, buffers) if rows < n else None
+    buffers = [np.empty((rows, 4)) for _ in range(min(2, -(-n // rows)))]
+    drawer = _Drawer(gen, n, rows, buffers)
     try:
         for b, start in enumerate(range(0, n, rows)):
             m = min(rows, n - start)
-            if b:
-                drawer.take()
+            drawer.take()
             z = buffers[b % len(buffers)][:m]
             perts = np.empty((m, 3))
             for j in range(3):
                 perts[:, j] = config.offsets[j] + config.sigmas[j] * z[:, j]
             projection = perts @ coeff
             signal = projection + sigma_s * z[:, 3]
+            drawer.hand_back()
 
             # Chan's merge of this block's mean and squared deviations; the
             # deviations are squared in place as np.std does, so a one-block
@@ -281,11 +275,8 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
 
             if on_rows is not None:
                 on_rows(np.arange(start, start + m), perts, signal)
-            if drawer is not None:
-                drawer.hand_back()
     finally:
-        if drawer is not None:
-            drawer.halt()
+        drawer.halt()
 
     std = math.sqrt(m2 / (n - 1))
     sem = std / math.sqrt(n)

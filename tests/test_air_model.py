@@ -323,6 +323,16 @@ class TestSigmaDomainScalarPath:
     def test_overflowing_square_refused_as_non_finite(self):
         assert _verdict(1e200) == (DomainError, "sigma must be finite")
 
+    # K, g and n_phi of a float take the sigma^2 the scalar check returns: a
+    # Python float with the array path's bits
+    @pytest.mark.parametrize("sigma", [near_below, 0.0, -1.25, 1.0 / 1.064, 1.0 / 0.633])
+    def test_formulas_match_array_path(self, sigma):
+        moist = AirState(20.0, 101325.0, 0.04, 1000.0)
+        for formula in (k_dispersion, water_term, lambda s: phase_index(s, moist)):
+            value = formula(sigma)
+            assert type(value) is float and type(formula(np.float64(sigma))) is float
+            assert value == formula(np.array([sigma]))[0]
+
 
 class TestCarrierWindow:
     @pytest.mark.parametrize(

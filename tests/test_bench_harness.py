@@ -1,5 +1,6 @@
 """The paired timing harness of scripts/bench_*.py, on synthetic samples: its
-pairing of the trees, its summary and its digest gate (no git, no child)."""
+pairing of the trees, its summary and its digest gate (no git, no child);
+and the timed calls of scripts/bench_design.py, on the package under test."""
 
 import hashlib
 import statistics
@@ -8,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+REPO = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(REPO / "scripts"), str(REPO)]
+import bench_design  # noqa: E402
 import bench_harness as harness  # noqa: E402
+from perfbench.workloads import design_epoch, design_pulses  # noqa: E402
 
 
 def test_each_sample_takes_the_next_order_of_the_trees():
@@ -50,3 +54,13 @@ def test_trees_that_disagree_write_nothing(tmp_path, monkeypatch):
     with pytest.raises(SystemExit, match="output differs between the trees"):
         harness.write_report(report.name, "abc1234", "test", {"samples": 1}, digest, "output_sha256")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_bench_design_row_runs_on_the_package():
+    # each call bench_design.py times, once, on the package under test and
+    # with no staged trees: a renamed helper fails here, not at the next rerun
+    calls = bench_design.tree_calls("comb_ranger", design_pulses(bench_design.SEED))
+    design = design_epoch(bench_design.SEED, 1)[0]
+    for call in calls.values():
+        call(design)
+    assert set(calls) >= {"phase_index_grid", "phase_index_nodes", "design"}

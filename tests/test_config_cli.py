@@ -43,10 +43,10 @@ def run_cli(argv):
 class TestConfigParsing:
     def test_defaults(self):
         cfg = build_config()
-        assert cfg.pulse.delta_omega == pytest.approx(cfg.pulse.omega0 / 6.0, rel=1e-15)
-        assert cfg.length_m == 1.0
-        assert cfg.photons == 8e16
-        assert cfg.state.pressure_pa == 101325.0
+        assert cfg.sim.pulse.delta_omega == pytest.approx(cfg.sim.pulse.omega0 / 6.0, rel=1e-15)
+        assert cfg.sim.length_m == 1.0
+        assert cfg.sim.n_photons == 8e16
+        assert cfg.sim.state.pressure_pa == 101325.0
         assert cfg.values["lo"] == "purified"
 
     def test_file_overrides(self):
@@ -59,10 +59,10 @@ class TestConfigParsing:
             seed = 7
             """
         )
-        assert cfg.length_m == 12.0
+        assert cfg.sim.length_m == 12.0
         assert cfg.values["seed"] == 7
         assert cfg.values["lo"] == "raw"
-        assert cfg.pulse.omega0 == pytest.approx(
+        assert cfg.sim.pulse.omega0 == pytest.approx(
             GaussianPulse.from_wavelength(1064e-9).omega0, rel=1e-15
         )
 
@@ -137,7 +137,7 @@ class TestConfigParsing:
         cfg = build_config({"samples": 5000})
         assert cfg.to_sim_config() is cfg.to_sim_config() is built[0]
         assert len(built) == 1
-        assert (cfg.pulse, cfg.state) == (built[0].pulse, built[0].state)
+        assert cfg.sim is built[0]
 
     # each perturb.* and fluct.* key lands at its label's index of its triple
     @pytest.mark.parametrize("prefix, triple", [("perturb", "offsets"), ("fluct", "sigmas")])
@@ -253,7 +253,7 @@ class TestModesCommand:
         x = np.array([float(r["x"]) for r in rows])
         wlp = np.array([float(r["w_L_p"]) for r in rows])
 
-        cfg = build_config()
+        cfg = build_config().sim
         pulse = cfg.pulse
         omega = pulse.omega0 + x * pulse.delta_omega
         _, w_x, w_pw = detection.ranging_modes(pulse, cfg.state, cfg.length_m)

@@ -88,8 +88,8 @@ class TestReproducibility:
         assert got is buf
         assert np.array_equal(buf, expected)
 
-    # 2000 rows in blocks of 1, 7 or 1000 rows: the ring's draw buffers are
-    # each filled and folded up to 667 times
+    # 2000 rows in blocks of 1, 7 or 1000 rows: the ring's two draw buffers
+    # are each filled and read up to 1000 times
     @pytest.mark.parametrize("lo", tuple(LO_TABLE))
     @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
     def test_block_size_invariance(self, monkeypatch, lo, chunk_rows):
@@ -165,8 +165,8 @@ class TestDrawAhead:
         monkeypatch.setattr(simulator, "perturbation_draws", recording)
         run(make_config(**self.CONFIG))
         assert len(threads) == 5
-        assert threads[0] is threading.current_thread()
-        assert all(t is not threading.current_thread() for t in threads[1:])
+        assert len(set(threads)) == 1
+        assert threads[0] is not threading.current_thread()
 
     def test_one_drawer_thread_per_run(self, monkeypatch):
         threads = []
@@ -182,14 +182,13 @@ class TestDrawAhead:
         for _ in range(2):
             threads.clear()
             run(make_config(**self.CONFIG))
-            assert len(threads) == 5 and threads[0] is threading.current_thread()
-            assert len(set(threads[1:])) == 1
-            drawers.append(threads[1])
+            assert len(threads) == 5 and len(set(threads)) == 1
+            drawers.append(threads[0])
         assert drawers[0] is not drawers[1]
         assert threading.current_thread() not in drawers
 
     def test_slow_fold_overwrites_no_buffer(self, monkeypatch):
-        # while a block is folded the drawer fills the ring's other buffers
+        # while a block is folded the drawer fills both buffers of the ring
         # and then must wait: a buffer drawn into early would change rows
         real = simulator._fold_qr
 
@@ -206,6 +205,54 @@ class TestDrawAhead:
         assert slow == plain
         assert np.array_equal(slow_table, plain_table)
         assert np.array_equal(slow_table, whole_table)
+
+    def test_late_read_after_take_overwrites_no_buffer(self, monkeypatch):
+        # the caller reads a block a while after take() returns it: the
+        # drawer, free meanwhile to fill the other buffer, must not draw into
+        # this one
+        real = simulator._Drawer.take
+
+        def late_take(drawer):
+            real(drawer)
+            time.sleep(0.002)
+
+        cfg = make_config(**{**self.CONFIG, "sample_count": 700})
+        _, whole_table = run_with_table(cfg)
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 7)
+        plain, plain_table = run_with_table(cfg)
+        monkeypatch.setattr(simulator._Drawer, "take", late_take)
+        late, late_table = run_with_table(cfg)
+        assert late == plain
+        assert np.array_equal(late_table, plain_table)
+        assert np.array_equal(late_table, whole_table)
+
+    def test_drawer_runs_two_blocks_ahead_of_the_fold(self, monkeypatch):
+        # a block's buffer goes back before its fold, so while block b is
+        # folded the drawer can draw blocks b + 1 and b + 2
+        drawn = threading.Condition()
+        counts = {"drawn": 0, "folded": 0}
+        ahead = []
+        real_draws, real_fold = simulator.perturbation_draws, simulator._fold_qr
+
+        def counting_draws(gen, count, out=None):
+            rows = real_draws(gen, count, out=out)
+            with drawn:
+                counts["drawn"] += 1
+                drawn.notify_all()
+            return rows
+
+        def waiting_fold(*args):
+            want = min(counts["folded"] + 3, 5)
+            with drawn:
+                ahead.append(drawn.wait_for(lambda: counts["drawn"] >= want, timeout=5.0))
+            counts["folded"] += 1
+            return real_fold(*args)
+
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
+        monkeypatch.setattr(simulator, "perturbation_draws", counting_draws)
+        monkeypatch.setattr(simulator, "_fold_qr", waiting_fold)
+        run(make_config(**self.CONFIG))
+        assert ahead == [True] * 5
 
     def test_on_rows_error_leaves_no_thread(self, monkeypatch):
         error = RuntimeError("on_rows failed")
