@@ -3,13 +3,15 @@
 Rows paired by bench_harness.py: `cli.main` in process for each tree's
 `simulate --seed 3 --samples 100000 --out` and `modes --out`; the CSV engine,
 `cli._format_block`, per row of the first block each of those exports
-formats; and the wall time and peak RSS of that `simulate` in a child, at
-1e5 and 4e6 samples.  Gate: CSVs and stdout, which hold the engine's bytes.
+formats, on the arguments each tree's own export hands it; and the wall
+time and peak RSS of that `simulate` in a child, at 1e5 and 4e6 samples.
+Gate: CSVs and stdout, which hold the engine's bytes.
 
 Usage: python scripts/bench_export.py
 """
 
 import contextlib
+import copy
 import io
 import sys
 
@@ -34,14 +36,15 @@ def export(cli, argv: list[str], path: str) -> bytes:
 
 
 def first_block(cli, argv: list[str], path: str) -> tuple:
-    """(precisions, block) of the first `_format_block` call that
-    `cli.main([*argv, "--out", path])` makes."""
+    """The arguments of the first `_format_block` call that
+    `cli.main([*argv, "--out", path])` makes, in `cli`'s own signature, with
+    their arrays copied (so a strided column comes back contiguous)."""
     blocks = []
     format_block = cli._format_block
 
-    def record(precisions, block):
-        blocks.append((precisions, block.copy()))
-        return format_block(precisions, block)
+    def record(*args):
+        blocks.append(copy.deepcopy(args))
+        return format_block(*args)
 
     cli._format_block = record
     try:
@@ -72,9 +75,10 @@ def main() -> None:
             per_call[cmd] = {"rows": rows, **harness.time_calls(calls, SAMPLES)}
         per_row = {}
         for cmd, argv in COMMANDS.items():
-            precisions, block = first_block(cli["change"], argv, path)
-            calls = {side: lambda _, s=side: cli[s]._format_block(precisions, block) for side in cli}
-            per_row[cmd] = {"rows": len(block), **harness.time_calls(calls, SAMPLES, scale=len(block))}
+            args = {side: first_block(cli[side], argv, path) for side in cli}
+            rows = cli["change"]._format_block(*args["change"]).count(b"\n")
+            calls = {side: lambda _, s=side: cli[s]._format_block(*args[s]) for side in cli}
+            per_row[cmd] = {"rows": rows, **harness.time_calls(calls, SAMPLES, scale=rows)}
 
     harness.write_report("BENCH_export.json", parent, "whole `simulate --out` and `modes --out` runs "
                          "of cli.main in process, seconds per call; cli._format_block on the first "

@@ -163,36 +163,21 @@ def _float_fields(x: np.ndarray, p: int, seps: list[str]):
 
 
 def _int_field(v: np.ndarray, sep: str):
-    """`'%d' % v[i]` as (buf, length): buf[i] ends in the text, `sep`, a '-'
-    and two spare bytes; length counts the text and `sep`, per row or as one
-    int for all."""
+    """`'%d' % v[i]` for integers 0 <= v[i] < 10**12 as (buf, length): buf[i],
+    two words, ends in the text, `sep`, a '-' and two spare bytes; length
+    counts the text and `sep`, per row or as one int for all."""
     digits, high, _, _ = _tables()
-    # values that are not integers in [0, 2**32) fail the round trip and
-    # take the `%` path
-    with np.errstate(invalid="ignore"):
-        vi = v.astype(np.uint32)
-    idx = np.flatnonzero(vi != v)
-    vi = vi.astype(np.intp)
-    texts = ["%d" % t + sep for t in v[idx].tolist()]
-    words = np.empty((len(v), max([2] + [(len(t) + 10) // 8 for t in texts])), np.intp)
-    fewest, most = len(str(vi.min())), len(str(vi.max()))
+    words = np.empty((len(v), 2), np.intp)
+    fewest, most = len(str(v.min())), len(str(v.max()))
     length = fewest + 1
     for k in range(fewest, most):
-        length = length + (vi >= 10**k)
-    # the last two words: digits 9-12, 5-8 and 1-4 from the units, the
-    # separator and '-'
-    q = vi // 10**4
-    np.bitwise_or(np.take(digits, vi - q * 10**4), (ord(sep) << 32) + (ord("-") << 40), out=words[:, -1])
-    if most > 4:
-        top = q // 10**4
-        np.bitwise_or(np.take(digits, top, mode="clip"), np.take(high, q - top * 10**4), out=words[:, -2])
-    buf = words.view(np.uint8)
-    if len(idx):
-        width = buf.shape[1]
-        buf[idx] = _padded([(t + "-").rjust(width - 2, "\0") for t in texts], width)
-        length = np.full(len(v), length) if isinstance(length, int) else length
-        length[idx] = [len(t) for t in texts]
-    return buf, length
+        length = length + (v >= 10**k)
+    # digits 9-12 and 5-8, then digits 1-4 from the units, the separator and '-'
+    q = v // 10**4
+    top = q // 10**4
+    np.bitwise_or(np.take(digits, top), np.take(high, q - top * 10**4), out=words[:, 0])
+    np.bitwise_or(np.take(digits, v - q * 10**4), (ord(sep) << 32) + (ord("-") << 40), out=words[:, 1])
+    return words.view(np.uint8), length
 
 
 def _scatter(out: np.ndarray, dest: np.ndarray, buf: np.ndarray, length: int | np.ndarray, dash: bool,
@@ -212,23 +197,23 @@ def _scatter(out: np.ndarray, dest: np.ndarray, buf: np.ndarray, length: int | n
         dst[dest[rows]] = src[rows]
 
 
-def _format_block(precisions: list[int | None], block: np.ndarray) -> bytes:
-    """The CSV lines of `block`: `%d` for a column of precision None, else
-    `%.{p}e`, joined by ',' and ended by '\\n'."""
+def _format_block(precisions: list[int | None], columns: list[np.ndarray]) -> bytes:
+    """The CSV lines of the equal-length 1-D `columns`: `%d` for a column of
+    precision None, else `%.{p}e`, joined by ',' and ended by '\\n'."""
     last = len(precisions) - 1
     seps = [","] * last + ["\n"]
     fields = [None] * len(precisions)
-    row_len = np.zeros(len(block), np.intp)
+    row_len = np.zeros(len(columns[0]), np.intp)
     # float columns of one precision are formatted together
     for p in set(precisions) - {None}:
         cols = [c for c, q in enumerate(precisions) if q == p]
-        bufs, lengths, signs = _float_fields(np.ascontiguousarray(block.T[cols]), p, [seps[c] for c in cols])
+        bufs, lengths, signs = _float_fields(np.array([columns[c] for c in cols]), p, [seps[c] for c in cols])
         row_len += (signs + lengths).sum(axis=0)
         for j, c in enumerate(cols):
             fields[c] = (bufs[j], lengths if isinstance(lengths, int) else lengths[j], signs[j], 14 - p)
     for c, p in enumerate(precisions):
         if p is None:
-            buf, length = _int_field(block[:, c], seps[c])
+            buf, length = _int_field(columns[c], seps[c])
             row_len += length
             fields[c] = (buf, length, None, None)
     ends = np.cumsum(row_len)
@@ -263,14 +248,17 @@ def _create_beside(head: str, name: str) -> tuple[int, str]:
 
 @contextlib.contextmanager
 def _export_csv(path: str, header: list[str], precisions: list[int | None]):
-    """Write `header`, then yield `write(*columns)`, which appends one CSV line
-    per row of its columns (1-D arrays or 2-D arrays of several columns).
+    """Write `header`, then yield `write(*arrays)`, which appends one CSV line
+    per row of its columns: a 1-D array is one column, and a 2-D array is
+    split into its columns.
 
     Column c is written as `'%d' % v` where precisions[c] is None and as
     `'%.{p}e' % v` for precisions[c] = p, byte for byte, but by whole numpy
-    columns.  A float's decimal exponent e comes from log10, its (p + 1)-digit
-    mantissa from rint(m), m = |x| * 10**(p - e), and the digits from a
-    four-digit table, as little-endian words.  m takes two steps that round
+    columns.  An integer column holds integers 0 <= v < 10**12, such as a
+    run's sample index, which is below MAX_SAMPLES = 10**9.  A float's
+    decimal exponent e comes from log10, its (p + 1)-digit mantissa from
+    rint(m), m = |x| * 10**(p - e), and the digits from a four-digit
+    table, as little-endian words.  m takes two steps that round
     to nearest on normal doubles (the power of ten and the product), so
     m = m*(1 + d1)(1 + d2) for the exact m*, with |di| <= u = 2**-53, and
     |m - m*| <= m*(2u + u**2) <= m(2u + u**2) / (1 - u)**2
@@ -280,9 +268,8 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
     is exact wherever it is below 0.25, so where it is at least the window,
     m* lies on the same side of every half-integer as m, never on one, and
     rint(m) is m* correctly rounded.  Mantissas within the window, values
-    that are not finite, decimal exponents beyond +-_EXP_FAST and
-    integer-column values that are not integers in [0, 2**32) are formatted
-    with `%`.
+    that are not finite and decimal exponents beyond +-_EXP_FAST are
+    formatted with `%`.
 
     Every field is built in a row of bytes of its own: its text without the
     sign, its separator and a '-'.  Each column's fields are then copied to
@@ -291,9 +278,10 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
     next field's text overwrites that byte unless the next value is
     negative.
 
-    Rows are formatted and written EXPORT_BLOCK_ROWS at a time into a
-    temporary file beside `path`, named from the process id (and a counter,
-    should a file left by a killed run hold the name) and created
+    Rows are formatted EXPORT_BLOCK_ROWS at a time, from each column's
+    slice as it is, and written into a temporary file beside `path`,
+    named from the process id (and a counter, should a file left by a
+    killed run hold the name) and created
     exclusively before anything is yielded; it replaces `path` when the
     block exits normally.  A path that cannot be opened or written, or that
     names a directory or no file at all (which the final rename would refuse
@@ -311,11 +299,10 @@ def _export_csv(path: str, header: list[str], precisions: list[int | None]):
         try:
             with open(fd, "wb") as fh:
                 fh.write((",".join(header) + "\n").encode("utf-8"))
-                def write(*columns: np.ndarray) -> None:
+                def write(*arrays: np.ndarray) -> None:
+                    columns = [c for a in arrays for c in (a.T if a.ndim == 2 else [a])]
                     for start in range(0, len(columns[0]), EXPORT_BLOCK_ROWS):
-                        # column-major, so each column is contiguous
-                        block = np.vstack([c[start : start + EXPORT_BLOCK_ROWS].T for c in columns]).T
-                        fh.write(_format_block(precisions, block))
+                        fh.write(_format_block(precisions, [c[start : start + EXPORT_BLOCK_ROWS] for c in columns]))
                 yield write
             os.replace(tmp, path)
         except BaseException:

@@ -1,8 +1,10 @@
 """The paired timing harness of scripts/bench_*.py, on synthetic samples: its
 pairing of the trees, its summary and its digest gate (no git, no child);
-and the timed calls of scripts/bench_design.py, on the package under test."""
+and the timed calls of scripts/bench_design.py and scripts/bench_export.py,
+on the package under test."""
 
 import hashlib
+import itertools
 import statistics
 import sys
 from pathlib import Path
@@ -12,7 +14,9 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "scripts"), str(REPO)]
 import bench_design  # noqa: E402
+import bench_export  # noqa: E402
 import bench_harness as harness  # noqa: E402
+from comb_ranger import cli  # noqa: E402
 from perfbench.workloads import design_epoch, design_pulses  # noqa: E402
 
 
@@ -64,3 +68,15 @@ def test_every_bench_design_row_runs_on_the_package():
     for call in calls.values():
         call(design)
     assert set(calls) >= {"phase_index_grid", "phase_index_nodes", "design"}
+
+
+def test_bench_export_block_formats_as_the_export(tmp_path):
+    # the `_format_block` arguments bench_export.py records and times, on the
+    # package under test: a signature change fails here, not at the next rerun
+    path = tmp_path / "export.csv"
+    for argv in bench_export.COMMANDS.values():
+        args = bench_export.first_block(cli, argv, str(path))
+        with open(path, "rb") as fh:
+            next(fh)
+            first_lines = b"".join(itertools.islice(fh, cli.EXPORT_BLOCK_ROWS))
+        assert cli._format_block(*args) == first_lines

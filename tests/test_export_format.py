@@ -14,16 +14,18 @@ from hypothesis import strategies as st
 from comb_ranger import cli
 
 
-def reference(precisions, table: np.ndarray) -> bytes:
+def reference(precisions, columns: list[np.ndarray]) -> bytes:
     fmt = ",".join("%d" if p is None else f"%.{p}e" for p in precisions) + "\n"
-    return "".join([fmt % tuple(row) for row in table.tolist()]).encode("ascii")
+    return "".join([fmt % row for row in zip(*[c.tolist() for c in columns])]).encode("ascii")
 
 
-def assert_same_as_percent(precisions, table: np.ndarray) -> None:
-    got = cli._format_block(precisions, table)
-    want = reference(precisions, table)
+def assert_same_as_percent(precisions, columns: list[np.ndarray]) -> None:
+    """`cli._format_block` on the 1-D `columns`, int64 for a `%d` column,
+    against `%`, line by line."""
+    got = cli._format_block(precisions, columns)
+    want = reference(precisions, columns)
     if got != want:
-        pairs = zip(got.split(b"\n"), want.split(b"\n"), table.tolist())
+        pairs = zip(got.split(b"\n"), want.split(b"\n"), zip(*[c.tolist() for c in columns]))
         bad = [(row, g, w) for g, w, row in pairs if g != w]
         pytest.fail(f"{len(bad)} lines differ from %, first: {bad[:3]}")
 
@@ -52,20 +54,20 @@ def adversarial_values(p: int) -> np.ndarray:
 @pytest.mark.parametrize("p", [12, 9])
 def test_adversarial_values(p):
     values = adversarial_values(p)
-    assert_same_as_percent([p], values[:, None])
+    assert_same_as_percent([p], [values])
 
 
 @pytest.mark.parametrize("p", [12, 9])
 def test_non_finite_values(p):
     values = np.array([np.inf, -np.inf, np.nan, -np.nan, 1.0, -0.0])
-    assert_same_as_percent([p, p], np.column_stack([values, values[::-1]]))
+    assert_same_as_percent([p, p], [values, values[::-1]])
 
 
 @pytest.mark.parametrize("p", [12, 9])
 def test_random_bit_patterns(p):
     bits = np.random.default_rng(20260418).integers(0, 2**64, size=50_000, dtype=np.uint64)
     values = bits.view(np.float64)
-    assert_same_as_percent([p], values[np.isfinite(values)][:, None])
+    assert_same_as_percent([p], [values[np.isfinite(values)]])
 
 
 def test_tie_window_covers_the_error_bound():
@@ -91,25 +93,26 @@ def test_tie_window_edges(p):
                 values.append(float((tie + offset) * Fraction(10) ** (exponent - p)))
     values = np.array(values)
     values = np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
-    assert_same_as_percent([p], np.concatenate([values, -values])[:, None])
+    assert_same_as_percent([p], [np.concatenate([values, -values])])
 
 
 def test_integer_column():
-    index = np.array([0.0, 1, 9, 10, 99, 100, 65535, 99999, 123456, 2.0**32 - 1, 2.0**32,
-                      2.0**53, 2.0**60, -0.0, -1, -100, -12345678901, 3.7, -0.5])
+    # the indices a run can write, and beyond, up to the engine's 10**12 - 1
+    index = np.array([0, 1, 9, 10, 99, 100, 9999, 10**4, 65535, 99999, 123456, 10**8 - 1, 10**8,
+                      10**9 - 1, 10**9, 2**32 - 1, 2**32, 10**11, 10**12 - 1])
     values = np.linspace(-1.0, 1.0, len(index))
-    assert_same_as_percent([None, 12], np.column_stack([index, values]))
+    assert_same_as_percent([None, 12], [index, values])
     # a block of small indices gets a narrow field, one of large ones a wide field
-    assert_same_as_percent([None], np.arange(7.0)[:, None])
-    assert_same_as_percent([None], np.arange(99_990.0, 100_010.0)[:, None])
+    assert_same_as_percent([None], [np.arange(7)])
+    assert_same_as_percent([None], [np.arange(99_990, 100_010)])
 
 
 def test_simulate_and_modes_layouts():
     rng = np.random.default_rng(7)
-    table = np.column_stack([np.arange(3000.0), rng.normal(size=(3000, 4)) * [1e-6, 1.0, 3.0, 1e-11]])
-    assert_same_as_percent([None, 12, 12, 12, 12], table)
+    samples = rng.normal(size=(3000, 4)) * [1e-6, 1.0, 3.0, 1e-11]
+    assert_same_as_percent([None, 12, 12, 12, 12], [np.arange(3000), *samples.T])
     x = np.linspace(-12.0, 12.0, 2049)
-    assert_same_as_percent([9, 12, 12], np.column_stack([x, np.exp(-x * x), x * np.exp(-x * x)]))
+    assert_same_as_percent([9, 12, 12], [x, np.exp(-x * x), x * np.exp(-x * x)])
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -118,10 +121,17 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 @settings(max_examples=300, deadline=None)
 @given(st.lists(finite, min_size=1, max_size=40))
 def test_property_precision_12(values):
-    assert_same_as_percent([12], np.array(values)[:, None])
+    assert_same_as_percent([12], [np.array(values)])
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(finite, min_size=1, max_size=40))
 def test_property_precision_9(values):
-    assert_same_as_percent([9], np.array(values)[:, None])
+    assert_same_as_percent([9], [np.array(values)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10**12 - 1), finite), min_size=1, max_size=40))
+def test_property_integer_column(rows):
+    index, values = zip(*rows)
+    assert_same_as_percent([None, 12], [np.array(index, np.int64), np.array(values)])

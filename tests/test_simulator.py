@@ -126,6 +126,17 @@ class TestReproducibility:
         # the samples alone would take 8 MB per float64 column
         assert run_peak < 16e6
         assert export_peak < 16e6
+        # at the default block sizes the CSV crosses the run's and the
+        # export's block edges and the 10**5 digit boundary: each line
+        # holds its index and four more fields
+        rows = 0
+        with open(tmp_path / "samples.csv", "rb") as fh:
+            assert next(fh) == b"index,p_L_m,p_X,p_Pw_pa,signal_m\n"
+            for i, line in enumerate(fh):
+                if line.count(b",") != 4 or not line.startswith(b"%d," % i):
+                    pytest.fail(f"data line {i}: {line!r}")
+                rows += 1
+        assert rows == 1_000_000
 
     def test_different_seeds_differ(self):
         a = run(make_config(rng_seed=1))
