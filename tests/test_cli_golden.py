@@ -1,12 +1,16 @@
 """Byte-exact golden outputs of every CLI subcommand.
 
-Each pin is the SHA-256 of the bytes a command writes, so any change to
-the bytes on disk or on stdout fails here.  The output paths are relative
-(run from a temporary directory) because stdout names them.  All runs use
-the default configuration, except the `--config` pins, which change one
-key of it.
+Each stdout is compared byte for byte with a text file under
+`tests/golden/`, and a mismatch prints a unified diff of the two.  The
+exported CSVs are megabytes, so each is pinned by its SHA-256 in
+`tests/golden/SHA256SUMS`.  `scripts/regen_goldens.py` rewrites every
+golden from the working tree; no test writes one.  The output paths are
+relative (run from a temporary directory) because stdout names them.  All
+runs use the default configuration, except the `--config` pins, which
+change one key of it.
 """
 
+import difflib
 import hashlib
 import io
 from pathlib import Path
@@ -16,47 +20,74 @@ import pytest
 from comb_ranger import cli
 from comb_ranger.cli import EXIT_OK, main
 
-SIMULATE_STDOUT_SHA256 = "57c0dcc62bf54f6d322f0d615a1dad6f31d147df1738642162481dc5f13e805f"
-SIMULATE_CSV_SHA256 = "a1c476cf1a3f412df9c9db42e312e87e8b0374ba42e85694bf2b0be37a2f297d"
-MODES_STDOUT_SHA256 = "5ea4477cda44fc2b175bc638d6913c7c8ec7de7dc60c3180c34686d851500e2d"
-MODES_CSV_SHA256 = "7297d620a0d436d29588df6816bfbbfaeab3be44fa593602229479e2fcf1b5fe"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+SIMULATE_ARGV = ("simulate", "--seed", "3", "--samples", "2000", "--out", "samples.csv")
+MODES_ARGV = ("modes", "--out", "profiles.csv")
 
 # stdout of the subcommands that write no file
-STDOUT_SHA256 = {
-    ("air-index",): "657a606be2c4c911176080d3d09509593bd2c37be9d41e197cf326d2ccf0deaf",
-    ("air-index", "--wavelength", "1550", "--humidity-pa", "1000"):
-        "44708a315b6b725f6493e9f20eae4b9a86bef679f421deff98a3b055e2206726",
-    ("sensitivity",): "b2bacbde143d44e870ce6b5e6a74b71a6b0e204427f44c074c368c1d5863fe42",
-    ("multicolor", "--scheme", "2wi"):
-        "d9eaa60a4c7f5e796a1469e459d5cd2411e2e9617be0daa74d7ed8fb93d63fa4",
-    ("multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"):
-        "a12207800d016946bd92acc4736b78ad84ce07a16a00fa02d9ff561f8ef2c712",
+STDOUT_GOLDEN = {
+    ("air-index",): "air-index.txt",
+    ("air-index", "--wavelength", "1550", "--humidity-pa", "1000"): "air-index_1550nm_1000pa.txt",
+    ("sensitivity",): "sensitivity.txt",
+    ("multicolor", "--scheme", "2wi"): "multicolor_2wi.txt",
+    ("multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"): "multicolor_3wi.txt",
 }
 
 # runs with a `--config` file holding one line; no purified mode enters them
 # and their purified K come from the exact 1 - s, so a change to how the
 # purified mode is built must leave their bytes as they are
-CONFIG_STDOUT_SHA256 = {
-    ("sensitivity", "pulse.wavelength_nm = 1550"): "d777cd123cd39ae8edc405228a9f6b19e1a46b1235cdaf3fde652aa6d70c2b40",
-    ("sensitivity", "pulse.relative_bandwidth = 0.02"): "0d1644b4598b54d826386b754ab35eb8d3055164a00da8a9bd37b8d5bf901e05",
+CONFIG_GOLDEN = {
+    ("sensitivity", "pulse.wavelength_nm = 1550"): "sensitivity_1550nm.txt",
+    ("sensitivity", "pulse.relative_bandwidth = 0.02"): "sensitivity_bandwidth_0.02.txt",
 }
 # runs whose stdout holds an `n/a` line: no leakage slope at all (nothing
 # fluctuates), none for P_w alone, and no oracle deviation (its nodes
 # cross the resonance pole)
-NA_STDOUT_SHA256 = {
+NA_GOLDEN = {
     ("simulate --seed 3 --samples 2000", "fluct.density_factor = 0\nfluct.water_vapor_pa = 0"):
-        "5b781ba633141a4ff0d4c728858ccac73fa62a5b8085f9862cd69ce5de1fa1e6",
-    ("simulate --seed 3 --samples 2000", "fluct.water_vapor_pa = 0"):
-        "e5c942465d818e206d349616fc4e289ca108efed6d8a45a40351494ce992b75f",
+        "simulate_nothing_fluctuating.txt",
+    ("simulate --seed 3 --samples 2000", "fluct.water_vapor_pa = 0"): "simulate_pw_fixed.txt",
     ("sensitivity", "pulse.wavelength_nm = 500\npulse.relative_bandwidth = 0.3"):
-        "1ea6e5dc77334ce679a2f2ceeb3a62d0e80751cdd2ea4f1bf5c06259af8e4781",
+        "sensitivity_oracle_refused.txt",
 }
-RAW_SIMULATE_STDOUT_SHA256 = "f44a1a55e6d09ea33e7281044705e89748cb2d67b1284e3115a0f8cdcbb5de33"
-RAW_SIMULATE_CSV_SHA256 = "b73f21efeb02932373942cc848818bfd26f8143115db3aba4f90c0a774cca6fb"
+RAW_CONFIG = "lo = raw"
+
+# each golden: its argv, the `--config` text (None for none), the stdout
+# file and the CSV the run writes, pinned in SHA256SUMS under `csv_key`
+GOLDEN_RUNS = [
+    (SIMULATE_ARGV, None, "simulate.txt", ("samples.csv", "simulate.csv")),
+    (MODES_ARGV, None, "modes.txt", ("profiles.csv", "modes.csv")),
+    *[(argv, None, name, None) for argv, name in STDOUT_GOLDEN.items()],
+    *[((argv,), line, name, None) for (argv, line), name in CONFIG_GOLDEN.items()],
+    *[(tuple(argv.split()), doc, name, None) for (argv, doc), name in NA_GOLDEN.items()],
+    (SIMULATE_ARGV, RAW_CONFIG, "simulate_raw.txt", ("samples.csv", "simulate_raw.csv")),
+]
 
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def pinned_sha256() -> dict[str, str]:
+    """The SHA-256 pins of SHA256SUMS, by name (`sha256sum`'s line format)."""
+    lines = (GOLDEN / "SHA256SUMS").read_text().splitlines()
+    return {name: digest for digest, name in (line.split("  ", 1) for line in lines)}
+
+
+def assert_golden(name: str, got: bytes) -> None:
+    """Fail with a unified diff unless `got` equals tests/golden/<name> byte for byte."""
+    want = (GOLDEN / name).read_bytes()
+    if got != want:
+        diff = difflib.unified_diff(
+            want.decode().splitlines(keepends=True), got.decode().splitlines(keepends=True),
+            f"tests/golden/{name}", "output",
+        )
+        pytest.fail("output differs from its golden:\n" + "".join(diff), pytrace=False)
+
+
+def assert_pinned(key: str, data: bytes) -> None:
+    assert sha256(data) == pinned_sha256()[key], f"{key} differs from its SHA256SUMS pin"
 
 
 @pytest.fixture
@@ -65,41 +96,42 @@ def in_tmp(tmp_path, monkeypatch):
     return tmp_path
 
 
-def run_cli(argv) -> bytes:
+def run_cli(argv, config: str | None = None) -> bytes:
+    """stdout of `argv`, with `--config run.cfg` holding `config` if given,
+    run in process from the working directory."""
+    argv = list(argv)
+    if config is not None:
+        Path("run.cfg").write_text(config + "\n")
+        argv[1:1] = ["--config", "run.cfg"]
     out = io.StringIO()
     assert main(argv, out=out) == EXIT_OK
     return out.getvalue().encode("utf-8")
 
 
-def check_simulate_export(tmp: Path) -> None:
-    stdout = run_cli(["simulate", "--seed", "3", "--samples", "2000", "--out", "samples.csv"])
-    assert sha256(stdout) == SIMULATE_STDOUT_SHA256
-    assert sha256((tmp / "samples.csv").read_bytes()) == SIMULATE_CSV_SHA256
-
-
-def check_modes_export(tmp: Path) -> None:
-    stdout = run_cli(["modes", "--out", "profiles.csv"])
-    assert sha256(stdout) == MODES_STDOUT_SHA256
-    assert sha256((tmp / "profiles.csv").read_bytes()) == MODES_CSV_SHA256
+def check_run(tmp: Path, argv, config, name, csv) -> None:
+    assert_golden(name, run_cli(argv, config))
+    if csv is not None:
+        path, key = csv
+        assert_pinned(key, (tmp / path).read_bytes())
 
 
 def test_simulate_export_golden(in_tmp):
-    check_simulate_export(in_tmp)
+    check_run(in_tmp, *GOLDEN_RUNS[0])
 
 
 def test_modes_export_golden(in_tmp):
-    check_modes_export(in_tmp)
+    check_run(in_tmp, *GOLDEN_RUNS[1])
 
 
-@pytest.mark.parametrize("argv", list(STDOUT_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv", list(STDOUT_GOLDEN), ids=" ".join)
 def test_stdout_golden(in_tmp, argv):
-    assert sha256(run_cli(list(argv))) == STDOUT_SHA256[argv]
+    assert_golden(STDOUT_GOLDEN[argv], run_cli(argv))
 
 
 # each scheme's default wavelengths are the pinned set of that scheme
 def test_multicolor_3wi_default_wavelengths(in_tmp):
     stdout = run_cli(["multicolor", "--scheme", "3wi"])
-    assert sha256(stdout) == STDOUT_SHA256["multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"]
+    assert_golden(STDOUT_GOLDEN["multicolor", "--scheme", "3wi", "--wavelengths", "1064,532,355"], stdout)
 
 
 # The default block holds every row of both exports (2000 and 2049 rows);
@@ -107,30 +139,29 @@ def test_multicolor_3wi_default_wavelengths(in_tmp):
 @pytest.mark.parametrize("block_rows", [1, 7, 1000])
 def test_exports_golden_across_blocks(in_tmp, monkeypatch, block_rows):
     monkeypatch.setattr(cli, "EXPORT_BLOCK_ROWS", block_rows)
-    check_simulate_export(in_tmp)
-    check_modes_export(in_tmp)
+    check_run(in_tmp, *GOLDEN_RUNS[0])
+    check_run(in_tmp, *GOLDEN_RUNS[1])
 
 
-@pytest.mark.parametrize("argv, line", list(CONFIG_STDOUT_SHA256), ids=" ".join)
+@pytest.mark.parametrize("argv, line", list(CONFIG_GOLDEN), ids=" ".join)
 def test_config_stdout_golden(in_tmp, argv, line):
-    (in_tmp / "run.cfg").write_text(line + "\n")
-    stdout = run_cli([argv, "--config", "run.cfg"])
-    assert sha256(stdout) == CONFIG_STDOUT_SHA256[argv, line]
+    assert_golden(CONFIG_GOLDEN[argv, line], run_cli([argv], line))
 
 
 @pytest.mark.parametrize(
-    "argv, doc", list(NA_STDOUT_SHA256), ids=["nothing-fluctuating", "pw-fixed", "oracle-refused"]
+    "argv, doc", list(NA_GOLDEN), ids=["nothing-fluctuating", "pw-fixed", "oracle-refused"]
 )
 def test_na_stdout_golden(in_tmp, argv, doc):
-    (in_tmp / "run.cfg").write_text(doc + "\n")
-    stdout = run_cli(argv.split() + ["--config", "run.cfg"])
-    assert sha256(stdout) == NA_STDOUT_SHA256[argv, doc]
+    assert_golden(NA_GOLDEN[argv, doc], run_cli(argv.split(), doc))
 
 
 def test_raw_lo_simulate_export_golden(in_tmp):
-    (in_tmp / "run.cfg").write_text("lo = raw\n")
-    stdout = run_cli(
-        ["simulate", "--config", "run.cfg", "--seed", "3", "--samples", "2000", "--out", "samples.csv"]
-    )
-    assert sha256(stdout) == RAW_SIMULATE_STDOUT_SHA256
-    assert sha256((in_tmp / "samples.csv").read_bytes()) == RAW_SIMULATE_CSV_SHA256
+    check_run(in_tmp, *GOLDEN_RUNS[-1])
+
+
+def test_every_golden_file_is_pinned_by_a_run():
+    # a golden left behind by a removed run would pass unnoticed
+    names = {name for _, _, name, _ in GOLDEN_RUNS}
+    keys = {csv[1] for *_, csv in GOLDEN_RUNS if csv is not None} | {"design_digest"}
+    assert {p.name for p in GOLDEN.iterdir()} == names | {"SHA256SUMS"}
+    assert set(pinned_sha256()) == keys
