@@ -1,8 +1,10 @@
 """Time simulator.run against HEAD and write BENCH_simulator.json.
 
 Rows paired by bench_harness.py: `simulator.run` for each LO and sample
-count; the run's draws alone; and the wall time and peak RSS of a purified
-`simulate --samples 4000000` child.  Gate: `SimResult.to_text()`, stdout.
+count; the run's draws alone, one column per fluctuating label of the
+default config and one for the noise; and the wall time and peak RSS of a
+purified `simulate --samples 4000000` child.  Gate: `SimResult.to_text()`,
+stdout.
 
 Usage: python scripts/bench_simulator.py
 """
@@ -15,11 +17,11 @@ SEED = 7
 SAMPLES = 12
 
 
-def draws(simulator, n: int) -> None:
+def draws(simulator, n: int, width: int) -> None:
     import numpy as np
 
     gen = simulator.draw_generator(SEED)
-    buf = np.empty((min(simulator.CHUNK_ROWS, n), 4))
+    buf = np.empty((min(simulator.CHUNK_ROWS, n), width))
     for start in range(0, n, simulator.CHUNK_ROWS):
         m = min(simulator.CHUNK_ROWS, n - start)
         simulator.perturbation_draws(gen, m, out=buf[:m])
@@ -31,10 +33,11 @@ def main() -> None:
         child = harness.time_cli(staging, argv, SAMPLES, digest)
         config, simulator = harness.modules("config"), harness.modules("simulator")
         lo_choices = harness.modules("detection")["change"].LO_TABLE
+        width = 1 + len(config["change"].build_config({}).sim.fluctuating_labels)
         per_call = {}
         for n in SAMPLE_COUNTS:
             per_call[f"draws_{n}"] = harness.time_calls(
-                {side: lambda _, sim=sim: draws(sim, n) for side, sim in simulator.items()}, SAMPLES)
+                {side: lambda _, sim=sim: draws(sim, n, width) for side, sim in simulator.items()}, SAMPLES)
             for lo in lo_choices:
                 runs = {}
                 for side in harness.TREES:

@@ -55,8 +55,9 @@ minimum detectable values, the oracle's deviation and the two baselines;
 `ranging_modes` builds only w_X and w_Pw.  A `GaussianPulse` and a
 `SpectralMode` keep their hash from when they are built, a `DetectionMode`
 from its first use, and a mode its norm from its first use.  Every vector
-norm is sqrt(v.v), what `np.linalg.norm` computes for a real vector, bit for
-bit, at less than half its cost.  The report and its `PurifiedSensitivity`
+norm is sqrt(v.v), and every dot product, the oracle's included, is
+`mode_algebra.dot`'s left-to-right sum: no bit of a report depends on a
+BLAS kernel.  The report and its `PurifiedSensitivity`
 are fresh records, never memo keys, so they are plain slotted dataclasses.
 """
 
@@ -75,7 +76,7 @@ from . import air_model, mode_algebra, multicolor, records
 from .air_model import SPEED_OF_LIGHT, AirState
 from .dispersion import RANGING_LABELS, phase_gradient
 from .errors import DomainError, SeparabilityError, ValidationError
-from .mode_algebra import GaussianPulse, SpectralMode, inner_product
+from .mode_algebra import GaussianPulse, SpectralMode, dot, inner_product
 
 # Refusal floor of `purify` on each residual share 1 - s.  Its arithmetic is
 # exact, so the only error left is the double representation of the mode
@@ -154,9 +155,9 @@ def _ranging_vectors(pulse: GaussianPulse):
     w0, dw = pulse.omega0, pulse.delta_omega
     d12 = s.delta1 + s.delta2
     e12 = s.eta1 + s.eta2
-    a_l = np.array([w0, dw, 0.0])
-    a_x = np.array([w0 + dw**2 / w0 * d12, dw * (1.0 + s.delta1), math.sqrt(2.0) * dw**2 / w0 * d12])
-    a_p = np.array([w0 + dw**2 / w0 * e12, dw * (1.0 + s.eta1), math.sqrt(2.0) * dw**2 / w0 * e12])
+    a_l = (w0, dw, 0.0)
+    a_x = (w0 + dw**2 / w0 * d12, dw * (1.0 + s.delta1), math.sqrt(2.0) * dw**2 / w0 * d12)
+    a_p = (w0 + dw**2 / w0 * e12, dw * (1.0 + s.eta1), math.sqrt(2.0) * dw**2 / w0 * e12)
     return a_l, a_x, a_p
 
 
@@ -189,9 +190,10 @@ def _ranging_shapes(pulse: GaussianPulse) -> _PulseRecord:
     """The `_PulseRecord` of the pulse."""
     sigma0 = air_model.sigma_from_omega(pulse.omega0)
     a_l, a_x, a_p = _ranging_vectors(pulse)
-    norms = tuple(math.sqrt(a.dot(a)) for a in (a_l, a_x, a_p))
+    norms = tuple(math.sqrt(dot(a, a)) for a in (a_l, a_x, a_p))
     modes = tuple(
-        SpectralMode(pulse, tuple((a / n).tolist())) for a, n in zip((a_l, a_x, -a_p), norms)
+        SpectralMode(pulse, tuple([sign * x / n for x in a]))
+        for a, n, sign in zip((a_l, a_x, a_p), norms, (1.0, 1.0, -1.0))
     )
     overlaps = tuple(
         tuple(1.0 if i == j else inner_product(mi, mj) for j, mj in enumerate(modes))
@@ -261,8 +263,9 @@ def _purify_core(target: DetectionMode, against: tuple[tuple[SpectralMode, str],
             )
         basis.append((r, rr))
     scale = 1 << max(abs(c) for c in r).bit_length()
-    vec = np.array([c / scale for c in r])
-    mode = SpectralMode(pulse, tuple((vec / math.sqrt(vec.dot(vec))).tolist()))
+    vec = [c / scale for c in r]
+    norm = math.sqrt(dot(vec, vec))
+    mode = SpectralMode(pulse, tuple([x / norm for x in vec]))
     return DetectionMode(f"{target.label}^p({','.join(labels)})", mode, target.k_const * math.sqrt(share))
 
 
@@ -341,15 +344,18 @@ def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
-def _oracle_rows(pulse: GaussianPulse) -> np.ndarray:
+def _oracle_rows(pulse: GaussianPulse) -> tuple[tuple[float, ...], ...]:
     """The projections of the vacuum L gradient omega / c and of the X and P_w
-    gradients over 1 m: `phase_gradient` at X = P_w = 0, where n_phi is 1.0."""
+    gradients over 1 m: `phase_gradient` at X = P_w = 0, where n_phi is 1.0.
+    Each coefficient is the correctly rounded sum (`math.fsum`) of its 24
+    node products, whose terms span 16 orders of magnitude and cancel."""
     offsets, table = _oracle_table()
     w = pulse.omega0 + pulse.delta_omega * offsets
     vacuum = AirState(0.0, 0.0, 0.0, 0.0)
-    rows = np.array([table @ phase_gradient(label, w, vacuum, 1.0) for label in RANGING_LABELS])
-    rows.flags.writeable = False
-    return rows
+    return tuple(
+        tuple([math.fsum(table_row * gradient) for table_row in table])
+        for gradient in (phase_gradient(label, w, vacuum, 1.0) for label in RANGING_LABELS)
+    )
 
 
 def _oracle_projection(label: str, pulse: GaussianPulse, state: AirState, length_m: float) -> tuple[list[float], float]:
@@ -364,14 +370,15 @@ def _oracle_projection(label: str, pulse: GaussianPulse, state: AirState, length
         weights = (0.0, 0.0, length_m)
     else:
         raise ValidationError(f"unknown parameter label {label!r}")
-    # the array's own dot: np.dot runs the same product behind a dispatch frame
-    coeffs = np.array(weights).dot(_oracle_rows(pulse))
-    k_est = math.sqrt(coeffs.dot(coeffs))
+    # each coefficient's three terms added in label order
+    a, b, c = weights
+    coeffs = [a * p + b * q + c * r for p, q, r in zip(*_oracle_rows(pulse))]
+    k_est = math.sqrt(dot(coeffs, coeffs))
     if k_est == 0.0:
         raise DomainError(f"parameter {label!r} has no effect on the field")
     if not math.isfinite(k_est):
         raise ValidationError("mode coefficients must be finite")
-    return coeffs.tolist(), k_est
+    return coeffs, k_est
 
 
 def numeric_detection_mode(

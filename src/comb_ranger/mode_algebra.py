@@ -16,7 +16,8 @@ vector on {v_n} and homodyne signals are plain real parts; u itself is
 Modes are represented by their real coefficients on {v_n}; every mode of
 interest is a low-degree polynomial times u, so inner products are exact
 in coefficient space (purification, on the same coefficients, is
-`detection.purify`).  Since conj(i f) (i g) = f g, the real profile
+`detection.purify`).  Every dot product of coefficients is `dot`'s sum, in
+a fixed order, so no bit depends on a BLAS kernel.  Since conj(i f) (i g) = f g, the real profile
 sum_n c_n h_n (with v_n = i h_n) is the one sampled form of a mode.
 """
 
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -122,10 +124,8 @@ class SpectralMode:
         return len(self.coefficients) - 1
 
     def norm(self) -> float:
-        # sqrt(v.v) is what np.linalg.norm computes for a real vector
         if self._norm is None:
-            v = self.vector
-            object.__setattr__(self, "_norm", math.sqrt(v.dot(v)))
+            object.__setattr__(self, "_norm", math.sqrt(dot(self.coefficients, self.coefficients)))
         return self._norm
 
     def padded(self, order: int) -> np.ndarray:
@@ -152,11 +152,35 @@ def hermite_gauss(n: int, pulse: GaussianPulse) -> SpectralMode:
     return SpectralMode(pulse, tuple(coeffs))
 
 
+def dot(a: Sequence[float], b: Sequence[float]) -> float:
+    """sum_i a_i b_i over the common length, added left to right in doubles.
+
+    The order is fixed, so the bits are the same on every platform, unlike a
+    BLAS ddot, whose kernel picks its own order (and unlike the builtin sum,
+    which compensates since Python 3.12).
+    """
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def inner_product(f: SpectralMode, g: SpectralMode) -> float:
-    """L2 inner product <f, g> = integral f* g, exact on the real coefficients."""
+    """L2 inner product <f, g> = integral f* g on the real coefficients, rounded
+    once: each double is an integer over a power of two, so the products and
+    their sum are exact in integers (the coefficients past the shorter mode's
+    are 0 and add nothing).  Overlaps of near-parallel or orthogonal unit
+    modes cancel to 1e-6 of their terms and below, so a rounded sum of
+    rounded products would lose their last digits."""
     _require_same_pulse(f, g)
-    order = max(f.order, g.order)
-    return float(np.dot(f.padded(order), g.padded(order)))
+    num, den = 0, 1
+    for x, y in zip(f.coefficients, g.coefficients):
+        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
+        d = q * s
+        if d > den:
+            num, den = num * (d // den), d
+        num += p * r * (den // d)
+    return num / den
 
 
 def gaussian_envelope(pulse: GaussianPulse, omega: np.ndarray) -> np.ndarray:

@@ -36,6 +36,7 @@ import numpy as np
 from . import air_model
 from .air_model import SPEED_OF_LIGHT, AirState
 from .errors import DomainError, ValidationError
+from .mode_algebra import dot
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class MulticolorCombination:
         values = np.asarray(phase_lengths_m, dtype=float)
         if values.shape != (len(self.weights),):
             raise ValidationError("one phase length per weight")
-        return float(np.dot(self.weights, values))
+        return dot(self.weights, values.tolist())
 
 
 def _sigmas(wavelengths_m: Sequence[float]) -> list[float]:
@@ -96,11 +97,14 @@ def synth_3wi(lambda1_m: float, lambda2_m: float, lambda3_m: float) -> Multicolo
     sigmas = _sigmas(wavelengths_m)
     k1, k2, k3 = (air_model.k_dispersion(s) for s in sigmas)
     g1, g2, g3 = (air_model.water_term(s) for s in sigmas)
-    system = np.array([[k2 - k1, k3 - k1], [g2 - g1, g3 - g1]])
-    rhs = np.array([-k1, -g1])
-    if abs(np.linalg.det(system)) < 1e-12 * np.abs(system).max() ** 2:
+    # Cramer's rule on [[a, b], [c, d]] (beta, gamma) = (-k1, -g1), in plain floats
+    a, b, c, d = k2 - k1, k3 - k1, g2 - g1, g3 - g1
+    det = a * d - b * c
+    scale = max(abs(a), abs(b), abs(c), abs(d))
+    if abs(det) < 1e-12 * scale * scale:
         raise DomainError("colinear dispersion: three-color system is singular")
-    beta, gamma = np.linalg.solve(system, rhs).tolist()
+    beta = (b * g1 - k1 * d) / det
+    gamma = (k1 * c - a * g1) / det
     return MulticolorCombination(wavelengths_m, (1.0 - beta - gamma, beta, gamma))
 
 
@@ -112,9 +116,7 @@ def _quadrature(comb: MulticolorCombination, roots: Iterable[float]) -> float:
     noises = []
     for a, r, w in zip(comb.weights, roots, comb._omegas):
         noises.append(a * (SPEED_OF_LIGHT / (2.0 * r * w)))
-    weighted = np.array(noises)
-    # sqrt(v.v) is what np.linalg.norm computes for a real vector
-    return math.sqrt(weighted.dot(weighted))
+    return math.sqrt(dot(noises, noises))
 
 
 def shot_noise(comb: MulticolorCombination, photons: Sequence[float]) -> float:

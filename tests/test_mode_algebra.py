@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -80,13 +81,19 @@ class TestSpectralMode:
             assert loaded == a and hash(loaded) == hash(a)
             assert loaded.norm() == a.norm()
 
-    def test_norm_is_numpy_norm(self):
-        # sqrt(v.v) is the norm numpy takes of a real vector, bit for bit
+    def test_norm_is_the_fixed_order_sum(self):
+        # sqrt of the squares added left to right, bit for bit: no BLAS kernel
+        # picks the order; and within 2 ulps of numpy's norm
         rng = np.random.default_rng(5)
         for size in range(1, 10):
             for _ in range(50):
                 vec = rng.normal(size=size) * 10.0 ** rng.uniform(-150, 150)
-                assert SpectralMode(PULSE, tuple(vec)).norm() == float(np.linalg.norm(vec))
+                total = 0.0
+                for x in vec.tolist():
+                    total += x * x
+                norm = SpectralMode(PULSE, tuple(vec)).norm()
+                assert norm == math.sqrt(total)
+                assert norm == pytest.approx(float(np.linalg.norm(vec)), rel=4.5e-16)
 
     def test_padded(self):
         mode = SpectralMode(PULSE, (0.3, -0.2, 0.5))
@@ -155,6 +162,19 @@ class TestInnerProduct:
         other = GaussianPulse.from_wavelength(1064e-9)
         with pytest.raises(ValidationError):
             inner_product(hermite_gauss(0, PULSE), hermite_gauss(0, other))
+
+    def test_exact_sum_rounded_once(self):
+        # the exact sum of the exact products, rounded once: a left-to-right
+        # sum returns 0 for the first pair, which cancels to 1e-16
+        cases = [((1.0, 1e-16, -1.0), (1.0, 1.0, 1.0))]
+        rng = np.random.default_rng(11)
+        for size_f, size_g in [(1, 1), (3, 9), (9, 9), (9, 4)]:
+            for _ in range(50):
+                scale = 10.0 ** rng.uniform(-100, 100, size=2)
+                cases.append((tuple(rng.normal(size=size_f) * scale[0]), tuple(rng.normal(size=size_g) * scale[1])))
+        for f, g in cases:
+            exact = sum(Fraction(a) * Fraction(b) for a, b in zip(f, g))
+            assert inner_product(SpectralMode(PULSE, f), SpectralMode(PULSE, g)) == float(exact)
 
     def test_conjugate_symmetry(self):
         # on real coefficients conjugate symmetry is plain symmetry

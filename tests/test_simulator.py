@@ -29,6 +29,11 @@ PULSE = GaussianPulse.from_wavelength(800e-9)
 AIR = AirState.standard()
 
 
+# sigmas of runs that draw 2, 3 and 4 normals a row: one per fluctuating
+# label, and the noise
+DRAW_WIDTH_SIGMAS = [(0.0, 1e-6, 0.0), (0.0, 1e-6, 10.0), (1e-13, 1e-6, 10.0)]
+
+
 def run_with_table(cfg: SimConfig):
     """run(cfg) and its (n, 5) sample table (index, p_L, p_X, p_Pw, signal),
     gathered from the blocks the run hands to `on_rows`."""
@@ -71,7 +76,7 @@ class TestReproducibility:
     # SHA-256 of the (index, p_L, p_X, p_Pw, signal) table of a run of two
     # full blocks and a short third; pinned from the code that drew and
     # projected all samples in one block
-    SAMPLE_TABLE_SHA256 = "321ba1cfebb97e3655d335cf01cd1590976b3e4a0ada90a8e1adfefa8bbf4ce7"
+    SAMPLE_TABLE_SHA256 = "12b0f05bbf93842dd8f6a0a8f6b3b04c4c742673af61346ec65c713cbbb79899"
 
     def test_sample_table_pinned(self):
         cfg = make_config(
@@ -143,6 +148,34 @@ class TestReproducibility:
         b = run(make_config(rng_seed=2))
         assert a.mean_estimate_m != b.mean_estimate_m
 
+    # a row draws one normal per fluctuating label, in label order, then the
+    # noise's; a label with sigma = 0 takes its offset and draws nothing
+    @pytest.mark.parametrize("sigmas", DRAW_WIDTH_SIGMAS + [(1e-13, 0.0, 10.0)])
+    def test_rows_take_one_draw_per_fluctuating_label(self, sigmas):
+        cfg = make_config(sample_count=3000, offsets=(3e-13, 2e-7, 5.0), sigmas=sigmas)
+        _, table = run_with_table(cfg)
+        labels = cfg.fluctuating_labels
+        z = perturbation_draws(draw_generator(cfg.rng_seed), 3000, out=np.empty((3000, len(labels) + 1)))
+        for j, lab in enumerate(RANGING_LABELS):
+            if lab in labels:
+                expected = cfg.offsets[j] + cfg.sigmas[j] * z[:, labels.index(lab)]
+            else:
+                expected = np.full(3000, cfg.offsets[j])
+            assert np.array_equal(table[:, 1 + j], expected)
+        if len(labels) == 3:
+            # the (count, 4) rows a run drew before it skipped a fixed label's
+            assert np.array_equal(z, perturbation_draws(draw_generator(cfg.rng_seed), 3000))
+
+    # rows depend on (seed, fluctuating labels, i) only: a shorter run repeats
+    # the first rows of a longer one, cut into blocks of any size
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 1000])
+    @pytest.mark.parametrize("sigmas", DRAW_WIDTH_SIGMAS, ids=["width2", "width3", "width4"])
+    def test_rows_prefix_stable_and_block_size_invariant(self, monkeypatch, sigmas, chunk_rows):
+        _, long_table = run_with_table(make_config(lo_choice="purified", sample_count=3000, sigmas=sigmas))
+        monkeypatch.setattr(simulator, "CHUNK_ROWS", chunk_rows)
+        _, table = run_with_table(make_config(lo_choice="purified", sample_count=2000, sigmas=sigmas))
+        assert np.array_equal(table, long_table[:2000])
+
 
 def _run_bounded(cfg, timeout_s=60.0):
     """run(cfg) in a thread joined with a timeout: (result, error)."""
@@ -201,7 +234,7 @@ class TestDrawAhead:
     def test_slow_fold_overwrites_no_buffer(self, monkeypatch):
         # while a block is folded the drawer fills both buffers of the ring
         # and then must wait: a buffer drawn into early would change rows
-        real = simulator._fold_qr
+        real = simulator._fold_moments
 
         def slow_fold(*args):
             time.sleep(0.002)
@@ -211,7 +244,7 @@ class TestDrawAhead:
         _, whole_table = run_with_table(cfg)
         monkeypatch.setattr(simulator, "CHUNK_ROWS", 7)
         plain, plain_table = run_with_table(cfg)
-        monkeypatch.setattr(simulator, "_fold_qr", slow_fold)
+        monkeypatch.setattr(simulator, "_fold_moments", slow_fold)
         slow, slow_table = run_with_table(cfg)
         assert slow == plain
         assert np.array_equal(slow_table, plain_table)
@@ -243,7 +276,7 @@ class TestDrawAhead:
         drawn = threading.Condition()
         counts = {"drawn": 0, "folded": 0}
         ahead = []
-        real_draws, real_fold = simulator.perturbation_draws, simulator._fold_qr
+        real_draws, real_fold = simulator.perturbation_draws, simulator._fold_moments
 
         def counting_draws(gen, count, out=None):
             rows = real_draws(gen, count, out=out)
@@ -261,7 +294,7 @@ class TestDrawAhead:
 
         monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
         monkeypatch.setattr(simulator, "perturbation_draws", counting_draws)
-        monkeypatch.setattr(simulator, "_fold_qr", waiting_fold)
+        monkeypatch.setattr(simulator, "_fold_moments", waiting_fold)
         run(make_config(**self.CONFIG))
         assert ahead == [True] * 5
 
@@ -308,7 +341,7 @@ class TestDrawAhead:
             raise error
 
         monkeypatch.setattr(simulator, "CHUNK_ROWS", 1000)
-        monkeypatch.setattr(simulator, "_fold_qr", failing_fold)
+        monkeypatch.setattr(simulator, "_fold_moments", failing_fold)
         before = threading.active_count()
         with pytest.raises(RuntimeError) as info:
             run(make_config(**self.CONFIG))
@@ -491,6 +524,44 @@ def test_regression_matches_extended_precision_reference(lo, samples):
         slope = res.slopes[lab]
         assert abs(slope.std_error / se[j] - 1) < 1e-9
         assert abs(slope.value - beta[j]) < 1e-6 * se[j]
+
+
+def lstsq_regression(table: np.ndarray, labels, shift) -> tuple[np.ndarray, np.ndarray]:
+    """OLS slopes and std errors of the signal column on the fluctuations, by
+    np.linalg.lstsq on centred columns.  The response is the signal minus
+    `shift` (one coefficient per label) times the perturbations, and `shift`
+    is added back: least squares is linear in the response, and the raw LO's
+    signal would otherwise cancel to 1.7e7 times its noise in lstsq itself."""
+    x = table[:, 1:4]
+    y = table[:, 4] - (x[:, 0] * shift[0] + x[:, 1] * shift[1] + x[:, 2] * shift[2])
+    cols = [RANGING_LABELS.index(lab) for lab in labels]
+    x = x[:, cols] - x[:, cols].mean(axis=0)
+    y = y - y.mean()
+    beta, *_ = np.linalg.lstsq(x, y, rcond=None)
+    resid = y - x @ beta
+    sigma2 = (resid @ resid) / (len(y) - len(cols) - 1)
+    cov = sigma2 * np.linalg.inv(x.T @ x)
+    return beta + np.array(shift)[cols], np.sqrt(np.diag(cov))
+
+
+# the slopes and std errors against lstsq, at the default offsets and at
+# large ones over a length short enough for the linearity guard
+@pytest.mark.parametrize("offsets, length_m", [((0.0, 0.0, 0.0), 1.0), ((0.0, 1e-3, 1e3), 0.01)],
+                         ids=["default-offsets", "large-offsets"])
+@pytest.mark.parametrize("samples", [2000, 100_000])
+@pytest.mark.parametrize("lo", tuple(LO_TABLE))
+def test_regression_matches_lstsq(lo, samples, offsets, length_m):
+    cfg = make_config(lo_choice=lo, sample_count=samples, offsets=offsets, length_m=length_m,
+                      sigmas=(0.0, 1e-6, 10.0))
+    res, table = run_with_table(cfg)
+    # the raw LO's own row of the contamination matrix; the purified LOs'
+    # signals are their noise to within a small leak
+    shift = contamination_report(PULSE, AIR, length_m, 8e16).matrix[0] if lo == "raw" else (0.0, 0.0, 0.0)
+    beta, se = lstsq_regression(table, cfg.fluctuating_labels, shift)
+    for j, lab in enumerate(cfg.fluctuating_labels):
+        slope = res.slopes[lab]
+        assert abs(slope.value - beta[j]) < 1e-6 * se[j]
+        assert abs(slope.std_error - se[j]) < 1e-6 * se[j]
 
 
 class TestConfigValidation:
