@@ -12,7 +12,8 @@ Calls paired by bench_harness.py, on the design scan's inputs, memos warm:
   * `detection.PurifiedSensitivity.from_ks` on the pulse's record from
     `detection._ranging_shapes`, every LO of `detection.LO_TABLE`, as a warm
     design forms it;
-  * `detection.numeric_detection_mode` for L, the exact oracle;
+  * `detection.numeric_detection_mode` for L, the exact oracle, and
+    `detection._oracle_projection` for L, its projection and norm alone;
   * `detection.contamination_report`;
   * one whole design, as `perfbench.workloads.DesignScan.op` makes it.
 The gate is `contamination_report(...).to_text()` over the timed designs.
@@ -78,6 +79,7 @@ def tree_calls(package: str, pulse_shapes) -> dict:
         "purify_x_only": lambda _: detection.purify(w_l, [w_x]),
         "purified_sensitivity": lambda _: detection.PurifiedSensitivity.from_ks(rec.lo_ks, rec.refusals, 8e16),
         "oracle_l": lambda _: detection.numeric_detection_mode("L", pulse, state, 1.0),
+        "oracle_projection": lambda _: detection._oracle_projection("L", pulse, state, 1.0),
         "contamination_report": lambda _: detection.contamination_report(pulse, state, 1.0, 8e16),
         "design": design,
     }

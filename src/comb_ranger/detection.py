@@ -55,10 +55,11 @@ minimum detectable values, the oracle's deviation and the two baselines;
 `ranging_modes` builds only w_X and w_Pw.  A `GaussianPulse` and a
 `SpectralMode` keep their hash from when they are built, a `DetectionMode`
 from its first use, and a mode its norm from its first use.  Every vector
-norm is sqrt(v.v), and every dot product, the oracle's included, is
-`mode_algebra.dot`'s left-to-right sum: no bit of a report depends on a
-BLAS kernel.  The report and its `PurifiedSensitivity`
-are fresh records, never memo keys, so they are plain slotted dataclasses.
+norm is sqrt(v.v) added left to right (`mode_algebra.dot`), an overlap is
+exact and rounded once, and each oracle coefficient is a correctly rounded
+sum: no bit of a report depends on a BLAS kernel.  The report and its
+`PurifiedSensitivity` are fresh records, never memo keys, so they are plain
+slotted dataclasses.
 """
 
 from __future__ import annotations

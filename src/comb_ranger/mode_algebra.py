@@ -16,9 +16,10 @@ vector on {v_n} and homodyne signals are plain real parts; u itself is
 Modes are represented by their real coefficients on {v_n}; every mode of
 interest is a low-degree polynomial times u, so inner products are exact
 in coefficient space (purification, on the same coefficients, is
-`detection.purify`).  Every dot product of coefficients is `dot`'s sum, in
-a fixed order, so no bit depends on a BLAS kernel.  Since conj(i f) (i g) = f g, the real profile
-sum_n c_n h_n (with v_n = i h_n) is the one sampled form of a mode.
+`detection.purify`).  A norm is `dot`'s sum in a fixed order and an
+overlap is exact and rounded once, so no bit depends on a BLAS kernel.
+Since conj(i f) (i g) = f g, the real profile sum_n c_n h_n (with
+v_n = i h_n) is the one sampled form of a mode.
 """
 
 from __future__ import annotations

@@ -294,7 +294,7 @@ def run(config: SimConfig, on_rows=None) -> SimResult:
 
             if labels:
                 residual = np.subtract(signal, projection, out=projection)
-                _fold_moments(moments, [*unit, residual], dev)
+                _fold_moments(moments, [*unit, residual], dev)  # dev is spent: it holds each product
             del dev  # alive during on_rows, it raised a 1e5-sample `--out` peak by 0.5 MB
 
             if on_rows is not None:
@@ -392,9 +392,9 @@ def _leakage_slopes(
         sigma2 = 0.0
     slopes = {}
     for p, lab in enumerate(labels, start=1):
-        sigma = config.sigmas[RANGING_LABELS.index(lab)]
-        value = a[p][k] / sigma + coeff[RANGING_LABELS.index(lab)]
-        std_error = math.sqrt(sigma2 * -a[p][p]) / sigma
+        j = RANGING_LABELS.index(lab)
+        value = a[p][k] / config.sigmas[j] + coeff[j]
+        std_error = math.sqrt(sigma2 * -a[p][p]) / config.sigmas[j]
         if not (math.isfinite(value) and 0.0 < std_error < math.inf):
             raise DomainError(
                 f"regression on {lab!r} is degenerate at working precision (slope {value:.3e}, "
