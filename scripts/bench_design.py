@@ -47,7 +47,9 @@ def tree_calls(package: str, pulse_shapes) -> dict:
     rec = detection._ranging_shapes(pulse)
     half = mode_algebra.GRID_HALF_WIDTH
     grid = air_model.sigma_from_omega(pulse.omega0 + np.linspace(-half, half, 2049) * pulse.delta_omega)
-    nodes = air_model.sigma_from_omega(pulse.omega0 + detection._oracle_table()[0] * pulse.delta_omega)
+    # the oracle's 24 node offsets, a tuple, as an array
+    offsets = np.asarray(detection._oracle_table()[0])
+    nodes = air_model.sigma_from_omega(pulse.omega0 + offsets * pulse.delta_omega)
 
     def design(d):
         p = pulses[d.pulse]

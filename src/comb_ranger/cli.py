@@ -355,9 +355,9 @@ def _mode_table(config: SimConfig):
             m = detection.lo_mode(lo, modes)
             rows[lo.mode_row] = (m.mode, m.k_const)
     for label, (mode, k_const) in rows.items():
-        vec = mode.vector
-        if vec[np.argmax(np.abs(vec))] < 0.0:
-            rows[label] = (mode_algebra.SpectralMode(pulse, tuple(-vec)), k_const)
+        # max keeps the first of the largest-magnitude coefficients
+        if max(mode.coefficients, key=abs) < 0.0:
+            rows[label] = (mode_algebra.SpectralMode(pulse, tuple([-c for c in mode.coefficients])), k_const)
     return [(label, *row) for label, row in rows.items()]
 
 

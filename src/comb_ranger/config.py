@@ -29,9 +29,8 @@ rejected, with the offending key named.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import detection
 from .air_model import AirState, check_length
@@ -83,7 +82,7 @@ def _run_fields(values: dict[str, object]) -> dict[str, object]:
 
 
 def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -168,13 +167,14 @@ def _parse_lines(text: str) -> dict[str, str]:
 
 
 def _integer(value: object) -> int:
-    """The exact integer `value` names: "7", "1e6" and 7.0 qualify, 7.5 does not."""
+    """The exact integer `value` names: "7", "1e6", 7.0 and any integral number
+    qualify; 7.5 and a boolean of any kind do not."""
     if isinstance(value, str):
         try:
             return int(value)
         except ValueError:
             value = float(value)
-    if value != int(value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value != int(value):
         raise ValueError(f"{value!r} is not integral")
     return int(value)
 

@@ -16,9 +16,10 @@ dropping the ~(n-1)-sized dispersive corrections.  An exact oracle
 (`numeric_detection_mode`) quantifies that drop: it projects the exact
 gradient i (dphi/dp) u of the propagated field onto the basis with a
 24-node Gauss-Hermite rule, whose nodes span omega0 +/- 8.51 delta_omega.
-The rule's nodes and weights are stored as the doubles numpy's hermgauss
-returns, and its Hermite rows follow the three-term recurrence, so
-building the oracle loads no numpy.polynomial.
+The rule's nodes and weights are stored as the doubles of the reference
+`hermgauss(24)` build, its Hermite rows follow the three-term recurrence,
+and the oracle runs on tuples of floats: `phase_gradient` takes the air
+model's float path at each node.
 By `dispersion`'s identity dphi/dL = omega / c + X dphi/dX + P_w dphi/dP_w,
 the drop lies in the span of the exact X and P_w modes.
 
@@ -71,13 +72,11 @@ import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from . import air_model, mode_algebra, multicolor, records
 from .air_model import SPEED_OF_LIGHT, AirState
 from .dispersion import RANGING_LABELS, phase_gradient
 from .errors import DomainError, SeparabilityError, ValidationError
-from .mode_algebra import GaussianPulse, SpectralMode, dot, inner_product
+from .mode_algebra import GaussianPulse, SpectralMode, dot, exact_coefficients, inner_product
 
 # Refusal floor of `purify` on each residual share 1 - s.  Its arithmetic is
 # exact, so the only error left is the double representation of the mode
@@ -228,17 +227,6 @@ def ranging_modes(
     return rec.w_l, DetectionMode(RANGING_LABELS[1], rec.m_x, k_x), DetectionMode(RANGING_LABELS[2], rec.m_pw, k_pw)
 
 
-def _integer_vector(mode: SpectralMode, order: int) -> list[int]:
-    """The coefficients padded to `order`, as exact integers up to a common 2**-k."""
-    ratios = [x.as_integer_ratio() for x in mode.padded(order).tolist()]
-    den = max(d for _, d in ratios)
-    return [n * (den // d) for n, d in ratios]
-
-
-def _dot(u: Sequence[int], v: Sequence[int]) -> int:
-    return sum(a * b for a, b in zip(u, v))
-
-
 @functools.lru_cache(maxsize=2 * MEMO_SIZE)
 def _purify_core(target: DetectionMode, against: tuple[tuple[SpectralMode, str], ...]) -> DetectionMode:
     """`purify` of `target` against the interferers' (mode, label) pairs."""
@@ -249,13 +237,13 @@ def _purify_core(target: DetectionMode, against: tuple[tuple[SpectralMode, str],
     order = max(m.order for m in (target.mode, *modes))
     basis: list[tuple[list[int], int]] = []
     for i, m in enumerate((*modes, target.mode)):
-        x = _integer_vector(m, order)
+        x, _ = exact_coefficients(m.padded(order))
         r = x
         for q, qq in basis:
-            qr = _dot(q, r)
+            qr = dot(q, r)
             r = [qq * a - qr * b for a, b in zip(r, q)]
-        rr = _dot(r, r)
-        share = _dot(r, x) ** 2 / (rr * _dot(x, x)) if rr else 0.0
+        rr = dot(r, r)
+        share = dot(r, x) ** 2 / (rr * dot(x, x)) if rr else 0.0
         if share <= PURIFY_FLOOR:
             raise SeparabilityError(
                 f"parameter {target.label!r} not separable: its detection mode "
@@ -306,7 +294,7 @@ def _lo_constants(modes: Sequence[DetectionMode]) -> tuple[tuple[float | None, .
 
 
 # The 24-node Gauss-Hermite rule for the weight exp(-x^2): its 12 positive
-# nodes and their weights, each the double numpy's hermgauss(24) returns.
+# nodes and their weights, each the double the reference hermgauss(24) returns.
 # That rule is symmetric to the bit, x == -x[::-1] and w == w[::-1], so
 # mirroring these 12 gives all 24; tests/test_detection.py pins them.
 _HERMGAUSS_NODES = (
@@ -322,40 +310,39 @@ _HERMGAUSS_WEIGHTS = (
 
 
 @functools.cache
-def _oracle_table() -> tuple[np.ndarray, np.ndarray]:
+def _oracle_table() -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
     """Node offsets sqrt(2) x_k (in delta_omega) and rows w_k H_n(x_k) / sqrt(pi 2^n n!)
     for n <= MAX_ORDER_DEFAULT.
 
     24 Gauss-Hermite nodes reach omega0 +/- 8.51 delta_omega; 48 agree to ~4e-16.
     """
+    x = tuple([-v for v in reversed(_HERMGAUSS_NODES)]) + _HERMGAUSS_NODES
+    w = tuple(reversed(_HERMGAUSS_WEIGHTS)) + _HERMGAUSS_WEIGHTS
+    # H_0 = 1, H_1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}, each step rounded as
+    # the reference hermvander rounds it
     order = mode_algebra.MAX_ORDER_DEFAULT
-    nodes, weights = np.array(_HERMGAUSS_NODES), np.array(_HERMGAUSS_WEIGHTS)
-    x, w = np.concatenate((-nodes[::-1], nodes)), np.concatenate((weights[::-1], weights))
-    # H_0 = 1, H_1 = 2x, H_{n+1} = 2x H_n - 2n H_{n-1}, each row rounded as
-    # numpy's hermvander rounds it, so no numpy.polynomial import is needed
-    x2 = x * 2
-    h = np.empty((order + 1, x.size))
-    h[0], h[1] = 1.0, x2
+    x2 = [v * 2 for v in x]
+    h = [[1.0] * len(x), x2]
     for i in range(2, order + 1):
-        h[i] = h[i - 1] * x2 - h[i - 2] * (2 * (i - 1))
+        h.append([a * b - c * (2 * (i - 1)) for a, b, c in zip(h[i - 1], x2, h[i - 2])])
     norm = [(math.pi * 2.0**n * math.factorial(n)) ** -0.5 for n in range(order + 1)]
-    offsets, table = math.sqrt(2.0) * x, np.asarray(norm)[:, None] * h * w
-    offsets.flags.writeable = table.flags.writeable = False
-    return offsets, table
+    table = tuple(tuple([c * hk * wk for hk, wk in zip(row, w)]) for c, row in zip(norm, h))
+    return tuple([math.sqrt(2.0) * v for v in x]), table
 
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _oracle_rows(pulse: GaussianPulse) -> tuple[tuple[float, ...], ...]:
     """The projections of the vacuum L gradient omega / c and of the X and P_w
-    gradients over 1 m: `phase_gradient` at X = P_w = 0, where n_phi is 1.0.
-    Each coefficient is the correctly rounded sum (`math.fsum`) of its 24
-    node products, whose terms span 16 orders of magnitude and cancel."""
+    gradients over 1 m: `phase_gradient` at X = P_w = 0, where n_phi is 1.0,
+    on each node's frequency.  Each coefficient is the correctly rounded sum
+    (`math.fsum`) of its 24 node products, whose terms span 16 orders of
+    magnitude and cancel."""
     offsets, table = _oracle_table()
-    w = pulse.omega0 + pulse.delta_omega * offsets
+    w = [pulse.omega0 + pulse.delta_omega * o for o in offsets]
     vacuum = AirState(0.0, 0.0, 0.0, 0.0)
     return tuple(
-        tuple([math.fsum(table_row * gradient) for table_row in table])
-        for gradient in (phase_gradient(label, w, vacuum, 1.0) for label in RANGING_LABELS)
+        tuple([math.fsum(map(operator.mul, table_row, gradient)) for table_row in table])
+        for gradient in ([phase_gradient(label, wk, vacuum, 1.0) for wk in w] for label in RANGING_LABELS)
     )
 
 

@@ -21,8 +21,6 @@ oscillator are taken phase-locked.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import air_model
 from .air_model import SPEED_OF_LIGHT, AirState
 from .errors import DomainError, ValidationError
@@ -33,23 +31,17 @@ LINEARITY_GUARD_RAD = 0.1
 RANGING_LABELS = ("L", "X", "Pw")
 
 
-def phase_gradient(
-    label: str,
-    omega: np.ndarray,
-    state: AirState,
-    length_m: float,
-) -> np.ndarray:
-    """d(spectral phase)/d(parameter) on a grid; exact in each parameter.
-    The one place each label's gradient is written."""
-    w = np.asarray(omega, dtype=float)
-    sigma = air_model.sigma_from_omega(w)
+def phase_gradient(label: str, omega, state: AirState, length_m: float):
+    """d(spectral phase)/d(parameter) at omega, a float or an array, exact in
+    each parameter.  The one place each label's gradient is written."""
+    if label not in RANGING_LABELS:
+        raise ValidationError(f"unknown parameter label {label!r}")
+    sigma = air_model.sigma_from_omega(omega)
     if label == "L":
-        return air_model.phase_index(sigma, state) * w / SPEED_OF_LIGHT
+        return air_model.phase_index(sigma, state) * omega / SPEED_OF_LIGHT
     if label == "X":
-        return air_model.k_dispersion(sigma) * w * length_m / SPEED_OF_LIGHT
-    if label == "Pw":
-        return -air_model.water_term(sigma) * w * length_m / SPEED_OF_LIGHT
-    raise ValidationError(f"unknown parameter label {label!r}")
+        return air_model.k_dispersion(sigma) * omega * length_m / SPEED_OF_LIGHT
+    return -air_model.water_term(sigma) * omega * length_m / SPEED_OF_LIGHT
 
 
 def check_linearity(
@@ -60,13 +52,12 @@ def check_linearity(
 ) -> None:
     """Enforce the < 0.1 rad guard at omega0 +/- 2 delta_omega on the offsets
     (p_L [m], p_X [dimensionless], p_Pw [Pa]), in RANGING_LABELS order."""
-    edges = np.array([pulse.omega0 - 2 * pulse.delta_omega, pulse.omega0 + 2 * pulse.delta_omega])
+    edges = (pulse.omega0 - 2 * pulse.delta_omega, pulse.omega0 + 2 * pulse.delta_omega)
     for label, value in zip(RANGING_LABELS, values, strict=True):
         if value == 0.0:
             continue
-        grad = phase_gradient(label, edges, state, length_m)
         # max|value * grad| to the bit; a float product overflows to inf without a warning
-        worst = abs(value) * float(np.max(np.abs(grad)))
+        worst = abs(value) * max(abs(phase_gradient(label, w, state, length_m)) for w in edges)
         if worst >= LINEARITY_GUARD_RAD:
             raise DomainError(
                 f"perturbation {label}={value} drives the spectral phase to "

@@ -13,11 +13,12 @@ kept inside the basis, so every local-oscillator mode is a real coefficient
 vector on {v_n} and homodyne signals are plain real parts; u itself is
 -i v_0.
 
-Modes are represented by their real coefficients on {v_n}; every mode of
-interest is a low-degree polynomial times u, so inner products are exact
-in coefficient space (purification, on the same coefficients, is
-`detection.purify`).  A norm is `dot`'s sum in a fixed order and an
-overlap is exact and rounded once, so no bit depends on a BLAS kernel.
+Modes are represented by their real coefficients on {v_n}, a tuple of
+floats; every mode of interest is a low-degree polynomial times u, so inner
+products are exact in coefficient space.  A norm is `dot`'s sum in a fixed
+order; an overlap, and the Gram-Schmidt of `detection.purify`, run on the
+exact integers of `exact_coefficients` and round once, so no bit depends on
+a BLAS kernel.
 Since conj(i f) (i g) = f g, the real profile sum_n c_n h_n (with
 v_n = i h_n) is the one sampled form of a mode.
 """
@@ -117,10 +118,6 @@ class SpectralMode:
         return self._hash
 
     @property
-    def vector(self) -> np.ndarray:
-        return np.asarray(self.coefficients, dtype=float)
-
-    @property
     def order(self) -> int:
         return len(self.coefficients) - 1
 
@@ -129,11 +126,11 @@ class SpectralMode:
             object.__setattr__(self, "_norm", math.sqrt(dot(self.coefficients, self.coefficients)))
         return self._norm
 
-    def padded(self, order: int) -> np.ndarray:
-        """Coefficient vector zero-padded out to the given order (>= the mode's)."""
+    def padded(self, order: int) -> tuple[float, ...]:
+        """The coefficients zero-padded out to the given order (>= the mode's)."""
         if order < self.order:
             raise ValidationError(f"cannot pad a mode of order {self.order} to order {order}")
-        return np.array(self.coefficients + (0.0,) * (order - self.order))
+        return self.coefficients + (0.0,) * (order - self.order)
 
 
 def _require_same_pulse(f: SpectralMode, g: SpectralMode) -> None:
@@ -154,34 +151,35 @@ def hermite_gauss(n: int, pulse: GaussianPulse) -> SpectralMode:
 
 
 def dot(a: Sequence[float], b: Sequence[float]) -> float:
-    """sum_i a_i b_i over the common length, added left to right in doubles.
-
-    The order is fixed, so the bits are the same on every platform, unlike a
-    BLAS ddot, whose kernel picks its own order (and unlike the builtin sum,
-    which compensates since Python 3.12).
+    """sum_i a_i b_i over the common length, added left to right from the
+    integer 0: exact on integers, and on doubles the same bits on every
+    platform, unlike a BLAS ddot, whose kernel picks its own order (and unlike
+    the builtin sum, which compensates floats since Python 3.12).
     """
-    total = 0.0
+    total = 0
     for x, y in zip(a, b):
         total += x * y
     return total
 
 
+def exact_coefficients(coefficients: Sequence[float]) -> tuple[list[int], int]:
+    """Integers n_i and a power of two d with coefficients[i] == n_i / d, as
+    each double is an integer over a power of two: the exact encoding on which
+    `inner_product` and `detection.purify` add."""
+    ratios = [x.as_integer_ratio() for x in coefficients]
+    den = max(d for _, d in ratios)
+    return [n * (den // d) for n, d in ratios], den
+
+
 def inner_product(f: SpectralMode, g: SpectralMode) -> float:
-    """L2 inner product <f, g> = integral f* g on the real coefficients, rounded
-    once: each double is an integer over a power of two, so the products and
-    their sum are exact in integers (the coefficients past the shorter mode's
+    """L2 inner product <f, g> = integral f* g on the real coefficients, exact
+    in integers and rounded once (the coefficients past the shorter mode's
     are 0 and add nothing).  Overlaps of near-parallel or orthogonal unit
     modes cancel to 1e-6 of their terms and below, so a rounded sum of
     rounded products would lose their last digits."""
     _require_same_pulse(f, g)
-    num, den = 0, 1
-    for x, y in zip(f.coefficients, g.coefficients):
-        (p, q), (r, s) = x.as_integer_ratio(), y.as_integer_ratio()
-        d = q * s
-        if d > den:
-            num, den = num * (d // den), d
-        num += p * r * (den // d)
-    return num / den
+    (a, p), (b, q) = exact_coefficients(f.coefficients), exact_coefficients(g.coefficients)
+    return dot(a, b) / (p * q)
 
 
 def gaussian_envelope(pulse: GaussianPulse, omega: np.ndarray) -> np.ndarray:

@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from . import air_model
 from .air_model import SPEED_OF_LIGHT, AirState
 from .errors import DomainError, ValidationError
@@ -52,11 +50,10 @@ class MulticolorCombination:
         omegas = tuple([2.0 * math.pi * SPEED_OF_LIGHT / lam for lam in self.wavelengths_m])
         object.__setattr__(self, "_omegas", omegas)
 
-    def reconstruct(self, phase_lengths_m) -> float:
-        values = np.asarray(phase_lengths_m, dtype=float)
-        if values.shape != (len(self.weights),):
+    def reconstruct(self, phase_lengths_m: Sequence[float]) -> float:
+        if len(phase_lengths_m) != len(self.weights):
             raise ValidationError("one phase length per weight")
-        return dot(self.weights, values.tolist())
+        return dot(self.weights, phase_lengths_m)
 
 
 def _sigmas(wavelengths_m: Sequence[float]) -> list[float]:

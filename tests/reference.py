@@ -75,7 +75,7 @@ def time_detection_modes(pulse: GaussianPulse) -> tuple[DetectionMode, Detection
 
 def numeric_time_mode(label: str, pulse: GaussianPulse) -> DetectionMode:
     """`detection.numeric_detection_mode`'s Gauss-Hermite projection, for a delay."""
-    offsets, table = _oracle_table()
+    offsets, table = map(np.array, _oracle_table())
     coeffs = table @ time_phase_gradient(label, pulse.omega0 + pulse.delta_omega * offsets, pulse)
     k_est = float(np.linalg.norm(coeffs))
     return DetectionMode(f"{label}(numeric)", SpectralMode(pulse, tuple(coeffs / k_est)), k_est)
@@ -130,15 +130,15 @@ def linearized_field(
         amp = value * dm.k_const
         amplitudes[label] = amp
         if amp != 0.0:
-            vec = vec + amp * dm.mode.padded(order)
+            vec = vec + amp * np.asarray(dm.mode.padded(order))
     return LinearizedField(SpectralMode(pulse, tuple(vec)), amplitudes)
 
 
 def lstsq_purify(target, against):
     """Residual share 1 - s and unit residual by float least squares, apart from purify."""
     order = max(dm.mode.order for dm in (target, *against))
-    basis = np.column_stack([dm.mode.padded(order).real for dm in against])
-    t = target.mode.padded(order).real
+    basis = np.column_stack([dm.mode.padded(order) for dm in against])
+    t = np.asarray(target.mode.padded(order))
     res = t - basis @ np.linalg.lstsq(basis, t, rcond=None)[0]
     return res @ res / (t @ t), res / np.linalg.norm(res)
 

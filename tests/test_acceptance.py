@@ -259,7 +259,7 @@ def test_criterion_10_oracle_equivalence():
             numeric = numeric_detection_mode(analytic.label, pulse, state, length)
             order = numeric.mode.order
             dev = float(
-                np.max(np.abs(analytic.mode.padded(order) - numeric.mode.padded(order)))
+                np.max(np.abs(np.asarray(analytic.mode.padded(order)) - numeric.mode.padded(order)))
             )
             k_rel = abs(numeric.k_const / analytic.k_const - 1.0)
             worst_coeff = max(worst_coeff, dev)

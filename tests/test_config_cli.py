@@ -101,6 +101,18 @@ class TestConfigParsing:
         assert cfg.values["samples"] == 1000
         assert cfg.values["seed"] == 2**128 - 1
 
+    @pytest.mark.parametrize("key", ["samples", "seed"])
+    def test_integer_key_takes_numpy_integers(self, key):
+        for value in (np.int64(4321), np.uint32(4321)):
+            cfg = build_config({key: value})
+            assert cfg.values[key] == 4321 and type(cfg.values[key]) is int
+
+    @pytest.mark.parametrize("key", ["samples", "seed"])
+    @pytest.mark.parametrize("value", [True, np.True_], ids=["True", "np.True_"])
+    def test_integer_key_refuses_booleans(self, key, value):
+        with pytest.raises(ValidationError, match=re.escape(f"key '{key}': {value!r} is not an integer")):
+            build_config({key: value})
+
     def test_unknown_override_key_named(self):
         with pytest.raises(ValidationError, match="unknown configuration key 'sample'"):
             build_config({"sample": 5, "lo": "raw"})

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from comb_ranger import air_model
 from comb_ranger.air_model import SPEED_OF_LIGHT, AirState
 from comb_ranger.detection import ranging_modes
+from comb_ranger.dispersion import RANGING_LABELS, phase_gradient
 from comb_ranger.errors import DomainError, ValidationError
 from comb_ranger.mode_algebra import GaussianPulse, gaussian_envelope, hermite_envelope
 from reference import (
@@ -220,6 +221,21 @@ class TestLinearizedField:
         pulse = GaussianPulse.from_wavelength(800e-9)
         with pytest.raises(ValidationError):
             linearized_field(pulse, (1e-13, 0.0, 0.0))
+
+
+class TestPhaseGradient:
+    # the oracle calls it per node on floats, the guard on two floats, the
+    # tests on arrays: one set of operators serves all
+    @pytest.mark.parametrize("label", RANGING_LABELS)
+    def test_float_is_the_one_element_array(self, label):
+        pulse = GaussianPulse.from_wavelength(633e-9, 0.2)
+        moist = AirState(31.0, 97000.0, 0.07, 2300.0)
+        for state in (AirState.standard(), moist):
+            for x in (-8.5, -2.0, -0.3, 0.0, 1.7, 2.0, 8.5):
+                w = pulse.omega0 + x * pulse.delta_omega
+                one = phase_gradient(label, w, state, 7.0)
+                assert isinstance(one, float)
+                assert np.float64(one).tobytes() == phase_gradient(label, np.array([w]), state, 7.0).tobytes()
 
 
 class TestPerturbationVector:

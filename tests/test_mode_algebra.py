@@ -97,8 +97,8 @@ class TestSpectralMode:
 
     def test_padded(self):
         mode = SpectralMode(PULSE, (0.3, -0.2, 0.5))
-        assert mode.padded(2).tolist() == [0.3, -0.2, 0.5]
-        assert mode.padded(4).tolist() == [0.3, -0.2, 0.5, 0.0, 0.0]
+        assert mode.padded(2) == (0.3, -0.2, 0.5)
+        assert mode.padded(4) == (0.3, -0.2, 0.5, 0.0, 0.0)
         with pytest.raises(ValidationError, match="order 2 to order 1"):
             mode.padded(1)
 

@@ -218,6 +218,11 @@ class TestRefusals:
         with pytest.raises(ValidationError, match="one photon number per wavelength"):
             shot_noise(PAIR, TRIPLE_PHOTONS)
 
+    @pytest.mark.parametrize("comb, count", [(PAIR, 1), (PAIR, 3), (TRIPLE, 2), (TRIPLE, 4)])
+    def test_one_phase_length_per_weight(self, comb, count):
+        with pytest.raises(ValidationError, match="one phase length per weight"):
+            comb.reconstruct([1.0] * count)
+
     def test_photons_below_one(self):
         for bad in (0.0, 0.999, -1.0, math.nan):
             with pytest.raises(ValidationError, match="must be finite and >= 1"):

@@ -88,6 +88,24 @@ def test_no_import_cycle():
         visit(name, ())
 
 
+def test_scalar_modules_import_no_numpy():
+    # config, the phase gradients, the detection modes, the oracle, the
+    # multicolor baselines and the records run on floats and exact integers;
+    # numpy stays with the air model's arrays, profile sampling, the simulator
+    # and the CSV writer
+    importers = []
+    for name in ("config", "dispersion", "detection", "multicolor", "records", "errors"):
+        for node in ast.walk(parse(PACKAGE_DIR / f"{name}.py")):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            importers += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "numpy"]
+    assert importers == []
+
+
 def perfbench_span_names() -> dict[str, set[str]]:
     """The span names perfbench/tracing.py reads back, by where it reads them:
     `incl[...]` and `span_self[...]` keys, `name == ...` literals and the
